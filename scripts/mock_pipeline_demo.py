@@ -81,10 +81,11 @@ def main() -> None:
         result = cc.run_iterations(corpus, cb, cfg, client)
         out_dir = workdir / f"run_{strategy}"
         report.write_run_outputs(out_dir, cfg, cb.ids, [d.doc_id for d in corpus], result)
+        cc.write_records_jsonl(result.records, out_dir / report.RECORDS_NAME)
         runs.append(report.load_run(out_dir))
         print(
             f"{strategy:>6}: {len(result.records)} prompts,"
-            f" internal agreement {cc.internal_agreement(result.results, 'model'):.4f}"
+            f" internal agreement {cc.internal_agreement(result.results).model:.4f}"
         )
 
     manual = cc.read_ratings_csv(manual_path)

@@ -20,7 +20,6 @@ from .agreement import (
     manual_consensus,
     negative_identification_rate,
     percent_agreement,
-    positive_identification_rate,
     precision,
     rating_matrix_from_iterations,
     read_ratings_csv,
@@ -38,12 +37,11 @@ from .codebook import Codebook, Dimension, default_codebook, load_codebook
 from .engine import (
     CellFailure,
     ConsensusResult,
+    InternalAgreement,
     IterationResult,
     PromptRecord,
     RunConfig,
     RunResult,
-    code_chunked,
-    code_whole,
     consensus,
     consensus_table,
     internal_agreement,

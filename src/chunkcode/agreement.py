@@ -56,11 +56,7 @@ class RatingMatrix:
 
     @property
     def doc_ids(self) -> tuple[str, ...]:
-        ordered: list[str] = []
-        for doc_id, _ in self.subjects:
-            if doc_id not in ordered:
-                ordered.append(doc_id)
-        return tuple(ordered)
+        return tuple(dict.fromkeys(doc_id for doc_id, _ in self.subjects))
 
     def column(self, rater_id: str) -> dict[Subject, bool]:
         j = self.raters.index(rater_id)
@@ -173,15 +169,6 @@ def recall(c: ConfusionCounts) -> float:
     return c.tp / (c.tp + c.fn)
 
 
-def positive_identification_rate(c: ConfusionCounts) -> float:
-    """True positives over gold positives."""
-    if c.tp + c.fn == 0:
-        raise UndefinedMetricError(
-            "positive identification rate is undefined with no gold positives"
-        )
-    return c.tp / (c.tp + c.fn)
-
-
 def negative_identification_rate(c: ConfusionCounts) -> float:
     """True negatives over gold negatives."""
     if c.tn + c.fp == 0:
@@ -193,7 +180,7 @@ def negative_identification_rate(c: ConfusionCounts) -> float:
 
 def identification_rates(c: ConfusionCounts) -> tuple[float, float]:
     """(positive rate, negative rate): TP over gold positives, TN over gold negatives."""
-    return positive_identification_rate(c), negative_identification_rate(c)
+    return recall(c), negative_identification_rate(c)
 
 
 def percent_agreement(m: RatingMatrix) -> float:

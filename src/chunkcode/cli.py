@@ -100,8 +100,7 @@ def run(manifest_path, codebook_path, model, strategy, chunk_size, iterations,
 
             result = engine.run_iterations(corpus, cb, cfg, client, record_sink=sink)
         report.write_run_outputs(
-            out_dir, cfg, cb.ids, [doc.doc_id for doc in corpus], result,
-            write_records=False,
+            out_dir, cfg, cb.ids, [doc.doc_id for doc in corpus], result
         )
     except ChunkCodeError as exc:
         _fail(str(exc))
@@ -133,34 +132,19 @@ def consensus(records_path, out_dir):
         table = engine.consensus_table(results)
         if not table:
             _fail("records file holds no results")
-        doc_ids, dim_ids = [], []
-        for doc_id, dim_id in table:
-            if doc_id not in doc_ids:
-                doc_ids.append(doc_id)
-            if dim_id not in dim_ids:
-                dim_ids.append(dim_id)
+        doc_ids = list(dict.fromkeys(doc_id for doc_id, _ in table))
+        dim_ids = list(dict.fromkeys(dim_id for _, dim_id in table))
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        rows = []
-        for doc_id in doc_ids:
-            row = {"doc_id": doc_id}
-            for dim_id in dim_ids:
-                cell = table.get((doc_id, dim_id))
-                row[dim_id] = "" if cell is None else ("T" if cell.value else "F")
-            rows.append(row)
-        report.write_table_csv(out / report.CONSENSUS_NAME, ["doc_id", *dim_ids], rows)
+        report.write_consensus_csv(out / report.CONSENSUS_NAME, table, doc_ids, dim_ids)
 
-        by_doc = engine.internal_agreement(results, "paper")
+        internal = engine.internal_agreement(results)
         agreement_rows = [
             {"scope": "paper", "doc_id": doc_id, "internal_agreement": value}
-            for doc_id, value in by_doc.items()
+            for doc_id, value in internal.papers.items()
         ]
         agreement_rows.append(
-            {
-                "scope": "model",
-                "doc_id": "",
-                "internal_agreement": engine.internal_agreement(results, "model"),
-            }
+            {"scope": "model", "doc_id": "", "internal_agreement": internal.model}
         )
         report.write_table_csv(
             out / "internal_agreement.csv",

@@ -1,7 +1,8 @@
 """Run the coding strategies over a corpus and reduce iterations to consensus.
 
-The whole-text strategy issues one prompt per (document, dimension); the
-chunking strategy issues one per (chunk, dimension) and ORs the chunk codes.
+Each (document, dimension) cell gets one prompt per body: the whole-text
+strategy gives a document one body, its full text; the chunking strategy one
+per fixed-size word chunk. A cell codes True when any of its bodies does.
 Running N iterations and taking the per-cell mode yields the consensus code,
 with per-cell support feeding the internal-agreement statistics.
 """
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 from .classifier import BinaryCode, KeyPhraseSet, classify, default_key_phrases
 from .codebook import Codebook, Dimension
 from .errors import CellError, ChunkCodeError, ConfigError
-from .ingestion import Chunk, DocumentText, chunk_document
+from .ingestion import DocumentText, chunk_document
 from .llm_client import CACHE_MODES, LLMClient, PromptRequest, render_prompt
 
 STRATEGIES = ("whole", "chunk")
@@ -108,6 +109,20 @@ class CellFailure:
     error: str
 
 
+@dataclass(frozen=True)
+class InternalAgreement:
+    """Internal agreement of a run at its three scopes.
+
+    cells  -> {(doc_id, dimension_id): fraction of iterations matching the mode}
+    papers -> {doc_id: mean over that document's dimensions}
+    model  -> mean of the paper-level values
+    """
+
+    cells: dict[tuple[str, str], float]
+    papers: dict[str, float]
+    model: float
+
+
 @dataclass
 class RunResult:
     """Everything a run produced, including what it could not produce."""
@@ -133,45 +148,54 @@ def cell_tag(doc_id: str, dimension_id: str, iteration: int, chunk_index: int | 
     return tag
 
 
+def _prompt_bodies(doc: DocumentText, cfg: RunConfig) -> list[tuple[int | None, int, str]]:
+    """The (chunk_index, word_count, text) prompt bodies of one document.
+
+    Whole-text is a single body spanning the document, with no chunk index,
+    so its request tags and keys carry no chunk suffix.
+    """
+    if cfg.strategy == "whole":
+        return [(None, len(doc.words), doc.text)]
+    return [(c.index, len(c.words), c.text) for c in chunk_document(doc, cfg.chunk_size)]
+
+
 def _complete_cell(
     client: LLMClient,
     cfg: RunConfig,
-    doc: DocumentText,
+    doc_id: str,
     dim: Dimension,
     iteration: int,
-    chunk: Chunk | None,
+    body: tuple[int | None, int, str],
 ) -> PromptRecord:
-    body_words = len(chunk.words) if chunk is not None else len(doc.words)
-    chunk_index = chunk.index if chunk is not None else None
+    chunk_index, body_words, text = body
     if cfg.max_prompt_words is not None and body_words > cfg.max_prompt_words:
         raise CellError(
             f"prompt body of {body_words} words exceeds the configured limit of"
             f" {cfg.max_prompt_words}; refusing to truncate",
-            doc_id=doc.doc_id,
+            doc_id=doc_id,
             dimension_id=dim.id,
             iteration=iteration,
             chunk_index=chunk_index,
         )
-    body = chunk.text if chunk is not None else doc.text
     request = PromptRequest(
         model=cfg.model,
-        prompt_text=render_prompt(dim, body),
-        tag=cell_tag(doc.doc_id, dim.id, iteration, chunk_index),
+        prompt_text=render_prompt(dim, text),
+        tag=cell_tag(doc_id, dim.id, iteration, chunk_index),
     )
     try:
         response = client.complete(request)
     except ChunkCodeError as exc:
         raise CellError(
-            f"prompt for doc={doc.doc_id!r} dim={dim.id!r} iteration={iteration}"
+            f"prompt for doc={doc_id!r} dim={dim.id!r} iteration={iteration}"
             f" chunk={chunk_index} failed: {exc}",
-            doc_id=doc.doc_id,
+            doc_id=doc_id,
             dimension_id=dim.id,
             iteration=iteration,
             chunk_index=chunk_index,
         ) from exc
     code = classify(response.text, cfg.phrases, word_boundary=cfg.word_boundary)
     return PromptRecord(
-        doc_id=doc.doc_id,
+        doc_id=doc_id,
         dimension_id=dim.id,
         iteration=iteration,
         chunk_index=chunk_index,
@@ -181,66 +205,6 @@ def _complete_cell(
         code=code,
         request_key=request.request_key,
     )
-
-
-def _code_cell_whole(client, cfg, doc, dim, iteration):
-    record = _complete_cell(client, cfg, doc, dim, iteration, chunk=None)
-    result = IterationResult(doc.doc_id, dim.id, iteration, record.code.value)
-    return result, [record]
-
-
-def _code_cell_chunked(client, cfg, doc, dim, iteration, chunks):
-    records = [
-        _complete_cell(client, cfg, doc, dim, iteration, chunk=c) for c in chunks
-    ]
-    value = any(r.code.value for r in records)
-    return IterationResult(doc.doc_id, dim.id, iteration, value), records
-
-
-def code_whole(
-    doc: DocumentText,
-    cb: Codebook,
-    cfg: RunConfig,
-    iteration: int,
-    client: LLMClient,
-) -> tuple[list[IterationResult], list[PromptRecord]]:
-    """Code every dimension over the full document text, one prompt each.
-
-    A failed prompt raises a CellError carrying its cell context; it never
-    silently becomes a False code.
-    """
-    if not doc.words:
-        raise ConfigError(f"document {doc.doc_id!r} has no words")
-    results, records = [], []
-    for dim in cb:
-        result, cell_records = _code_cell_whole(client, cfg, doc, dim, iteration)
-        results.append(result)
-        records.extend(cell_records)
-    return results, records
-
-
-def code_chunked(
-    doc: DocumentText,
-    cb: Codebook,
-    cfg: RunConfig,
-    iteration: int,
-    client: LLMClient,
-) -> tuple[list[IterationResult], list[PromptRecord]]:
-    """Code every dimension chunk by chunk.
-
-    Issues one prompt per (chunk, dimension); a dimension is True when any
-    of its chunk responses codes True. A failed chunk raises a CellError for
-    that (dimension, iteration) cell.
-    """
-    if not doc.words:
-        raise ConfigError(f"document {doc.doc_id!r} has no words")
-    chunks = chunk_document(doc, cfg.chunk_size)
-    results, records = [], []
-    for dim in cb:
-        result, cell_records = _code_cell_chunked(client, cfg, doc, dim, iteration, chunks)
-        results.append(result)
-        records.extend(cell_records)
-    return results, records
 
 
 def run_iterations(
@@ -253,11 +217,14 @@ def run_iterations(
 ) -> RunResult:
     """Run the configured strategy for iterations 1..N over every document.
 
-    Per-cell failures are collected rather than raised, so one bad prompt
-    costs one cell, not the run; the returned failures double as a manifest
-    of what to retry. Interrupted record-mode runs resume cheaply because
-    completed prompts hit the request cache. ``record_sink`` receives each
-    PromptRecord as it is produced, for incremental persistence.
+    Each (document, dimension, iteration) cell prompts once per body of its
+    document and is True when any body's code is. Per-cell failures are
+    collected rather than raised, so one bad prompt costs one cell, not the
+    run; a failed prompt never becomes a False code, and the returned
+    failures double as a manifest of what to retry. Interrupted record-mode
+    runs resume cheaply because completed prompts hit the request cache.
+    ``record_sink`` receives each PromptRecord of a completed cell, in
+    order, for incremental persistence.
     """
     if not corpus:
         raise ConfigError("corpus is empty")
@@ -269,25 +236,19 @@ def run_iterations(
         if not doc.words:
             raise ConfigError(f"document {doc.doc_id!r} has no words")
 
-    chunks_by_doc: dict[str, list[Chunk]] = {}
-    if cfg.strategy == "chunk":
-        chunks_by_doc = {doc.doc_id: chunk_document(doc, cfg.chunk_size) for doc in corpus}
+    bodies_by_doc = {doc.doc_id: _prompt_bodies(doc, cfg) for doc in corpus}
 
     records: list[PromptRecord] = []
     results: list[IterationResult] = []
     failures: list[CellFailure] = []
     for iteration in range(1, cfg.iterations + 1):
-        for doc in corpus:
+        for doc_id, bodies in bodies_by_doc.items():
             for dim in cb:
                 try:
-                    if cfg.strategy == "whole":
-                        result, cell_records = _code_cell_whole(
-                            client, cfg, doc, dim, iteration
-                        )
-                    else:
-                        result, cell_records = _code_cell_chunked(
-                            client, cfg, doc, dim, iteration, chunks_by_doc[doc.doc_id]
-                        )
+                    cell_records = [
+                        _complete_cell(client, cfg, doc_id, dim, iteration, body)
+                        for body in bodies
+                    ]
                 except CellError as exc:
                     failures.append(
                         CellFailure(
@@ -299,7 +260,8 @@ def run_iterations(
                         )
                     )
                     continue
-                results.append(result)
+                value = any(r.code.value for r in cell_records)
+                results.append(IterationResult(doc_id, dim.id, iteration, value))
                 records.extend(cell_records)
                 if record_sink is not None:
                     for record in cell_records:
@@ -337,14 +299,8 @@ def consensus_table(
     return {key: consensus(cell) for key, cell in grouped.items()}
 
 
-def internal_agreement(
-    results: Sequence[IterationResult], level: str = "cell"
-) -> dict | float:
+def internal_agreement(results: Sequence[IterationResult]) -> InternalAgreement:
     """Fraction of iterations matching the modal code, at three scopes.
-
-    cell  -> {(doc_id, dimension_id): fraction}
-    paper -> {doc_id: mean over that document's dimensions}
-    model -> mean of the paper-level values
 
     Aggregation always runs dimension -> paper -> model, so every document
     weighs equally in the model-level figure.
@@ -353,17 +309,11 @@ def internal_agreement(
     if not table:
         raise ValueError("no iteration results to aggregate")
     cells = {key: c.support for key, c in table.items()}
-    if level == "cell":
-        return cells
     by_doc: dict[str, list[float]] = defaultdict(list)
     for (doc_id, _), support in cells.items():
         by_doc[doc_id].append(support)
     papers = {doc_id: sum(vals) / len(vals) for doc_id, vals in by_doc.items()}
-    if level == "paper":
-        return papers
-    if level == "model":
-        return sum(papers.values()) / len(papers)
-    raise ValueError(f"unknown aggregation level {level!r}")
+    return InternalAgreement(cells, papers, sum(papers.values()) / len(papers))
 
 
 def iteration_results_from_records(

@@ -80,13 +80,13 @@ def write_run_outputs(
     dimension_ids: Sequence[str],
     doc_ids: Sequence[str],
     result: engine.RunResult,
-    *,
-    write_records: bool = True,
 ) -> None:
-    """Persist a run: metadata, records, iteration results, and consensus.
+    """Persist a run beside its records: metadata, iteration results,
+    consensus, and the failure manifest.
 
-    Pass ``write_records=False`` when the records file was already streamed
-    incrementally during the run.
+    The records file is written by the caller, typically streamed during the
+    run. A failure manifest left by an earlier run is removed when this run
+    has no failures, so the directory describes one run only.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -105,8 +105,6 @@ def write_run_outputs(
     (out / RUN_META_NAME).write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    if write_records:
-        engine.write_records_jsonl(result.records, out / RECORDS_NAME)
 
     rows = [
         {
@@ -123,16 +121,15 @@ def write_run_outputs(
         rows,
     )
 
-    table = engine.consensus_table(result.results)
-    consensus_rows = []
-    for doc_id in doc_ids:
-        row: dict[str, object] = {"doc_id": doc_id}
-        for dim_id in dimension_ids:
-            cell = table.get((doc_id, dim_id))
-            row[dim_id] = "" if cell is None else ("T" if cell.value else "F")
-        consensus_rows.append(row)
-    write_table_csv(out / CONSENSUS_NAME, ["doc_id", *dimension_ids], consensus_rows)
+    write_consensus_csv(
+        out / CONSENSUS_NAME,
+        engine.consensus_table(result.results),
+        doc_ids,
+        dimension_ids,
+    )
 
+    failures_path = out / FAILURES_NAME
+    failures_path.unlink(missing_ok=True)
     if result.failures:
         manifest = [
             {
@@ -144,9 +141,27 @@ def write_run_outputs(
             }
             for f in result.failures
         ]
-        (out / FAILURES_NAME).write_text(
+        failures_path.write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
+
+
+def write_consensus_csv(
+    path: str | Path,
+    table: Mapping[Subject, engine.ConsensusResult],
+    doc_ids: Sequence[str],
+    dimension_ids: Sequence[str],
+) -> None:
+    """Write consensus codes as one row per document and one column per
+    dimension, in the given orders; a cell without a consensus is empty."""
+    rows = []
+    for doc_id in doc_ids:
+        row: dict[str, object] = {"doc_id": doc_id}
+        for dim_id in dimension_ids:
+            cell = table.get((doc_id, dim_id))
+            row[dim_id] = None if cell is None else cell.value
+        rows.append(row)
+    write_table_csv(path, ["doc_id", *dimension_ids], rows)
 
 
 # -- table construction --------------------------------------------------------
@@ -162,9 +177,7 @@ def performance_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict
             {
                 "model": run.model,
                 "strategy": run.strategy,
-                "internal_agreement": engine.internal_agreement(
-                    run.iteration_results, "model"
-                ),
+                "internal_agreement": engine.internal_agreement(run.iteration_results).model,
                 "accuracy": agreement.accuracy(counts),
                 "precision": agreement.precision(counts),
                 "recall": agreement.recall(counts),
@@ -191,28 +204,21 @@ def confusion_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict]:
     return rows
 
 
-def _ordered_dimension_ids(manual: RatingMatrix) -> list[str]:
-    ordered: list[str] = []
-    for _, dim_id in manual.subjects:
-        if dim_id not in ordered:
-            ordered.append(dim_id)
-    return ordered
-
-
 def per_dimension_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict]:
     """Per run and dimension: true hits against the manual positives/negatives."""
     gold = agreement.manual_consensus(manual)
+    dimension_ids = dict.fromkeys(dim_id for _, dim_id in manual.subjects)
     rows = []
     for run in runs:
         pred = run.consensus_codes
-        for dim_id in _ordered_dimension_ids(manual):
+        for dim_id in dimension_ids:
             subjects = [s for s in manual.subjects if s[1] == dim_id]
             counts = agreement.confusion(
                 {s: pred[s] for s in subjects if s in pred},
                 {s: gold[s] for s in subjects},
             )
             try:
-                positive_rate = agreement.positive_identification_rate(counts)
+                positive_rate = agreement.recall(counts)
             except UndefinedMetricError:
                 positive_rate = None
             try:
@@ -314,7 +320,7 @@ def internal_agreement_rows(runs: Sequence[RunData]) -> list[dict]:
     """Per run and document internal agreement (the per-paper breakdown)."""
     rows = []
     for run in runs:
-        by_doc = engine.internal_agreement(run.iteration_results, "paper")
+        by_doc = engine.internal_agreement(run.iteration_results).papers
         for doc_id, value in by_doc.items():
             rows.append(
                 {

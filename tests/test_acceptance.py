@@ -271,16 +271,18 @@ def test_engine_semantics_under_scripted_mock(tmp_path):
     # OR-aggregation truth table over all 2^3 chunk outcomes
     doc = cc.DocumentText.from_raw("d", " ".join(f"w{i}" for i in range(6)))
     one_dim = cc.Codebook((cc.Dimension(id="x", name="X", definition="D."),))
-    or_cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=2, cache_mode="mock")
+    or_cfg = cc.RunConfig(
+        model="m", strategy="chunk", chunk_size=2, iterations=1, cache_mode="mock"
+    )
     for pattern in product([False, True], repeat=3):
         def by_chunk(request, p=pattern):
             index = int(request.tag.rsplit("/c", 1)[1])
             return POSITIVE if p[index] else NEGATIVE
 
         client = cc.LLMClient(mode="mock", mock=by_chunk)
-        results, records = cc.code_chunked(doc, one_dim, or_cfg, 1, client)
-        assert results[0].value is any(pattern)
-        assert [r.code.value for r in records] == list(pattern)
+        rr = cc.run_iterations([doc], one_dim, or_cfg, client)
+        assert rr.results[0].value is any(pattern)
+        assert [r.code.value for r in rr.records] == list(pattern)
 
     # consensus mode truth table over all 2^3 iteration outcomes
     consensus_cfg = cc.RunConfig(
@@ -324,7 +326,7 @@ def test_stochastic_mock_calibration():
     )
     rr = cc.run_iterations(docs, cb, cfg, client)
     assert rr.ok
-    cells = cc.internal_agreement(rr.results, "cell")
+    cells = cc.internal_agreement(rr.results).cells
     assert len(cells) == 1000
     empirical_mean = sum(cells.values()) / len(cells)
     expected_mean, cell_variance = modal_agreement_moments(iterations, 1.0 - flip)

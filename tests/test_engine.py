@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -46,56 +47,59 @@ class TestRunConfig:
             cc.RunConfig(**kwargs)
 
 
+def single_iteration(corpus, codebook, client, **cfg_kwargs):
+    """A single-iteration run, where each cell's code is its iteration's code."""
+    cfg = cc.RunConfig(model="m", iterations=1, cache_mode="mock", **cfg_kwargs)
+    return cc.run_iterations(corpus, codebook, cfg, client)
+
+
 class TestCodeWhole:
     def test_constant_positive_mock_codes_all_true(self, codebook, tiny_corpus, positive_mock):
-        cfg = cc.RunConfig(model="m", strategy="whole", cache_mode="mock")
-        results, records = cc.code_whole(tiny_corpus[0], codebook, cfg, 1, positive_mock)
-        assert [r.value for r in results] == [True, True, True]
-        assert len(records) == len(codebook)
-        assert all(r.chunk_index is None for r in records)
+        rr = single_iteration(tiny_corpus[:1], codebook, positive_mock, strategy="whole")
+        assert [r.value for r in rr.results] == [True, True, True]
+        assert len(rr.records) == len(codebook)
+        assert all(r.chunk_index is None for r in rr.records)
 
     def test_constant_negative_mock_codes_all_false(self, codebook, tiny_corpus, negative_mock):
-        cfg = cc.RunConfig(model="m", strategy="whole", cache_mode="mock")
-        results, _ = cc.code_whole(tiny_corpus[0], codebook, cfg, 1, negative_mock)
-        assert [r.value for r in results] == [False, False, False]
+        rr = single_iteration(tiny_corpus[:1], codebook, negative_mock, strategy="whole")
+        assert [r.value for r in rr.results] == [False, False, False]
 
     def test_prompt_count_law(self, codebook, tiny_corpus, positive_mock):
-        cfg = cc.RunConfig(model="m", strategy="whole", cache_mode="mock")
-        _, records = cc.code_whole(tiny_corpus[0], codebook, cfg, 1, positive_mock)
-        assert len(records) == len(codebook)
+        rr = single_iteration(tiny_corpus[:1], codebook, positive_mock, strategy="whole")
+        assert len(rr.records) == len(codebook)
 
     def test_empty_document_rejected(self, codebook, positive_mock):
-        cfg = cc.RunConfig(model="m", strategy="whole", cache_mode="mock")
         doc = cc.DocumentText.from_raw("empty", "")
         with pytest.raises(ConfigError):
-            cc.code_whole(doc, codebook, cfg, 1, positive_mock)
+            single_iteration([doc], codebook, positive_mock, strategy="whole")
 
     def test_oversized_prompt_refused_not_truncated(self, codebook, tiny_corpus, positive_mock):
-        cfg = cc.RunConfig(model="m", strategy="whole", cache_mode="mock", max_prompt_words=3)
-        with pytest.raises(cc.CellError, match="refusing to truncate"):
-            cc.code_whole(tiny_corpus[0], codebook, cfg, 1, positive_mock)
+        rr = single_iteration(
+            tiny_corpus[:1], codebook, positive_mock, strategy="whole", max_prompt_words=3
+        )
+        assert "refusing to truncate" in rr.failures[0].error
+        assert len(rr.failures) == len(codebook)
+        assert not rr.results and not rr.records
 
 
 class TestCodeChunked:
     def test_or_aggregation_over_all_patterns(self, codebook):
         # 7-word document at size 3 gives chunks [3, 3, 1]
         doc = cc.DocumentText.from_raw("d", " ".join(f"w{i}" for i in range(7)))
-        cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=3, cache_mode="mock")
         one_dim = cc.Codebook((codebook.dimensions[0],))
         for pattern in product([False, True], repeat=3):
             client = mock_client(
                 lambda req, p=pattern: POSITIVE if p[chunk_index_of(req)] else NEGATIVE
             )
-            results, records = cc.code_chunked(doc, one_dim, cfg, 1, client)
-            assert results[0].value is any(pattern)
-            assert [r.code.value for r in records] == list(pattern)
-            assert [r.chunk_index for r in records] == [0, 1, 2]
+            rr = single_iteration([doc], one_dim, client, strategy="chunk", chunk_size=3)
+            assert rr.results[0].value is any(pattern)
+            assert [r.code.value for r in rr.records] == list(pattern)
+            assert [r.chunk_index for r in rr.records] == [0, 1, 2]
 
     def test_prompt_count_law(self, codebook, positive_mock):
         doc = cc.DocumentText.from_raw("d", " ".join(f"w{i}" for i in range(1100)))
-        cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=500, cache_mode="mock")
-        _, records = cc.code_chunked(doc, codebook, cfg, 1, positive_mock)
-        assert len(records) == 3 * len(codebook)  # ceil(1100/500) * |dims|
+        rr = single_iteration([doc], codebook, positive_mock, strategy="chunk", chunk_size=500)
+        assert len(rr.records) == 3 * len(codebook)  # ceil(1100/500) * |dims|
 
 
 class TestRunIterations:
@@ -233,9 +237,10 @@ class TestInternalAgreement:
             for dim in ("a", "b")
             for i in range(3)
         ]
-        assert cc.internal_agreement(results, "cell") == {("d", "a"): 1.0, ("d", "b"): 1.0}
-        assert cc.internal_agreement(results, "paper") == {"d": 1.0}
-        assert cc.internal_agreement(results, "model") == 1.0
+        agreement = cc.internal_agreement(results)
+        assert agreement.cells == {("d", "a"): 1.0, ("d", "b"): 1.0}
+        assert agreement.papers == {"d": 1.0}
+        assert agreement.model == 1.0
 
     def test_paper_level_mixes_dimensions(self):
         # 16 unanimous dimensions and one at 3-of-5 support
@@ -246,7 +251,7 @@ class TestInternalAgreement:
             cc.IterationResult("d", "dim16", i + 1, v)
             for i, v in enumerate([True, True, False, True, False])
         ]
-        paper = cc.internal_agreement(results, "paper")["d"]
+        paper = cc.internal_agreement(results).papers["d"]
         assert paper == pytest.approx((16 * 1.0 + 0.6) / 17)
 
     def test_model_level_averages_papers_equally(self):
@@ -255,18 +260,13 @@ class TestInternalAgreement:
             for i, v in enumerate([True, True, False])
         ]
         results += [cc.IterationResult("d2", "a", i + 1, True) for i in range(3)]
-        papers = cc.internal_agreement(results, "paper")
-        assert papers == {"d1": pytest.approx(2 / 3), "d2": 1.0}
-        assert cc.internal_agreement(results, "model") == pytest.approx((2 / 3 + 1.0) / 2)
-
-    def test_unknown_level(self):
-        results = [cc.IterationResult("d", "a", 1, True)]
-        with pytest.raises(ValueError):
-            cc.internal_agreement(results, "galaxy")
+        agreement = cc.internal_agreement(results)
+        assert agreement.papers == {"d1": pytest.approx(2 / 3), "d2": 1.0}
+        assert agreement.model == pytest.approx((2 / 3 + 1.0) / 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            cc.internal_agreement([], "model")
+            cc.internal_agreement([])
 
 
 class TestRecordSerialization:
@@ -321,3 +321,72 @@ class TestCellTag:
     def test_formats(self):
         assert cell_tag("d", "x", 3) == "d/x/i3"
         assert cell_tag("d", "x", 3, 0) == "d/x/i3/c0"
+
+
+# Pinned outputs of a seeded run over ``tiny_corpus`` at chunk size 4, where
+# doc-a splits into /c0 and /c1 and doc-b is a single /c0 chunk. Any change to
+# the record bytes or the request keys breaks existing caches and run
+# directories, so these values change only with a deliberate format change.
+GOLDEN_RECORDS_SHA256 = {
+    "whole": "821fe09b7a4f20c17a02017b8e42853d914f0f4eac6228a18fe09726a4138c21",
+    "chunk": "d21b3e049d835a9a24dc5d1d9351ba872b0735e35616d1dc4e93061cbc436aea",
+}
+GOLDEN_REQUEST_KEYS = {
+    "whole": [
+        "0ec85633c3dc58a1d4fdbdb42485cc9843d0a6c264fc453b731360383c2c2291",
+        "14301fcf0945cfbc945bfa320f9896757c6caa6e7a2cb6673cff9f91db86d4a8",
+        "17b843c03752e2432aa7c173d336dff460c844b28a9afa05208b35dc94b75ba4",
+        "23708c074da699d1ab559350c959c48107e1f15df32208ebb60ebb4a04742a85",
+        "58a2b8857cb436c39ba734ec679abfd4732ceaaf4c38c7566efbeca01dedc41f",
+        "8636f454af39400de0dab5fe890fce383968c7e36d4dd6a284cc9e7bff2de4b4",
+        "cb1b65f793eb1d32788b8bab9d118bf629b89090283353a731567a3a8ca4914f",
+        "cf82333024986d858b2efe0f65a826cd86c6e2608b4607d24bdf09558f1953d8",
+        "d365e93412d51c27be59f75ed9368260fb6d82b43f67bb06588cff9ad77a554c",
+        "d8205e6b22828e53bcf7f29209bf9c81602806908acec44af942e42d31931773",
+        "e035d30206c592c974effc3ef781a101f4263124c78fdb030b512072022ed0a8",
+        "fa87a415f3bd174cae1af637681adc9a0e83b3166fc56189deedea1a55391fc2",
+    ],
+    "chunk": [
+        "0a60f79b60ca9d52acd7bc0364c8ebf285d922afa88e1c2366e0447d23871ecd",
+        "0f5c998e4682d880bf76a90ec340016905a08d952ca50847ac627dc1ba8e3afe",
+        "201ecba81f3bc716257cd8f9bec100a401ea7108a2612b05a19345ea322c4a83",
+        "25bdba3d123cbbcd9ea3cb8466a1f9ea3f2b1d0bae697f80a3ba3ba764fed18c",
+        "2db3f6336213558952e103349d22ffaf3803176a48e4e62b0f15bbf66be675c4",
+        "40cc40c998aadb44468abcc9a7ba47d9d0a5f08c65d3f30edae308a2d3479474",
+        "6721886b22ed14be9abbb262689e78bcd6bf2c4a455482f031fb05a97ea183eb",
+        "68a7f35b61386c6599814c8ac023c6bdfd56c3dabee7a32e6d8b8ad91509af0c",
+        "6ab66bbe186eedc984cb3c34c5b734cf4571324bd247cd152a03ef86d794d998",
+        "878e542534e41975b70d45f9a6211d9f87e953cd37ca5c4bdc69a5a31779c364",
+        "a76ac9ef0c3309b287d9ecbaada82f5b6a27596853cfcd1b996d1361f7daa14d",
+        "a7d2ec6cd7b1496bf9d5f7b06f12c1b01f4997569e7dce289e14b4f96e737f7a",
+        "acb46a436fa21edc1a2a18c28456891b8a4ef7fbcff0adb8d7d0fc55e0ab840f",
+        "c606de9a313668c45c172d37a70da28d3a8eaee913edef6f84de9b77f14c6fc2",
+        "c7cd16a5da5f388e76e5727c7ddecbfa9c4cd59c20df4d3ac1ad23efc7e27064",
+        "ca2630efecec1adc4c7fc5db3142822e3505db70aa0cbdc81d2bf57cf1479190",
+        "daa07a9cd6e03cfcdff4db044e18601ebd3652138c7158a013ed4b35daba4e62",
+        "f20156db47ae832d09f3a29f440e6a1dedd4aa53b70a8327bf7b96e1fffdbf66",
+    ],
+}
+
+
+@pytest.mark.parametrize("strategy", ["whole", "chunk"])
+def test_golden_records_and_request_keys(strategy, codebook, tiny_corpus, tmp_path):
+    cfg = cc.RunConfig(
+        model="golden",
+        strategy=strategy,
+        chunk_size=4,
+        iterations=2,
+        cache_mode="mock",
+        seed=3,
+    )
+    client = cc.LLMClient(
+        mode="mock", mock=cc.StochasticMock(seed=3, flip_probability=0.4)
+    )
+    rr = cc.run_iterations(tiny_corpus, codebook, cfg, client)
+    assert rr.ok
+    if strategy == "chunk":
+        assert {r.chunk_index for r in rr.records if r.doc_id == "doc-b"} == {0}
+    path = tmp_path / "records.jsonl"
+    cc.write_records_jsonl(rr.records, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_RECORDS_SHA256[strategy]
+    assert sorted(r.request_key for r in rr.records) == GOLDEN_REQUEST_KEYS[strategy]

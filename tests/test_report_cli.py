@@ -93,6 +93,20 @@ class TestRunCommand:
             out2 / report.RECORDS_NAME
         ).read_bytes()
 
+    def test_clean_rerun_removes_stale_failure_manifest(self, workspace):
+        out = workspace / "out"
+        # doc-a (12 words) exceeds the limit, doc-b (5 words) does not
+        failing = cli(
+            "run",
+            *run_args(workspace, out, **{"--strategy": "whole", "--max-prompt-words": 10}),
+        )
+        assert failing.exit_code == 2, failing.output
+        assert (out / report.FAILURES_NAME).is_file()
+
+        clean = cli("run", *run_args(workspace, out, **{"--strategy": "whole"}))
+        assert clean.exit_code == 0, clean.output
+        assert not (out / report.FAILURES_NAME).exists()
+
     def test_cold_replay_exits_one_with_cache_miss(self, workspace):
         out = workspace / "out"
         cache = workspace / "cache"
@@ -224,7 +238,7 @@ class TestConsensusCommand:
         results = engine.iteration_results_from_records(records)
         model_row = [r for r in rows if r["scope"] == "model"][0]
         assert float(model_row["internal_agreement"]) == pytest.approx(
-            engine.internal_agreement(results, "model"), abs=1e-12
+            engine.internal_agreement(results).model, abs=1e-12
         )
 
 
@@ -270,7 +284,7 @@ class TestEvaluateCommand:
         gold = agreement.manual_consensus(manual)
         counts = agreement.confusion(run.consensus_codes, gold)
         assert float(row["internal_agreement"]) == pytest.approx(
-            engine.internal_agreement(run.iteration_results, "model"), abs=1e-9
+            engine.internal_agreement(run.iteration_results).model, abs=1e-9
         )
         assert float(row["accuracy"]) == pytest.approx(agreement.accuracy(counts), abs=1e-9)
         assert float(row["precision"]) == pytest.approx(agreement.precision(counts), abs=1e-9)
