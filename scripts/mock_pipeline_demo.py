@@ -85,7 +85,7 @@ def main() -> None:
         runs.append(report.load_run(out_dir))
         print(
             f"{strategy:>6}: {len(result.records)} prompts,"
-            f" internal agreement {cc.internal_agreement(result.results).model:.4f}"
+            f" internal agreement {cc.internal_agreement(cc.consensus_table(result.results)).model:.4f}"
         )
 
     manual = cc.read_ratings_csv(manual_path)

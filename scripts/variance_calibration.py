@@ -62,7 +62,7 @@ def main() -> None:
             mock=cc.StochasticMock(seed=args.seed, flip_probability=flip, truth=True),
         )
         result = cc.run_iterations(corpus, cb, cfg, client)
-        cells = cc.internal_agreement(result.results).cells
+        cells = cc.internal_agreement(cc.consensus_table(result.results)).cells
         empirical = sum(cells.values()) / len(cells)
         expected, variance = modal_agreement_expectation(args.iterations, 1 - flip)
         se = math.sqrt(variance / len(cells)) if variance else float("inf")

@@ -89,6 +89,7 @@ def run(manifest_path, codebook_path, model, strategy, chunk_size, iterations,
         cb = load_codebook(codebook_path) if codebook_path else default_codebook()
         corpus = load_manifest(manifest_path)
         client = _build_client(cfg, cache_dir, flip_probability)
+        engine.validate_corpus(corpus)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         # Stream records as they are produced so an interrupted run leaves a
@@ -138,7 +139,7 @@ def consensus(records_path, out_dir):
         out.mkdir(parents=True, exist_ok=True)
         report.write_consensus_csv(out / report.CONSENSUS_NAME, table, doc_ids, dim_ids)
 
-        internal = engine.internal_agreement(results)
+        internal = engine.internal_agreement(table)
         agreement_rows = [
             {"scope": "paper", "doc_id": doc_id, "internal_agreement": value}
             for doc_id, value in internal.papers.items()

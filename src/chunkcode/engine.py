@@ -13,7 +13,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .classifier import BinaryCode, KeyPhraseSet, classify, default_key_phrases
 from .codebook import Codebook, Dimension
@@ -207,6 +207,19 @@ def _complete_cell(
     )
 
 
+def validate_corpus(corpus: Sequence[DocumentText]) -> None:
+    """Reject an empty corpus, a repeated doc_id or a document without words."""
+    if not corpus:
+        raise ConfigError("corpus is empty")
+    seen: set[str] = set()
+    for doc in corpus:
+        if doc.doc_id in seen:
+            raise ConfigError(f"corpus repeats doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+        if not doc.words:
+            raise ConfigError(f"document {doc.doc_id!r} has no words")
+
+
 def run_iterations(
     corpus: Sequence[DocumentText],
     cb: Codebook,
@@ -226,20 +239,10 @@ def run_iterations(
     ``record_sink`` receives each PromptRecord of a completed cell, in
     order, for incremental persistence.
     """
-    if not corpus:
-        raise ConfigError("corpus is empty")
-    seen: set[str] = set()
-    for doc in corpus:
-        if doc.doc_id in seen:
-            raise ConfigError(f"corpus repeats doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
-        if not doc.words:
-            raise ConfigError(f"document {doc.doc_id!r} has no words")
-
+    validate_corpus(corpus)
     bodies_by_doc = {doc.doc_id: _prompt_bodies(doc, cfg) for doc in corpus}
 
     records: list[PromptRecord] = []
-    results: list[IterationResult] = []
     failures: list[CellFailure] = []
     for iteration in range(1, cfg.iterations + 1):
         for doc_id, bodies in bodies_by_doc.items():
@@ -260,13 +263,11 @@ def run_iterations(
                         )
                     )
                     continue
-                value = any(r.code.value for r in cell_records)
-                results.append(IterationResult(doc_id, dim.id, iteration, value))
                 records.extend(cell_records)
                 if record_sink is not None:
                     for record in cell_records:
                         record_sink(record)
-    return RunResult(records=records, results=results, failures=failures)
+    return RunResult(records, iteration_results_from_records(records), failures)
 
 
 def consensus(results: Sequence[IterationResult]) -> ConsensusResult:
@@ -299,13 +300,15 @@ def consensus_table(
     return {key: consensus(cell) for key, cell in grouped.items()}
 
 
-def internal_agreement(results: Sequence[IterationResult]) -> InternalAgreement:
+def internal_agreement(
+    table: Mapping[tuple[str, str], ConsensusResult],
+) -> InternalAgreement:
     """Fraction of iterations matching the modal code, at three scopes.
 
+    Read from a consensus table: each cell's support is its agreement.
     Aggregation always runs dimension -> paper -> model, so every document
     weighs equally in the model-level figure.
     """
-    table = consensus_table(results)
     if not table:
         raise ValueError("no iteration results to aggregate")
     cells = {key: c.support for key, c in table.items()}

@@ -10,7 +10,7 @@ class ConfigError(ChunkCodeError):
 
 
 class IngestionError(ChunkCodeError):
-    """A document or manifest could not be read or parsed."""
+    """A document, manifest or run directory could not be read, parsed or used."""
 
 
 class CodebookError(ChunkCodeError):

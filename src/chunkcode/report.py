@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import agreement, engine
 from .agreement import RatingMatrix, Subject
-from .errors import DegenerateKappaError, UndefinedMetricError
+from .errors import DegenerateKappaError, IngestionError, UndefinedMetricError
 
 RUN_META_NAME = "run_meta.json"
 RECORDS_NAME = "records.jsonl"
@@ -31,9 +33,9 @@ class RunData:
 
     run_dir: Path
     meta: dict
-    records: list[engine.PromptRecord]
     iteration_results: list[engine.IterationResult]
     consensus: dict[Subject, engine.ConsensusResult]
+    consensus_codes: dict[Subject, bool]
 
     @property
     def model(self) -> str:
@@ -47,28 +49,53 @@ class RunData:
     def rater_id(self) -> str:
         return f"llm_{self.model}_{self.strategy}"
 
-    @property
-    def consensus_codes(self) -> dict[Subject, bool]:
-        return {subject: c.value for subject, c in self.consensus.items()}
+    @cached_property
+    def internal(self) -> engine.InternalAgreement:
+        # Lazy: a run with no cells must still reach the subject-set check.
+        return engine.internal_agreement(self.consensus)
 
 
 def load_run(run_dir: str | Path) -> RunData:
     """Load a run directory written by the run command.
 
     The records file is the source of truth; iteration results and
-    consensus are rebuilt from it.
+    consensus are rebuilt from it. A run in which a cell lacks some of its
+    iterations is refused, so no table scores a cell on fewer iterations.
     """
     run_dir = Path(run_dir)
     meta = json.loads((run_dir / RUN_META_NAME).read_text(encoding="utf-8"))
     records = engine.read_records_jsonl(run_dir / RECORDS_NAME)
     iteration_results = engine.iteration_results_from_records(records)
+    _check_complete(run_dir, meta["iterations"], iteration_results)
+    table = engine.consensus_table(iteration_results)
     return RunData(
         run_dir=run_dir,
         meta=meta,
-        records=records,
         iteration_results=iteration_results,
-        consensus=engine.consensus_table(iteration_results),
+        consensus=table,
+        consensus_codes={subject: c.value for subject, c in table.items()},
     )
+
+
+def _check_complete(
+    run_dir: Path, iterations: int, results: Sequence[engine.IterationResult]
+) -> None:
+    """Refuse a run in which a cell present in it lacks one of iterations 1..N."""
+    done: dict[Subject, set[int]] = defaultdict(set)
+    for r in results:
+        done[(r.doc_id, r.dimension_id)].add(r.iteration)
+    expected = set(range(1, iterations + 1))
+    incomplete = [
+        f"cell {cell} lacks iteration(s) {sorted(expected - seen)}"
+        for cell, seen in done.items()
+        if expected - seen
+    ]
+    if incomplete:
+        raise IngestionError(
+            f"run {run_dir} is incomplete: {len(incomplete)} cell(s) lack"
+            f" iterations; rerunning it in record mode into the same cache"
+            f" completes them\n" + "\n".join(incomplete[:20])
+        )
 
 
 # -- run directory output ----------------------------------------------------
@@ -168,7 +195,8 @@ def write_consensus_csv(
 
 
 def performance_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict]:
-    """One row per run: internal agreement plus accuracy, precision, recall."""
+    """One row per run: internal agreement, accuracy, precision, recall and
+    the confusion counts behind them."""
     gold = agreement.manual_consensus(manual)
     rows = []
     for run in runs:
@@ -177,24 +205,10 @@ def performance_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict
             {
                 "model": run.model,
                 "strategy": run.strategy,
-                "internal_agreement": engine.internal_agreement(run.iteration_results).model,
+                "internal_agreement": run.internal.model,
                 "accuracy": agreement.accuracy(counts),
                 "precision": agreement.precision(counts),
                 "recall": agreement.recall(counts),
-            }
-        )
-    return rows
-
-
-def confusion_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict]:
-    gold = agreement.manual_consensus(manual)
-    rows = []
-    for run in runs:
-        counts = agreement.confusion(run.consensus_codes, gold)
-        rows.append(
-            {
-                "model": run.model,
-                "strategy": run.strategy,
                 "tp": counts.tp,
                 "fp": counts.fp,
                 "fn": counts.fn,
@@ -316,12 +330,11 @@ def kappa_delta_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict
     return rows
 
 
-def internal_agreement_rows(runs: Sequence[RunData]) -> list[dict]:
+def internal_agreement_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict]:
     """Per run and document internal agreement (the per-paper breakdown)."""
     rows = []
     for run in runs:
-        by_doc = engine.internal_agreement(run.iteration_results).papers
-        for doc_id, value in by_doc.items():
+        for doc_id, value in run.internal.papers.items():
             rows.append(
                 {
                     "model": run.model,
@@ -391,7 +404,7 @@ _TABLES = {
         ["internal_agreement", "accuracy", "precision", "recall"],
     ),
     "confusion": (
-        confusion_rows,
+        performance_rows,
         ["model", "strategy", "tp", "fp", "fn", "tn"],
         [],
     ),
@@ -429,6 +442,11 @@ _TABLES = {
         ["model", "strategy", "doc_id", "kappa_before", "kappa_after", "delta", "note"],
         [],
     ),
+    "internal_agreement_by_doc": (
+        internal_agreement_rows,
+        ["model", "strategy", "doc_id", "internal_agreement"],
+        ["internal_agreement"],
+    ),
 }
 
 
@@ -448,16 +466,6 @@ def write_report_bundle(
             markdown_table(fieldnames, rows, percent_cols), encoding="utf-8"
         )
         written.extend([csv_path, md_path])
-
-    rows = internal_agreement_rows(runs)
-    fieldnames = ["model", "strategy", "doc_id", "internal_agreement"]
-    csv_path = out / "internal_agreement_by_doc.csv"
-    write_table_csv(csv_path, fieldnames, rows)
-    md_path = out / "internal_agreement_by_doc.md"
-    md_path.write_text(
-        markdown_table(fieldnames, rows, ["internal_agreement"]), encoding="utf-8"
-    )
-    written.extend([csv_path, md_path])
 
     merged_path = out / "merged_ratings.csv"
     agreement.write_ratings_csv(merged_ratings(runs, manual), merged_path)

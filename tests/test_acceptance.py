@@ -326,7 +326,7 @@ def test_stochastic_mock_calibration():
     )
     rr = cc.run_iterations(docs, cb, cfg, client)
     assert rr.ok
-    cells = cc.internal_agreement(rr.results).cells
+    cells = cc.internal_agreement(cc.consensus_table(rr.results)).cells
     assert len(cells) == 1000
     empirical_mean = sum(cells.values()) / len(cells)
     expected_mean, cell_variance = modal_agreement_moments(iterations, 1.0 - flip)

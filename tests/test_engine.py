@@ -237,7 +237,7 @@ class TestInternalAgreement:
             for dim in ("a", "b")
             for i in range(3)
         ]
-        agreement = cc.internal_agreement(results)
+        agreement = cc.internal_agreement(cc.consensus_table(results))
         assert agreement.cells == {("d", "a"): 1.0, ("d", "b"): 1.0}
         assert agreement.papers == {"d": 1.0}
         assert agreement.model == 1.0
@@ -251,7 +251,7 @@ class TestInternalAgreement:
             cc.IterationResult("d", "dim16", i + 1, v)
             for i, v in enumerate([True, True, False, True, False])
         ]
-        paper = cc.internal_agreement(results).papers["d"]
+        paper = cc.internal_agreement(cc.consensus_table(results)).papers["d"]
         assert paper == pytest.approx((16 * 1.0 + 0.6) / 17)
 
     def test_model_level_averages_papers_equally(self):
@@ -260,13 +260,13 @@ class TestInternalAgreement:
             for i, v in enumerate([True, True, False])
         ]
         results += [cc.IterationResult("d2", "a", i + 1, True) for i in range(3)]
-        agreement = cc.internal_agreement(results)
+        agreement = cc.internal_agreement(cc.consensus_table(results))
         assert agreement.papers == {"d1": pytest.approx(2 / 3), "d2": 1.0}
         assert agreement.model == pytest.approx((2 / 3 + 1.0) / 2)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            cc.internal_agreement([])
+            cc.internal_agreement({})
 
 
 class TestRecordSerialization:

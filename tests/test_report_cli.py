@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -106,6 +107,30 @@ class TestRunCommand:
         clean = cli("run", *run_args(workspace, out, **{"--strategy": "whole"}))
         assert clean.exit_code == 0, clean.output
         assert not (out / report.FAILURES_NAME).exists()
+
+    def test_invalid_corpus_leaves_previous_run_intact(self, workspace):
+        out = workspace / "out"
+        assert cli("run", *run_args(workspace, out)).exit_code == 0
+        records = (out / report.RECORDS_NAME).read_bytes()
+
+        (workspace / "e.txt").write_text("", encoding="utf-8")
+        manifest = json.loads((workspace / "manifest.json").read_text(encoding="utf-8"))
+        bad_manifest = workspace / "bad_manifest.json"
+        bad_manifest.write_text(
+            json.dumps([*manifest, {"doc_id": "e", "path": "e.txt"}]), encoding="utf-8"
+        )
+        result = cli("run", *run_args(workspace, out, **{"--manifest": bad_manifest}))
+        assert result.exit_code == 1
+        assert "document 'e' has no words" in result.output
+        assert (out / report.RECORDS_NAME).read_bytes() == records
+
+        empty_manifest = workspace / "empty_manifest.json"
+        empty_manifest.write_text("[]", encoding="utf-8")
+        fresh = workspace / "fresh"
+        result = cli("run", *run_args(workspace, fresh, **{"--manifest": empty_manifest}))
+        assert result.exit_code == 1
+        assert "corpus is empty" in result.output
+        assert not (fresh / report.RECORDS_NAME).exists()
 
     def test_cold_replay_exits_one_with_cache_miss(self, workspace):
         out = workspace / "out"
@@ -238,7 +263,7 @@ class TestConsensusCommand:
         results = engine.iteration_results_from_records(records)
         model_row = [r for r in rows if r["scope"] == "model"][0]
         assert float(model_row["internal_agreement"]) == pytest.approx(
-            engine.internal_agreement(results).model, abs=1e-12
+            engine.internal_agreement(engine.consensus_table(results)).model, abs=1e-12
         )
 
 
@@ -284,7 +309,7 @@ class TestEvaluateCommand:
         gold = agreement.manual_consensus(manual)
         counts = agreement.confusion(run.consensus_codes, gold)
         assert float(row["internal_agreement"]) == pytest.approx(
-            engine.internal_agreement(run.iteration_results).model, abs=1e-9
+            engine.internal_agreement(engine.consensus_table(run.iteration_results)).model, abs=1e-9
         )
         assert float(row["accuracy"]) == pytest.approx(agreement.accuracy(counts), abs=1e-9)
         assert float(row["precision"]) == pytest.approx(agreement.precision(counts), abs=1e-9)
@@ -362,6 +387,26 @@ class TestEvaluateCommand:
         assert result.exit_code == 1
         assert "doc-z" in result.output
 
+    def test_run_missing_iterations_is_refused_before_any_table(self, workspace, monkeypatch):
+        def failing_mock(request):
+            if request.tag == "doc-a/state/i2":
+                raise cc.TransportError("injected failure")
+            return "Yes, the parameter is mentioned."
+
+        monkeypatch.setattr(
+            "chunkcode.cli._build_client",
+            lambda cfg, cache_dir, flip_probability: cc.LLMClient(mode="mock", mock=failing_mock),
+        )
+        out = workspace / "out"
+        partial = cli("run", *run_args(workspace, out, **{"--strategy": "whole", "--iterations": 3}))
+        assert partial.exit_code == 2, partial.output
+
+        result, reports = self.evaluate(workspace)
+        assert result.exit_code == 1
+        assert not reports.exists() or not any(reports.iterdir())
+        assert "('doc-a', 'state') lacks iteration(s) [2]" in result.output
+        assert "record mode" in result.output
+
     def test_evaluate_outputs_are_deterministic(self, workspace):
         _, first = self.evaluate(workspace)
         perf_bytes = (first / "performance.csv").read_bytes()
@@ -376,6 +421,54 @@ class TestEvaluateCommand:
         )
         assert result.exit_code == 0
         assert (workspace / "reports2" / "performance.csv").read_bytes() == perf_bytes
+
+
+# sha256 of each file written by `evaluate` (the 13 report files) and by
+# `consensus` (the last two) in test_golden_report_bytes.
+GOLDEN_REPORT_SHA256 = {
+    "confusion.csv": "ecc493530b297a5870b619ef0dde9db13b0a044ba0c8d19d148c18ae391921c0",
+    "confusion.md": "ae104de30393a1a17c3cb7de5adca7273fc106a72e4b8911c0c3cf94b13b30af",
+    "internal_agreement_by_doc.csv": "aadf02f65ec7e77749a2f9a978a8272f2d2cfd5fb812a7aae5045aa4378e29e9",
+    "internal_agreement_by_doc.md": "1fca7c36d75099bff915b2abea21e826b8a9307f3d42d6c50cc7083f50407cbe",
+    "kappa.csv": "11d4aa07a21cb1d50abba656e9ccc573062866736643adb1300de5237d59e5d7",
+    "kappa.md": "ac88db1926e3b9a5d7e2754b43f1229eaa71848b3a2eb996e4079a11cd92ecf9",
+    "kappa_delta_per_paper.csv": "598dbf4d78515c6f8dc3b4336568b1720cbfd0c1c302473e09317464ad147698",
+    "kappa_delta_per_paper.md": "5a592e57734ea4e85f26930b2a6c83cf7f37ef012bed0dda9d85952b7edb2a78",
+    "merged_ratings.csv": "e6254b24f31ec00ad07141c0fc6c2080ed4e71e278d7e42d536fd01da6f52720",
+    "per_dimension.csv": "39f2c89e596e0e109663c5e3e9e23c0402baa9eef8c17871ce85573b625ee8cc",
+    "per_dimension.md": "8b3e7a59981b48289f76af5bbcf4df51912ae74b3eb98a5613f3783936c79f75",
+    "performance.csv": "e425bd310cafbcea7ce6cb65af4dac0ce84c2994a905b53536d650c88d4b16d9",
+    "performance.md": "d57db79996c389841d2d05471bc3b7b410e7e77b05eebdcc1be1f8825cae86b0",
+    "consensus.csv": "3c2fcf98251bd8fbf2bcc31a147338431410936827c3eca08871558412f9c393",
+    "internal_agreement.csv": "9a111409f2c3ae058cfc9cf03aa12769c8820fadce5007e0f1ab8d3217b03b41",
+}
+
+
+def test_golden_report_bytes(workspace):
+    """Pin the bytes of every evaluate table and of the consensus command's
+    outputs for a mock chunk run and a mock whole run."""
+    for strategy in ("chunk", "whole"):
+        out = workspace / strategy
+        result = cli("run", *run_args(workspace, out, **{"--strategy": strategy}))
+        assert result.exit_code == 0, result.output
+    reports = workspace / "reports"
+    result = cli(
+        "evaluate",
+        "--manual", workspace / "manual.csv",
+        "--run", workspace / "chunk",
+        "--run", workspace / "whole",
+        "--out", reports,
+    )
+    assert result.exit_code == 0, result.output
+    redo = workspace / "redo"
+    result = cli("consensus", "--records", workspace / "chunk" / report.RECORDS_NAME, "--out", redo)
+    assert result.exit_code == 0, result.output
+
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in [*reports.iterdir(), *redo.iterdir()]
+    }
+    assert digests == GOLDEN_REPORT_SHA256
 
 
 class TestStatsCommand:
