@@ -13,7 +13,7 @@ from .classifier import default_key_phrases, load_key_phrases
 from .codebook import default_codebook, load_codebook
 from .errors import ChunkCodeError, SubjectMismatchError
 from .ingestion import load_manifest
-from .llm_client import LLMClient, PromptRequest, StochasticMock
+from .llm_client import DEFAULT_MAX_INFLIGHT, LLMClient, PromptRequest, StochasticMock
 
 DEFAULT_FLIP_PROBABILITY = 0.1
 
@@ -35,15 +35,17 @@ def _mock_truth(request: PromptRequest) -> bool:
     return hashlib.sha256(cell.encode("utf-8")).digest()[0] % 2 == 0
 
 
-def _build_client(cfg: engine.RunConfig, cache_dir: str | None, flip_probability: float) -> LLMClient:
+def _build_client(
+    cfg: engine.RunConfig, cache_dir: str | None, flip_probability: float, max_inflight: int
+) -> LLMClient:
     if cfg.cache_mode == "mock":
         mock = StochasticMock(
             seed=cfg.seed if cfg.seed is not None else 0,
             flip_probability=flip_probability,
             truth=_mock_truth,
         )
-        return LLMClient(mode="mock", mock=mock)
-    return LLMClient(mode=cfg.cache_mode, cache_dir=cache_dir)
+        return LLMClient(mode="mock", mock=mock, max_inflight=max_inflight)
+    return LLMClient(mode=cfg.cache_mode, cache_dir=cache_dir, max_inflight=max_inflight)
 
 
 @main.command()
@@ -65,10 +67,12 @@ def _build_client(cfg: engine.RunConfig, cache_dir: str | None, flip_probability
 @click.option("--word-boundary", is_flag=True, help="Match key phrases on word boundaries.")
 @click.option("--max-prompt-words", type=int, default=None,
               help="Refuse prompts whose body exceeds this many words.")
+@click.option("--max-inflight", type=int, default=DEFAULT_MAX_INFLIGHT, show_default=True,
+              help="Requests in flight at once in live and record modes.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def run(manifest_path, codebook_path, model, strategy, chunk_size, iterations,
         cache_dir, cache_mode, phrases_path, seed, flip_probability,
-        word_boundary, max_prompt_words, out_dir):
+        word_boundary, max_prompt_words, max_inflight, out_dir):
     """Code a corpus and write records, iteration results, and consensus.
 
     Exits 0 on full success, 2 when some cells failed (a failure manifest is
@@ -88,7 +92,7 @@ def run(manifest_path, codebook_path, model, strategy, chunk_size, iterations,
         )
         cb = load_codebook(codebook_path) if codebook_path else default_codebook()
         corpus = load_manifest(manifest_path)
-        client = _build_client(cfg, cache_dir, flip_probability)
+        client = _build_client(cfg, cache_dir, flip_probability, max_inflight)
         engine.validate_corpus(corpus)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -130,6 +134,9 @@ def consensus(records_path, out_dir):
     try:
         records = engine.read_records_jsonl(records_path)
         results = engine.iteration_results_from_records(records)
+        report.check_complete(
+            f"records file {records_path}", {r.iteration for r in results}, results
+        )
         table = engine.consensus_table(results)
         if not table:
             _fail("records file holds no results")

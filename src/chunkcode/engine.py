@@ -9,19 +9,25 @@ with per-cell support feeding the internal-agreement statistics.
 
 from __future__ import annotations
 
+import contextlib
 import json
-from collections import defaultdict
+import threading
+from collections import defaultdict, deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .classifier import BinaryCode, KeyPhraseSet, classify, default_key_phrases
 from .codebook import Codebook, Dimension
 from .errors import CellError, ChunkCodeError, ConfigError
 from .ingestion import DocumentText, chunk_document
-from .llm_client import CACHE_MODES, LLMClient, PromptRequest, render_prompt
+from .llm_client import CACHE_MODES, NETWORK_MODES, LLMClient, PromptRequest, render_prompt
 
 STRATEGIES = ("whole", "chunk")
+# Cells submitted ahead of the one being consumed, per worker.
+_WINDOW_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -207,6 +213,32 @@ def _complete_cell(
     )
 
 
+def _map_in_order(fn, items, workers: int, stop: threading.Event) -> Iterator:
+    """Yield ``fn(item)`` for each item, in order, computed on ``workers`` threads.
+
+    Submission runs a bounded window ahead of the result being read: enough
+    that one call sleeping through a retry does not idle the other workers,
+    few enough that a long run holds a handful of futures, not one per item.
+    An exception from ``fn``, or closing the generator, sets ``stop`` and
+    cancels the calls not yet started; leaving the pool waits for those
+    already running, which may poll ``stop`` to end early.
+    """
+    items = iter(items)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ahead = islice(items, _WINDOW_PER_WORKER * workers)
+        window = deque(pool.submit(fn, item) for item in ahead)
+        try:
+            while window:
+                head = window.popleft()
+                for item in islice(items, 1):
+                    window.append(pool.submit(fn, item))
+                yield head.result()
+        finally:
+            stop.set()
+            for future in window:
+                future.cancel()
+
+
 def validate_corpus(corpus: Sequence[DocumentText]) -> None:
     """Reject an empty corpus, a repeated doc_id or a document without words."""
     if not corpus:
@@ -238,35 +270,63 @@ def run_iterations(
     runs resume cheaply because completed prompts hit the request cache.
     ``record_sink`` receives each PromptRecord of a completed cell, in
     order, for incremental persistence.
+
+    When the client talks to the network, up to ``client.max_inflight``
+    cells run at once, each prompting its bodies in order. Results are
+    consumed in canonical cell order (iteration, document, dimension), so
+    records, failures and the sink's stream are identical to a serial run.
+    An exception other than a cell's ``CellError``, including an interrupt,
+    cancels the cells not yet started, stops those in flight before their
+    next prompt, and is raised once the requests in flight finish; the sink
+    has then seen a canonical-order prefix of the run.
     """
     validate_corpus(corpus)
     bodies_by_doc = {doc.doc_id: _prompt_bodies(doc, cfg) for doc in corpus}
+    cells = (
+        (iteration, doc_id, bodies, dim)
+        for iteration in range(1, cfg.iterations + 1)
+        for doc_id, bodies in bodies_by_doc.items()
+        for dim in cb
+    )
 
+    stop = threading.Event()
+
+    def code_cell(cell) -> list[PromptRecord] | CellFailure | None:
+        iteration, doc_id, bodies, dim = cell
+        cell_records = []
+        try:
+            for body in bodies:
+                if stop.is_set():
+                    return None  # the run is being abandoned; nothing reads this
+                cell_records.append(_complete_cell(client, cfg, doc_id, dim, iteration, body))
+            return cell_records
+        except CellError as exc:
+            return CellFailure(
+                doc_id=exc.doc_id,
+                dimension_id=exc.dimension_id,
+                iteration=exc.iteration,
+                chunk_index=exc.chunk_index,
+                error=str(exc),
+            )
+
+    # Only a client that waits on the network gains from threads; replay and
+    # mock are CPU-bound, where a pool only adds hand-off cost.
+    outcomes = (
+        _map_in_order(code_cell, cells, client.max_inflight, stop)
+        if client.mode in NETWORK_MODES
+        else (code_cell(cell) for cell in cells)
+    )
     records: list[PromptRecord] = []
     failures: list[CellFailure] = []
-    for iteration in range(1, cfg.iterations + 1):
-        for doc_id, bodies in bodies_by_doc.items():
-            for dim in cb:
-                try:
-                    cell_records = [
-                        _complete_cell(client, cfg, doc_id, dim, iteration, body)
-                        for body in bodies
-                    ]
-                except CellError as exc:
-                    failures.append(
-                        CellFailure(
-                            doc_id=exc.doc_id,
-                            dimension_id=exc.dimension_id,
-                            iteration=exc.iteration,
-                            chunk_index=exc.chunk_index,
-                            error=str(exc),
-                        )
-                    )
-                    continue
-                records.extend(cell_records)
-                if record_sink is not None:
-                    for record in cell_records:
-                        record_sink(record)
+    with contextlib.closing(outcomes):
+        for outcome in outcomes:
+            if isinstance(outcome, CellFailure):
+                failures.append(outcome)
+                continue
+            records.extend(outcome)
+            if record_sink is not None:
+                for record in outcome:
+                    record_sink(record)
     return RunResult(records, iteration_results_from_records(records), failures)
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 import requests
+from requests.adapters import HTTPAdapter
 
 from .codebook import Dimension
 from .errors import CacheMissError, ConfigError, TransportError
@@ -28,6 +29,10 @@ BASE_URL_ENV = "CHUNKCODE_BASE_URL"
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 
 CACHE_MODES = ("live", "record", "replay", "mock")
+# Modes in which a completion can wait on the endpoint.
+NETWORK_MODES = ("live", "record")
+DEFAULT_MAX_INFLIGHT = 8
+RETRY_CAP_S = 30.0
 
 PROMPT_TEMPLATE = (
     "Explain whether the parameter '{parameter}' is mentioned/directly talked "
@@ -85,7 +90,7 @@ def retry_delay(
     attempt: int,
     *,
     base: float = 1.0,
-    cap: float = 30.0,
+    cap: float = RETRY_CAP_S,
     max_attempts: int = 5,
     rng: random.Random | None = None,
 ) -> float | None:
@@ -102,6 +107,18 @@ def retry_delay(
     delay = min(cap, base * (2 ** (attempt - 1)))
     jitter = (rng.uniform(0.5, 1.5) if rng is not None else random.uniform(0.5, 1.5))
     return delay * jitter
+
+
+def _retry_after_s(value: str | None) -> float | None:
+    """Seconds from a delta-seconds ``Retry-After`` (RFC 9110 10.2.3), capped
+    at the backoff cap; None when absent or not delta-seconds (an HTTP-date
+    falls back to backoff)."""
+    if value is None:
+        return None
+    value = value.strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), RETRY_CAP_S)
 
 
 class ScriptedMock:
@@ -170,8 +187,11 @@ class LLMClient:
     mock    - delegate to an offline responder, no cache or network.
 
     The cache holds one JSON file per request key (filename = hex key).
-    A semaphore bounds in-flight requests; cache writes are serialized and
-    atomic, reads need no lock.
+    ``complete`` is safe to call from several threads: cache writes are
+    serialized and atomic, reads need no lock. ``max_inflight`` is the
+    number of concurrent requests the caller may issue (``run_iterations``
+    sizes its pool by it); the client sizes its own HTTP connection pool to
+    match but does not enforce it.
     """
 
     def __init__(
@@ -185,7 +205,7 @@ class LLMClient:
         max_attempts: int = 5,
         backoff_base: float = 1.0,
         timeout: float = 60.0,
-        max_inflight: int = 4,
+        max_inflight: int = DEFAULT_MAX_INFLIGHT,
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
@@ -196,6 +216,8 @@ class LLMClient:
             raise ConfigError(f"cache mode {mode!r} requires a cache directory")
         if mode == "mock" and mock is None:
             raise ConfigError("mock mode requires a responder")
+        if max_inflight < 1:
+            raise ConfigError(f"max_inflight must be >= 1, got {max_inflight}")
         self.mode = mode
         self.base_url = (base_url or os.environ.get(BASE_URL_ENV) or DEFAULT_BASE_URL).rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
@@ -206,10 +228,24 @@ class LLMClient:
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.timeout = timeout
-        self._session = session or requests.Session()
+        self.max_inflight = max_inflight
+        if session is None:
+            # urllib3 keeps 10 connections per host by default; a larger
+            # bound would open and discard a connection per request.
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=max_inflight)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+            # Read proxies, CA bundle and netrc credentials once. Left to
+            # requests, every request rescans the environment and stats the
+            # netrc paths: CPU that competes with the requests in flight.
+            env = session.merge_environment_settings(self.base_url, {}, None, None, None)
+            session.proxies, session.verify = env["proxies"], env["verify"]
+            session.auth = requests.utils.get_netrc_auth(self.base_url)
+            session.trust_env = False
+        self._session = session
         self._sleep = sleep
         self._rng = rng
-        self._inflight = threading.Semaphore(max_inflight)
         self._cache_write_lock = threading.Lock()
 
     def complete(self, request: PromptRequest) -> LLMResponse:
@@ -222,7 +258,8 @@ class LLMClient:
                 from_cache=False,
             )
         if self.mode in ("record", "replay"):
-            entry = self._cache_read(request.request_key)
+            key = request.request_key  # a hash over the whole prompt: derive it once
+            entry = self._cache_read(key)
             if entry is not None:
                 return LLMResponse(
                     text=entry["response"]["text"],
@@ -230,12 +267,10 @@ class LLMClient:
                     from_cache=True,
                 )
             if self.mode == "replay":
-                raise CacheMissError(
-                    f"no cached response for request_key {request.request_key}"
-                )
+                raise CacheMissError(f"no cached response for request_key {key}")
         response = self._post(request)
         if self.mode == "record":
-            self._cache_write(request, response)
+            self._cache_write(key, request, response)
         return response
 
     # -- transport ---------------------------------------------------------
@@ -249,7 +284,7 @@ class LLMClient:
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         attempt = 1
         while True:
-            retryable, failure, response = self._try_once(url, body, headers)
+            retryable, failure, response, retry_after = self._try_once(url, body, headers)
             if response is not None:
                 return response
             if not retryable:
@@ -264,34 +299,42 @@ class LLMClient:
                 raise TransportError(
                     f"chat completion failed after {attempt} attempts: {failure}"
                 )
-            self._sleep(delay)
+            self._sleep(delay if retry_after is None else retry_after)
             attempt += 1
 
     def _try_once(self, url, body, headers):
+        """One POST: (retryable, failure, response, retry_after).
+
+        ``retry_after`` is the delay a 429 or 503 asked for, capped at the
+        backoff cap, or None. It is returned rather than stored because
+        several threads share the client.
+        """
         start = time.monotonic()
-        with self._inflight:
-            try:
-                resp = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
-                return True, f"{type(exc).__name__}: {exc}", None
+        try:
+            resp = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
+        except requests.RequestException as exc:
+            return True, f"{type(exc).__name__}: {exc}", None, None
         latency = time.monotonic() - start
         if resp.status_code != 200:
             retryable = resp.status_code == 429 or resp.status_code >= 500
-            return retryable, f"HTTP {resp.status_code}: {resp.text[:200]}", None
+            retry_after = None
+            if resp.status_code in (429, 503):
+                retry_after = _retry_after_s(resp.headers.get("Retry-After"))
+            return retryable, f"HTTP {resp.status_code}: {resp.text[:200]}", None, retry_after
         try:
             data = resp.json()
             text = data["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            return False, f"malformed completion payload: {exc}", None
+            return False, f"malformed completion payload: {exc}", None, None
         if not isinstance(text, str):
-            return False, "completion content is not a string", None
+            return False, "completion content is not a string", None, None
         meta = {
             "status": resp.status_code,
             "latency_s": latency,
             "model": data.get("model"),
             "usage": data.get("usage"),
         }
-        return False, "", LLMResponse(text=text, provider_meta=meta, from_cache=False)
+        return False, "", LLMResponse(text=text, provider_meta=meta, from_cache=False), None
 
     # -- cache -------------------------------------------------------------
 
@@ -313,7 +356,7 @@ class LLMClient:
             return None
         return entry
 
-    def _cache_write(self, request: PromptRequest, response: LLMResponse) -> None:
+    def _cache_write(self, key: str, request: PromptRequest, response: LLMResponse) -> None:
         entry = {
             "request": {
                 "model": request.model,
@@ -325,9 +368,11 @@ class LLMClient:
                 "provider_meta": dict(response.provider_meta),
             },
         }
-        path = self._cache_path(request.request_key)
+        path = self._cache_path(key)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with self._cache_write_lock:
             with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, ensure_ascii=False)
+                # dumps runs the C encoder once; json.dump feeds the file
+                # chunk by chunk from the pure-Python encoder.
+                fh.write(json.dumps(entry, ensure_ascii=False))
             os.replace(tmp, path)

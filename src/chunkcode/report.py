@@ -66,7 +66,7 @@ def load_run(run_dir: str | Path) -> RunData:
     meta = json.loads((run_dir / RUN_META_NAME).read_text(encoding="utf-8"))
     records = engine.read_records_jsonl(run_dir / RECORDS_NAME)
     iteration_results = engine.iteration_results_from_records(records)
-    _check_complete(run_dir, meta["iterations"], iteration_results)
+    check_complete(f"run {run_dir}", set(range(1, meta["iterations"] + 1)), iteration_results)
     table = engine.consensus_table(iteration_results)
     return RunData(
         run_dir=run_dir,
@@ -77,14 +77,17 @@ def load_run(run_dir: str | Path) -> RunData:
     )
 
 
-def _check_complete(
-    run_dir: Path, iterations: int, results: Sequence[engine.IterationResult]
+def check_complete(
+    source: str, expected: set[int], results: Sequence[engine.IterationResult]
 ) -> None:
-    """Refuse a run in which a cell present in it lacks one of iterations 1..N."""
+    """Refuse results in which a cell present in them lacks an expected iteration.
+
+    Raises IngestionError naming ``source``, the count of incomplete cells
+    and up to 20 of them with their missing iterations.
+    """
     done: dict[Subject, set[int]] = defaultdict(set)
     for r in results:
         done[(r.doc_id, r.dimension_id)].add(r.iteration)
-    expected = set(range(1, iterations + 1))
     incomplete = [
         f"cell {cell} lacks iteration(s) {sorted(expected - seen)}"
         for cell, seen in done.items()
@@ -92,7 +95,7 @@ def _check_complete(
     ]
     if incomplete:
         raise IngestionError(
-            f"run {run_dir} is incomplete: {len(incomplete)} cell(s) lack"
+            f"{source} is incomplete: {len(incomplete)} cell(s) lack"
             f" iterations; rerunning it in record mode into the same cache"
             f" completes them\n" + "\n".join(incomplete[:20])
         )

@@ -1,10 +1,14 @@
 import hashlib
 import random
+import sys
+import threading
+import time
 from itertools import product
 
 import pytest
 
 import chunkcode as cc
+from chunkcode import report
 from chunkcode.engine import cell_tag, record_from_json, record_to_json
 from chunkcode.errors import ConfigError
 
@@ -390,3 +394,145 @@ def test_golden_records_and_request_keys(strategy, codebook, tiny_corpus, tmp_pa
     cc.write_records_jsonl(rr.records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_RECORDS_SHA256[strategy]
     assert sorted(r.request_key for r in rr.records) == GOLDEN_REQUEST_KEYS[strategy]
+
+
+class FakeEndpoint:
+    """Stands in for requests.Session, and for a mock responder.
+
+    Each call sleeps ``delay()`` seconds and counts the peak number of calls
+    in progress at once. A post answers by a hash of its prompt text, 400s
+    the texts in ``reject``, and raises RuntimeError after ``fail_after``
+    calls.
+    """
+
+    def __init__(self, delay=lambda: 0.01, reject=(), fail_after=None):
+        self.delay = delay
+        self.reject = set(reject)
+        self.fail_after = fail_after
+        self.lock = threading.Lock()
+        self.calls = self.active = self.peak = 0
+
+    def _enter(self):
+        with self.lock:
+            self.calls += 1
+            if self.fail_after is not None and self.calls > self.fail_after:
+                raise RuntimeError("endpoint exploded")
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            delay = self.delay()
+        time.sleep(delay)
+        with self.lock:
+            self.active -= 1
+
+    def __call__(self, request):
+        self._enter()
+        return POSITIVE
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self._enter()
+        text = json["messages"][0]["content"]
+        if text in self.reject:
+            return EndpointResponse(400, None)
+        answer = POSITIVE if hashlib.sha256(text.encode()).digest()[0] % 2 else NEGATIVE
+        return EndpointResponse(200, {"choices": [{"message": {"content": answer}}]})
+
+
+class EndpointResponse:
+    headers = {}
+
+    def __init__(self, status_code, payload):
+        self.status_code = status_code
+        self.payload = payload
+        self.text = "rejected" if payload is None else ""
+
+    def json(self):
+        return self.payload
+
+
+def network_client(endpoint, max_inflight, mode="live", cache_dir=None):
+    return cc.LLMClient(
+        mode=mode,
+        base_url="http://t/v1",
+        cache_dir=cache_dir,
+        session=endpoint,
+        max_inflight=max_inflight,
+        sleep=lambda s: None,
+    )
+
+
+class TestConcurrentDispatch:
+    @pytest.mark.parametrize("max_inflight", [2, 8])
+    def test_peak_concurrency_equals_max_inflight(self, codebook, tiny_corpus, max_inflight):
+        endpoint = FakeEndpoint()
+        cfg = cc.RunConfig(model="m", strategy="whole", iterations=6)
+        rr = cc.run_iterations(tiny_corpus, codebook, cfg, network_client(endpoint, max_inflight))
+        assert rr.ok and endpoint.calls == 2 * 3 * 6
+        assert endpoint.peak == max_inflight
+
+    def test_mock_mode_runs_inline(self, codebook, tiny_corpus):
+        responder = FakeEndpoint()
+        client = cc.LLMClient(mode="mock", mock=responder, max_inflight=8)
+        cfg = cc.RunConfig(model="m", strategy="whole", iterations=2, cache_mode="mock")
+        threads_before = threading.active_count()
+        assert cc.run_iterations(tiny_corpus, codebook, cfg, client).ok
+        assert responder.peak == 1
+        assert threading.active_count() == threads_before
+
+    def test_outputs_independent_of_completion_order(self, codebook, tiny_corpus, tmp_path):
+        doc_a = tiny_corpus[0]
+        rejected = cc.render_prompt(codebook.dimensions[2], cc.chunk_document(doc_a, 4)[1].text)
+        cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=4, iterations=5, cache_mode="record")
+
+        def run(max_inflight):
+            rng = random.Random(max_inflight)
+            endpoint = FakeEndpoint(delay=lambda: rng.uniform(0.0, 0.005), reject=[rejected])
+            out = tmp_path / f"out{max_inflight}"
+            client = network_client(endpoint, max_inflight, "record", tmp_path / f"cache{max_inflight}")
+            lines = []
+            rr = cc.run_iterations(
+                tiny_corpus, codebook, cfg, client,
+                record_sink=lambda r: lines.append(record_to_json(r) + "\n"),
+            )
+            report.write_run_outputs(out, cfg, codebook.ids, ["doc-a", "doc-b"], rr)
+            return rr, "".join(lines).encode(), (out / report.FAILURES_NAME).read_bytes(), endpoint
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            serial, concurrent = run(1), run(8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(serial[0].failures) == cfg.iterations
+        assert serial[3].peak == 1 and concurrent[3].peak > 1
+        assert serial[:3] == concurrent[:3]
+
+    def test_unexpected_error_cancels_queued_cells(self, codebook, tiny_corpus):
+        cfg = cc.RunConfig(model="m", strategy="whole", iterations=10)
+        full = cc.run_iterations(
+            tiny_corpus, codebook, cfg, network_client(FakeEndpoint(delay=lambda: 0.0), 1)
+        )
+        endpoint = FakeEndpoint(delay=lambda: 0.001, fail_after=5)
+        streamed = []
+        with pytest.raises(RuntimeError, match="exploded"):
+            cc.run_iterations(
+                tiny_corpus, codebook, cfg, network_client(endpoint, 2), record_sink=streamed.append
+            )
+        assert endpoint.calls < len(full.records)
+        assert streamed == full.records[: len(streamed)]
+
+    def test_interrupt_stops_cells_between_prompts(self, codebook, tiny_corpus):
+        # chunk size 1: every cell prompts 7 (doc-a) or 4 (doc-b) bodies in order
+        endpoint = FakeEndpoint(delay=lambda: 0.005)
+        cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=1, iterations=2)
+        at_interrupt = []
+
+        def sink(record):
+            at_interrupt.append(endpoint.calls)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            cc.run_iterations(
+                tiny_corpus, codebook, cfg, network_client(endpoint, 2), record_sink=sink
+            )
+        # each of the 2 workers may send at most the one prompt it had begun
+        assert endpoint.calls - at_interrupt[0] <= 2

@@ -10,10 +10,11 @@ from chunkcode.llm_client import retry_delay
 
 
 class FakeResponse:
-    def __init__(self, status_code, payload=None, text=""):
+    def __init__(self, status_code, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text or (json.dumps(payload) if payload is not None else "")
+        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
 
     def json(self):
         if self._payload is None:
@@ -147,6 +148,8 @@ class TestClientModes:
             cc.LLMClient(mode="record")  # no cache dir
         with pytest.raises(ConfigError):
             cc.LLMClient(mode="mock")  # no responder
+        with pytest.raises(ConfigError, match="max_inflight"):
+            cc.LLMClient(mode="live", max_inflight=0)
 
     def test_mock_mode(self):
         client = cc.LLMClient(mode="mock", mock=cc.ScriptedMock(default="hi"))
@@ -210,6 +213,33 @@ class TestClientModes:
         client.complete(req)
         assert (tmp_path / req.request_key).is_file()
 
+    def test_own_session_pools_max_inflight_connections(self):
+        client = cc.LLMClient(mode="live", max_inflight=16)
+        for url in ("http://t/v1", "https://t/v1"):
+            adapter = client._session.get_adapter(url)
+            assert adapter.poolmanager.connection_pool_kw["maxsize"] == 16
+
+    def test_own_session_reads_network_environment_once(self, monkeypatch, tmp_path):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine api.example login user password secret\n")
+        monkeypatch.setenv("NETRC", str(netrc))
+        monkeypatch.setenv("HTTPS_PROXY", "http://proxy.example:3128")
+        monkeypatch.setenv("NO_PROXY", "internal.example")
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", "/etc/ssl/custom.pem")
+        client = cc.LLMClient(mode="live", base_url="https://api.example/v1")
+        assert client._session.trust_env is False
+        assert client._session.proxies["https"] == "http://proxy.example:3128"
+        assert client._session.verify == "/etc/ssl/custom.pem"
+        assert client._session.auth == ("user", "secret")
+        bypassed = cc.LLMClient(mode="live", base_url="https://internal.example/v1")
+        assert "https" not in bypassed._session.proxies
+
+    def test_caller_session_is_left_as_is(self):
+        session = requests.Session()
+        before = dict(session.adapters)
+        cc.LLMClient(mode="live", max_inflight=16, session=session)
+        assert session.adapters == before
+
     def test_strict_replay_miss(self, tmp_path):
         client = cc.LLMClient(mode="replay", cache_dir=tmp_path)
         req = make_request("never recorded")
@@ -266,40 +296,42 @@ class TestRetryBehaviour:
         assert len(session.calls) == 3
         assert len(sleeps) == 2
 
+    @pytest.mark.parametrize(
+        "status, retry_after, slept",
+        [(429, "0", 0.0), (503, "2", 2.0), (429, "120", 30.0)],
+    )
+    def test_retry_after_seconds_replace_backoff(self, status, retry_after, slept):
+        session = FakeSession(
+            [
+                FakeResponse(status, text="wait", headers={"Retry-After": retry_after}),
+                FakeResponse(200, completion_payload("ok")),
+            ]
+        )
+        client, sleeps = self.make_client(session)
+        assert client.complete(make_request()).text == "ok"
+        assert sleeps == [slept]
+
+    def test_unparseable_retry_after_falls_back_to_backoff(self):
+        session = FakeSession(
+            [
+                FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+                FakeResponse(200, completion_payload("ok")),
+            ]
+        )
+        client, sleeps = self.make_client(session)
+        assert client.complete(make_request()).text == "ok"
+        assert len(sleeps) == 1 and 0.5 <= sleeps[0] < 1.5
+
+    def test_retry_after_on_400_is_not_retried(self):
+        session = FakeSession([FakeResponse(400, text="bad", headers={"Retry-After": "0"})])
+        client, sleeps = self.make_client(session)
+        with pytest.raises(TransportError, match="400"):
+            client.complete(make_request())
+        assert len(session.calls) == 1
+        assert sleeps == []
+
     def test_malformed_payload_is_not_retried(self):
         session = FakeSession([FakeResponse(200, {"unexpected": True})])
         client, _ = self.make_client(session)
         with pytest.raises(TransportError, match="malformed"):
             client.complete(make_request())
-
-
-class TestInflightLimit:
-    def test_semaphore_bounds_concurrent_posts(self):
-        import threading
-        import time as time_module
-
-        lock = threading.Lock()
-        state = {"active": 0, "peak": 0}
-
-        class SlowSession:
-            def post(self, url, json=None, headers=None, timeout=None):
-                with lock:
-                    state["active"] += 1
-                    state["peak"] = max(state["peak"], state["active"])
-                time_module.sleep(0.01)
-                with lock:
-                    state["active"] -= 1
-                return FakeResponse(200, completion_payload("ok"))
-
-        client = cc.LLMClient(
-            mode="live", base_url="http://t/v1", session=SlowSession(), max_inflight=3
-        )
-        threads = [
-            threading.Thread(target=client.complete, args=(make_request(f"q{i}"),))
-            for i in range(12)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert state["peak"] <= 3

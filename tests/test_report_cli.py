@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import threading
 
 import pytest
 from click.testing import CliRunner
@@ -148,13 +149,22 @@ class TestRunCommand:
         assert result.exit_code == 1
         assert "chunk_size" in result.output
 
+    def test_max_inflight_below_one_exits_one(self, workspace):
+        out = workspace / "out"
+        result = cli("run", *run_args(workspace, out, **{"--max-inflight": 0}))
+        assert result.exit_code == 1
+        assert "max_inflight must be >= 1" in result.output
+        assert not out.exists()
+
     def test_record_mode_resumes_from_cache(self, workspace, monkeypatch):
         """A rerun in record mode is served by the cache: no new transport calls."""
         calls = {"n": 0}
+        lock = threading.Lock()  # record mode posts from several threads
 
         class FakeSession:
             def post(self, url, json=None, headers=None, timeout=None):
-                calls["n"] += 1
+                with lock:
+                    calls["n"] += 1
 
                 class Response:
                     status_code = 200
@@ -170,7 +180,7 @@ class TestRunCommand:
 
                 return Response()
 
-        def fake_build_client(cfg, cache_dir, flip_probability):
+        def fake_build_client(cfg, cache_dir, flip_probability, max_inflight):
             return cc.LLMClient(mode="record", cache_dir=cache_dir, session=FakeSession())
 
         monkeypatch.setattr("chunkcode.cli._build_client", fake_build_client)
@@ -204,7 +214,7 @@ class TestRunCommand:
     def test_replay_after_record_reproduces_run(self, workspace, monkeypatch):
         test = self
 
-        def fake_build_client(cfg, cache_dir, flip_probability):
+        def fake_build_client(cfg, cache_dir, flip_probability, max_inflight):
             if cfg.cache_mode == "replay":
                 return cc.LLMClient(mode="replay", cache_dir=cache_dir)
             return cc.LLMClient(
@@ -265,6 +275,25 @@ class TestConsensusCommand:
         assert float(model_row["internal_agreement"]) == pytest.approx(
             engine.internal_agreement(engine.consensus_table(results)).model, abs=1e-12
         )
+
+    def test_uneven_iterations_are_refused_before_writing(self, workspace):
+        out = workspace / "out"
+        cli("run", *run_args(workspace, out))
+        path = out / report.RECORDS_NAME
+        dropped = {("doc-a", "state"), ("doc-b", "fidelity")}
+        kept = []
+        for line in path.read_text(encoding="utf-8").splitlines(keepends=True):
+            r = json.loads(line)
+            if (r["doc_id"], r["dimension_id"]) not in dropped or r["iteration"] != 3:
+                kept.append(line)
+        path.write_text("".join(kept), encoding="utf-8")
+        redo = workspace / "redo"
+        result = cli("consensus", "--records", path, "--out", redo)
+        assert result.exit_code == 1
+        assert "2 cell(s) lack iterations" in result.output
+        assert "('doc-a', 'state') lacks iteration(s) [3]" in result.output
+        assert "('doc-b', 'fidelity') lacks iteration(s) [3]" in result.output
+        assert not redo.exists()
 
 
 class TestEvaluateCommand:
@@ -395,7 +424,9 @@ class TestEvaluateCommand:
 
         monkeypatch.setattr(
             "chunkcode.cli._build_client",
-            lambda cfg, cache_dir, flip_probability: cc.LLMClient(mode="mock", mock=failing_mock),
+            lambda cfg, cache_dir, flip_probability, max_inflight: cc.LLMClient(
+                mode="mock", mock=failing_mock
+            ),
         )
         out = workspace / "out"
         partial = cli("run", *run_args(workspace, out, **{"--strategy": "whole", "--iterations": 3}))
