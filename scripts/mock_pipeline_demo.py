@@ -12,6 +12,7 @@ from pathlib import Path
 
 import chunkcode as cc
 from chunkcode import report
+from chunkcode.engine import record_to_json
 
 DOCS = {
     "plant-upgrade": (
@@ -78,13 +79,18 @@ def main() -> None:
             truth=lambda req: "use-cases" in req.tag or "fidelity" in req.tag,
         )
         client = cc.LLMClient(mode="mock", mock=mock)
-        result = cc.run_iterations(corpus, cb, cfg, client)
         out_dir = workdir / f"run_{strategy}"
+        out_dir.mkdir(parents=True, exist_ok=True)
+        # Stream the records to their file as the run command does.
+        with open(out_dir / report.RECORDS_NAME, "w", encoding="utf-8", newline="\n") as fh:
+            def sink(record):
+                fh.write(record_to_json(record) + "\n")
+
+            result = cc.run_iterations(corpus, cb, cfg, client, record_sink=sink)
         report.write_run_outputs(out_dir, cfg, cb.ids, [d.doc_id for d in corpus], result)
-        cc.write_records_jsonl(result.records, out_dir / report.RECORDS_NAME)
         runs.append(report.load_run(out_dir))
         print(
-            f"{strategy:>6}: {len(result.records)} prompts,"
+            f"{strategy:>6}: {result.prompts} prompts,"
             f" internal agreement {cc.internal_agreement(cc.consensus_table(result.results)).model:.4f}"
         )
 

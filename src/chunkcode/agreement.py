@@ -262,16 +262,18 @@ def kappa_with_llm(
 
 def kappa_with_llm_by_doc(
     m: RatingMatrix, llm: Mapping[Subject, bool], rater_id: str = "llm"
-) -> dict[str, KappaComparison]:
+) -> dict[str, KappaComparison | None]:
     """Per-document kappa comparison, each over that document's subjects only.
 
-    Degenerate documents (all ratings one category) raise; catch per doc if
-    partial tables are wanted.
+    A degenerate document (kappa undefined for its ratings) maps to None.
     """
-    return {
-        doc_id: kappa_with_llm(m.filter_doc(doc_id), llm, rater_id)
-        for doc_id in m.doc_ids
-    }
+    by_doc: dict[str, KappaComparison | None] = {}
+    for doc_id in m.doc_ids:
+        try:
+            by_doc[doc_id] = kappa_with_llm(m.filter_doc(doc_id), llm, rater_id)
+        except DegenerateKappaError:
+            by_doc[doc_id] = None
+    return by_doc
 
 
 def rating_matrix_from_iterations(results: Sequence[IterationResult]) -> RatingMatrix:

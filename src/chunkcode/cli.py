@@ -121,7 +121,7 @@ def run(manifest_path, codebook_path, model, strategy, chunk_size, iterations,
         )
         sys.exit(2)
     click.echo(
-        f"wrote {len(result.records)} records over {cfg.iterations} iteration(s)"
+        f"wrote {result.prompts} records over {cfg.iterations} iteration(s)"
         f" to {out_dir}"
     )
 
@@ -132,8 +132,7 @@ def run(manifest_path, codebook_path, model, strategy, chunk_size, iterations,
 def consensus(records_path, out_dir):
     """Recompute consensus and internal agreement from a records file."""
     try:
-        records = engine.read_records_jsonl(records_path)
-        results = engine.iteration_results_from_records(records)
+        results = engine.iteration_results_from_records(engine.read_records_jsonl(records_path))
         report.check_complete(
             f"records file {records_path}", {r.iteration for r in results}, results
         )

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .classifier import BinaryCode, KeyPhraseSet, classify, default_key_phrases
 from .codebook import Codebook, Dimension
@@ -131,11 +131,15 @@ class InternalAgreement:
 
 @dataclass
 class RunResult:
-    """Everything a run produced, including what it could not produce."""
+    """What a run produced and what it could not produce.
 
-    records: list[PromptRecord]
+    The run's records are not kept: each went to the record sink, their only
+    consumer, and ``prompts`` counts them.
+    """
+
     results: list[IterationResult]
     failures: list[CellFailure]
+    prompts: int
 
     @property
     def ok(self) -> bool:
@@ -269,12 +273,14 @@ def run_iterations(
     failures double as a manifest of what to retry. Interrupted record-mode
     runs resume cheaply because completed prompts hit the request cache.
     ``record_sink`` receives each PromptRecord of a completed cell, in
-    order, for incremental persistence.
+    order, for incremental persistence. It is the records' only consumer:
+    each is folded into its cell's code as it passes, and the run holds no
+    more of them than the cells in flight produce.
 
     When the client talks to the network, up to ``client.max_inflight``
     cells run at once, each prompting its bodies in order. Results are
     consumed in canonical cell order (iteration, document, dimension), so
-    records, failures and the sink's stream are identical to a serial run.
+    results, failures and the sink's stream are identical to a serial run.
     An exception other than a cell's ``CellError``, including an interrupt,
     cancels the cells not yet started, stops those in flight before their
     next prompt, and is raised once the requests in flight finish; the sink
@@ -316,18 +322,24 @@ def run_iterations(
         if client.mode in NETWORK_MODES
         else (code_cell(cell) for cell in cells)
     )
-    records: list[PromptRecord] = []
     failures: list[CellFailure] = []
-    with contextlib.closing(outcomes):
-        for outcome in outcomes:
-            if isinstance(outcome, CellFailure):
-                failures.append(outcome)
-                continue
-            records.extend(outcome)
-            if record_sink is not None:
+    prompts = 0
+
+    def completed_records() -> Iterator[PromptRecord]:
+        nonlocal prompts
+        with contextlib.closing(outcomes):
+            for outcome in outcomes:
+                if isinstance(outcome, CellFailure):
+                    failures.append(outcome)
+                    continue
                 for record in outcome:
-                    record_sink(record)
-    return RunResult(records, iteration_results_from_records(records), failures)
+                    if record_sink is not None:
+                        record_sink(record)
+                    prompts += 1
+                    yield record
+
+    results = iteration_results_from_records(completed_records())
+    return RunResult(results, failures, prompts)
 
 
 def consensus(results: Sequence[IterationResult]) -> ConsensusResult:
@@ -380,12 +392,13 @@ def internal_agreement(
 
 
 def iteration_results_from_records(
-    records: Sequence[PromptRecord],
+    records: Iterable[PromptRecord],
 ) -> list[IterationResult]:
-    """Rebuild per-iteration cell codes from raw prompt records.
+    """Reduce prompt records, read once in order, to per-iteration cell codes.
 
     Chunked cells OR their chunk codes; whole-text cells carry one record.
-    Output order follows first appearance of each cell in the records.
+    Output order follows first appearance of each cell in the records. Only
+    one bool per cell is kept, so a stream reduces in flat memory.
     """
     grouped: dict[tuple[str, str, int], bool] = {}
     for record in records:
@@ -436,18 +449,17 @@ def record_from_json(line: str) -> PromptRecord:
     )
 
 
-def write_records_jsonl(records: Sequence[PromptRecord], path: str | Path) -> None:
+def write_records_jsonl(records: Iterable[PromptRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for record in records:
             fh.write(record_to_json(record))
             fh.write("\n")
 
 
-def read_records_jsonl(path: str | Path) -> list[PromptRecord]:
-    records = []
+def read_records_jsonl(path: str | Path) -> Iterator[PromptRecord]:
+    """Yield the records of a records file, one line at a time."""
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
-                records.append(record_from_json(line))
-    return records
+                yield record_from_json(line)

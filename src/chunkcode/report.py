@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from . import agreement, engine
 from .agreement import RatingMatrix, Subject
-from .errors import DegenerateKappaError, IngestionError, UndefinedMetricError
+from .errors import IngestionError, UndefinedMetricError
 
 RUN_META_NAME = "run_meta.json"
 RECORDS_NAME = "records.jsonl"
@@ -59,13 +59,17 @@ def load_run(run_dir: str | Path) -> RunData:
     """Load a run directory written by the run command.
 
     The records file is the source of truth; iteration results and
-    consensus are rebuilt from it. A run in which a cell lacks some of its
-    iterations is refused, so no table scores a cell on fewer iterations.
+    consensus are rebuilt from it, one line at a time. A run holding a
+    result its metadata does not list, or in which a cell lacks some of its
+    iterations, is refused, so every table scores the run its metadata
+    describes.
     """
     run_dir = Path(run_dir)
     meta = json.loads((run_dir / RUN_META_NAME).read_text(encoding="utf-8"))
-    records = engine.read_records_jsonl(run_dir / RECORDS_NAME)
-    iteration_results = engine.iteration_results_from_records(records)
+    iteration_results = engine.iteration_results_from_records(
+        engine.read_records_jsonl(run_dir / RECORDS_NAME)
+    )
+    _check_within_meta(f"run {run_dir}", meta, iteration_results)
     check_complete(f"run {run_dir}", set(range(1, meta["iterations"] + 1)), iteration_results)
     table = engine.consensus_table(iteration_results)
     return RunData(
@@ -75,6 +79,28 @@ def load_run(run_dir: str | Path) -> RunData:
         consensus=table,
         consensus_codes={subject: c.value for subject, c in table.items()},
     )
+
+
+def _check_within_meta(
+    source: str, meta: dict, results: Sequence[engine.IterationResult]
+) -> None:
+    """Refuse results whose iteration, document or dimension the run's
+    metadata does not list, naming up to 20 of them."""
+    iterations = range(1, meta["iterations"] + 1)
+    doc_ids, dimension_ids = set(meta["doc_ids"]), set(meta["dimension_ids"])
+    outside = [
+        f"cell {(r.doc_id, r.dimension_id)} iteration {r.iteration}"
+        for r in results
+        if r.iteration not in iterations
+        or r.doc_id not in doc_ids
+        or r.dimension_id not in dimension_ids
+    ]
+    if outside:
+        raise IngestionError(
+            f"{source} holds {len(outside)} result(s) outside its {RUN_META_NAME}"
+            f" (iterations 1..{meta['iterations']}, {len(doc_ids)} document(s),"
+            f" {len(dimension_ids)} dimension(s))\n" + "\n".join(outside[:20])
+        )
 
 
 def check_complete(
@@ -305,17 +331,14 @@ def kappa_delta_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict
     """Per run and document: kappa before/after adding the run as a rater."""
     rows = []
     for run in runs:
-        for doc_id in manual.doc_ids:
+        by_doc = agreement.kappa_with_llm_by_doc(manual, run.consensus_codes, run.rater_id)
+        for doc_id, comparison in by_doc.items():
             row: dict[str, object] = {
                 "model": run.model,
                 "strategy": run.strategy,
                 "doc_id": doc_id,
             }
-            try:
-                comparison = agreement.kappa_with_llm(
-                    manual.filter_doc(doc_id), run.consensus_codes, rater_id=run.rater_id
-                )
-            except DegenerateKappaError:
+            if comparison is None:
                 row.update(
                     {"kappa_before": None, "kappa_after": None, "delta": None,
                      "note": "degenerate: single-category ratings"}

@@ -261,9 +261,10 @@ def test_engine_semantics_under_scripted_mock(tmp_path):
 
     def run_once(path):
         client = cc.LLMClient(mode="mock", mock=cc.ScriptedMock(script))
-        rr = cc.run_iterations(docs, cb, cfg, client)
+        records = []
+        rr = cc.run_iterations(docs, cb, cfg, client, record_sink=records.append)
         assert rr.ok
-        cc.write_records_jsonl(rr.records, path)
+        cc.write_records_jsonl(records, path)
         return path.read_bytes()
 
     assert run_once(tmp_path / "first.jsonl") == run_once(tmp_path / "second.jsonl")
@@ -280,9 +281,10 @@ def test_engine_semantics_under_scripted_mock(tmp_path):
             return POSITIVE if p[index] else NEGATIVE
 
         client = cc.LLMClient(mode="mock", mock=by_chunk)
-        rr = cc.run_iterations([doc], one_dim, or_cfg, client)
+        records = []
+        rr = cc.run_iterations([doc], one_dim, or_cfg, client, record_sink=records.append)
         assert rr.results[0].value is any(pattern)
-        assert [r.code.value for r in rr.records] == list(pattern)
+        assert [r.code.value for r in records] == list(pattern)
 
     # consensus mode truth table over all 2^3 iteration outcomes
     consensus_cfg = cc.RunConfig(

@@ -267,11 +267,16 @@ class TestKappaWithLLM:
         )
 
     def test_per_document_slices(self):
-        rows = [[True, True, False], [True, False, False]] * 4
+        # doc0 and doc1 are mixed; doc2 is rated False by everyone
+        rows = [[True, True, False], [True, False, False]] * 4 + [[False] * 3] * 4
         m = matrix(rows)
         llm = cc.manual_consensus(m)
         by_doc = cc.kappa_with_llm_by_doc(m, llm)
         assert set(by_doc) == set(m.doc_ids)
+        assert by_doc.pop("doc2") is None
+        with pytest.raises(DegenerateKappaError):
+            cc.kappa_with_llm(m.filter_doc("doc2"), llm)
+        assert set(by_doc) == {"doc0", "doc1"}
         for doc_id, comparison in by_doc.items():
             expected = cc.kappa_with_llm(m.filter_doc(doc_id), llm)
             assert comparison == expected

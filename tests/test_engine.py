@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import random
 import sys
 import threading
 import time
+import weakref
 from itertools import product
 
 import pytest
@@ -51,26 +53,33 @@ class TestRunConfig:
             cc.RunConfig(**kwargs)
 
 
+def run_collecting(corpus, codebook, cfg, client):
+    """A run and the records its sink received, in order."""
+    records = []
+    rr = cc.run_iterations(corpus, codebook, cfg, client, record_sink=records.append)
+    return rr, records
+
+
 def single_iteration(corpus, codebook, client, **cfg_kwargs):
     """A single-iteration run, where each cell's code is its iteration's code."""
     cfg = cc.RunConfig(model="m", iterations=1, cache_mode="mock", **cfg_kwargs)
-    return cc.run_iterations(corpus, codebook, cfg, client)
+    return run_collecting(corpus, codebook, cfg, client)
 
 
 class TestCodeWhole:
     def test_constant_positive_mock_codes_all_true(self, codebook, tiny_corpus, positive_mock):
-        rr = single_iteration(tiny_corpus[:1], codebook, positive_mock, strategy="whole")
+        rr, records = single_iteration(tiny_corpus[:1], codebook, positive_mock, strategy="whole")
         assert [r.value for r in rr.results] == [True, True, True]
-        assert len(rr.records) == len(codebook)
-        assert all(r.chunk_index is None for r in rr.records)
+        assert len(records) == len(codebook)
+        assert all(r.chunk_index is None for r in records)
 
     def test_constant_negative_mock_codes_all_false(self, codebook, tiny_corpus, negative_mock):
-        rr = single_iteration(tiny_corpus[:1], codebook, negative_mock, strategy="whole")
+        rr, _ = single_iteration(tiny_corpus[:1], codebook, negative_mock, strategy="whole")
         assert [r.value for r in rr.results] == [False, False, False]
 
     def test_prompt_count_law(self, codebook, tiny_corpus, positive_mock):
-        rr = single_iteration(tiny_corpus[:1], codebook, positive_mock, strategy="whole")
-        assert len(rr.records) == len(codebook)
+        rr, records = single_iteration(tiny_corpus[:1], codebook, positive_mock, strategy="whole")
+        assert len(records) == rr.prompts == len(codebook)
 
     def test_empty_document_rejected(self, codebook, positive_mock):
         doc = cc.DocumentText.from_raw("empty", "")
@@ -78,12 +87,12 @@ class TestCodeWhole:
             single_iteration([doc], codebook, positive_mock, strategy="whole")
 
     def test_oversized_prompt_refused_not_truncated(self, codebook, tiny_corpus, positive_mock):
-        rr = single_iteration(
+        rr, records = single_iteration(
             tiny_corpus[:1], codebook, positive_mock, strategy="whole", max_prompt_words=3
         )
         assert "refusing to truncate" in rr.failures[0].error
         assert len(rr.failures) == len(codebook)
-        assert not rr.results and not rr.records
+        assert not rr.results and not records and rr.prompts == 0
 
 
 class TestCodeChunked:
@@ -95,15 +104,17 @@ class TestCodeChunked:
             client = mock_client(
                 lambda req, p=pattern: POSITIVE if p[chunk_index_of(req)] else NEGATIVE
             )
-            rr = single_iteration([doc], one_dim, client, strategy="chunk", chunk_size=3)
+            rr, records = single_iteration([doc], one_dim, client, strategy="chunk", chunk_size=3)
             assert rr.results[0].value is any(pattern)
-            assert [r.code.value for r in rr.records] == list(pattern)
-            assert [r.chunk_index for r in rr.records] == [0, 1, 2]
+            assert [r.code.value for r in records] == list(pattern)
+            assert [r.chunk_index for r in records] == [0, 1, 2]
 
     def test_prompt_count_law(self, codebook, positive_mock):
         doc = cc.DocumentText.from_raw("d", " ".join(f"w{i}" for i in range(1100)))
-        rr = single_iteration([doc], codebook, positive_mock, strategy="chunk", chunk_size=500)
-        assert len(rr.records) == 3 * len(codebook)  # ceil(1100/500) * |dims|
+        rr, records = single_iteration(
+            [doc], codebook, positive_mock, strategy="chunk", chunk_size=500
+        )
+        assert len(records) == rr.prompts == 3 * len(codebook)  # ceil(1100/500) * |dims|
 
 
 class TestRunIterations:
@@ -111,11 +122,11 @@ class TestRunIterations:
         cfg = cc.RunConfig(
             model="m", strategy="chunk", chunk_size=5, iterations=3, cache_mode="mock"
         )
-        rr = cc.run_iterations(tiny_corpus, codebook, cfg, positive_mock)
+        rr, records = run_collecting(tiny_corpus, codebook, cfg, positive_mock)
         assert rr.ok
         assert len(rr.results) == 2 * 3 * 3  # docs * dims * iterations
         # doc-a: 7 words -> 2 chunks; doc-b: 4 words -> 1 chunk
-        assert len(rr.records) == (2 + 1) * 3 * 3
+        assert len(records) == rr.prompts == (2 + 1) * 3 * 3
 
     def test_empty_corpus_rejected(self, codebook, positive_mock):
         cfg = cc.RunConfig(model="m", cache_mode="mock")
@@ -166,11 +177,31 @@ class TestRunIterations:
         cfg = cc.RunConfig(
             model="m", strategy="whole", iterations=2, cache_mode="mock"
         )
-        streamed = []
+        rr, streamed = run_collecting(tiny_corpus, codebook, cfg, positive_mock)
+        assert rr.prompts == len(streamed) == 2 * 3 * 2
+        assert [(r.doc_id, r.dimension_id, r.iteration) for r in streamed] == [
+            (doc.doc_id, dim_id, iteration)
+            for iteration in (1, 2)
+            for doc in tiny_corpus
+            for dim_id in codebook.ids
+        ]
+        assert cc.iteration_results_from_records(streamed) == rr.results
+
+    @pytest.mark.parametrize("max_inflight", [None, 8])
+    def test_no_record_outlives_the_run(self, codebook, tiny_corpus, max_inflight):
+        # None: a mock run, coded inline; 8: a live run, coded on a thread pool
+        if max_inflight is None:
+            client, mode = mock_client(lambda request: POSITIVE), "mock"
+        else:
+            client, mode = network_client(FakeEndpoint(delay=lambda: 0.0), max_inflight), "live"
+        cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=2, iterations=3, cache_mode=mode)
+        refs = []
         rr = cc.run_iterations(
-            tiny_corpus, codebook, cfg, positive_mock, record_sink=streamed.append
+            tiny_corpus, codebook, cfg, client, record_sink=lambda r: refs.append(weakref.ref(r))
         )
-        assert streamed == rr.records
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
+        assert rr.ok and rr.prompts == len(refs) == (4 + 2) * 3 * 3
 
     def test_single_iteration_consensus_equals_iteration(self, codebook, tiny_corpus, negative_mock):
         cfg = cc.RunConfig(model="m", strategy="whole", iterations=1, cache_mode="mock")
@@ -276,10 +307,10 @@ class TestInternalAgreement:
 class TestRecordSerialization:
     def test_round_trip(self, codebook, tiny_corpus, positive_mock, tmp_path):
         cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=4, iterations=2, cache_mode="mock")
-        rr = cc.run_iterations(tiny_corpus, codebook, cfg, positive_mock)
+        _, records = run_collecting(tiny_corpus, codebook, cfg, positive_mock)
         path = tmp_path / "records.jsonl"
-        cc.write_records_jsonl(rr.records, path)
-        assert cc.read_records_jsonl(path) == rr.records
+        cc.write_records_jsonl(records, path)
+        assert list(cc.read_records_jsonl(path)) == records
 
     def test_single_record_round_trip(self):
         record = cc.PromptRecord(
@@ -301,8 +332,8 @@ class TestRecordSerialization:
 
         client = mock_client(varied)
         cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=3, iterations=3, cache_mode="mock")
-        rr = cc.run_iterations(tiny_corpus, codebook, cfg, client)
-        rebuilt = cc.iteration_results_from_records(rr.records)
+        rr, records = run_collecting(tiny_corpus, codebook, cfg, client)
+        rebuilt = cc.iteration_results_from_records(records)
         assert rebuilt == rr.results
 
     def test_byte_identical_across_runs(self, codebook, tiny_corpus, tmp_path):
@@ -314,8 +345,8 @@ class TestRecordSerialization:
             cfg = cc.RunConfig(
                 model="m", strategy="chunk", chunk_size=3, iterations=3, cache_mode="mock", seed=9
             )
-            rr = cc.run_iterations(tiny_corpus, codebook, cfg, client)
-            cc.write_records_jsonl(rr.records, path)
+            _, records = run_collecting(tiny_corpus, codebook, cfg, client)
+            cc.write_records_jsonl(records, path)
             return path.read_bytes()
 
         assert run_once(tmp_path / "a.jsonl") == run_once(tmp_path / "b.jsonl")
@@ -386,14 +417,14 @@ def test_golden_records_and_request_keys(strategy, codebook, tiny_corpus, tmp_pa
     client = cc.LLMClient(
         mode="mock", mock=cc.StochasticMock(seed=3, flip_probability=0.4)
     )
-    rr = cc.run_iterations(tiny_corpus, codebook, cfg, client)
+    rr, records = run_collecting(tiny_corpus, codebook, cfg, client)
     assert rr.ok
     if strategy == "chunk":
-        assert {r.chunk_index for r in rr.records if r.doc_id == "doc-b"} == {0}
+        assert {r.chunk_index for r in records if r.doc_id == "doc-b"} == {0}
     path = tmp_path / "records.jsonl"
-    cc.write_records_jsonl(rr.records, path)
+    cc.write_records_jsonl(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_RECORDS_SHA256[strategy]
-    assert sorted(r.request_key for r in rr.records) == GOLDEN_REQUEST_KEYS[strategy]
+    assert sorted(r.request_key for r in records) == GOLDEN_REQUEST_KEYS[strategy]
 
 
 class FakeEndpoint:
@@ -508,7 +539,7 @@ class TestConcurrentDispatch:
 
     def test_unexpected_error_cancels_queued_cells(self, codebook, tiny_corpus):
         cfg = cc.RunConfig(model="m", strategy="whole", iterations=10)
-        full = cc.run_iterations(
+        _, full = run_collecting(
             tiny_corpus, codebook, cfg, network_client(FakeEndpoint(delay=lambda: 0.0), 1)
         )
         endpoint = FakeEndpoint(delay=lambda: 0.001, fail_after=5)
@@ -517,8 +548,8 @@ class TestConcurrentDispatch:
             cc.run_iterations(
                 tiny_corpus, codebook, cfg, network_client(endpoint, 2), record_sink=streamed.append
             )
-        assert endpoint.calls < len(full.records)
-        assert streamed == full.records[: len(streamed)]
+        assert endpoint.calls < len(full)
+        assert streamed == full[: len(streamed)]
 
     def test_interrupt_stops_cells_between_prompts(self, codebook, tiny_corpus):
         # chunk size 1: every cell prompts 7 (doc-a) or 4 (doc-b) bodies in order

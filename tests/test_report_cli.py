@@ -77,7 +77,7 @@ class TestRunCommand:
             assert (out / name).is_file()
         assert not (out / report.FAILURES_NAME).exists()
         # doc-a: 12 words / 5 -> 3 chunks, doc-b: 1 chunk; x3 dims x5 iters
-        records = engine.read_records_jsonl(out / report.RECORDS_NAME)
+        records = list(engine.read_records_jsonl(out / report.RECORDS_NAME))
         assert len(records) == (3 + 1) * 3 * 5
 
     def test_mock_runs_are_byte_identical(self, workspace):
@@ -257,6 +257,104 @@ class TestRunCommand:
             return Response()
 
 
+class HashSession:
+    """A session answering each prompt by a hash of its text, from any thread;
+    every post after the first ``fail_after`` raises RuntimeError."""
+
+    def __init__(self, fail_after=None):
+        self.fail_after = fail_after
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self.lock:
+            self.calls += 1
+            if self.fail_after is not None and self.calls > self.fail_after:
+                raise RuntimeError("endpoint exploded")
+        prompt = json["messages"][0]["content"]
+        if hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 2:
+            answer = "Yes, the parameter is mentioned."
+        else:
+            answer = "The paper does not focus on it."
+
+        class Response:
+            status_code = 200
+            text = ""
+
+            @staticmethod
+            def json():
+                return {"choices": [{"message": {"content": answer}}]}
+
+        return Response()
+
+
+class TestCrashAndResume:
+    """A record run stopped after some prompts, then rerun in record mode into
+    the same cache, leaves the same bytes as a run never stopped."""
+
+    OUTPUTS = (
+        report.RECORDS_NAME,
+        report.ITERATION_RESULTS_NAME,
+        report.CONSENSUS_NAME,
+        report.RUN_META_NAME,
+    )
+
+    def record(self, workspace, monkeypatch, session, name, max_inflight):
+        monkeypatch.setattr(
+            "chunkcode.cli._build_client",
+            lambda cfg, cache_dir, flip_probability, max_inflight: cc.LLMClient(
+                mode="record", cache_dir=cache_dir, session=session, max_inflight=max_inflight
+            ),
+        )
+        options = {
+            "--cache-mode": "record",
+            "--cache-dir": workspace / f"cache_{name}",
+            "--iterations": 3,
+            "--max-inflight": max_inflight,
+        }
+        return cli("run", *run_args(workspace, workspace / name, **options))
+
+    @pytest.mark.parametrize("max_inflight", [1, 8])
+    @pytest.mark.parametrize("stop", ["session raises", "sink interrupted"])
+    def test_resume_gives_the_bytes_of_an_uninterrupted_run(
+        self, workspace, monkeypatch, stop, max_inflight
+    ):
+        full = HashSession()
+        assert self.record(workspace, monkeypatch, full, "full", max_inflight).exit_code == 0
+        assert full.calls == (3 + 1) * 3 * 3
+
+        k = 7
+        with monkeypatch.context() as patch:
+            if stop == "session raises":
+                session = HashSession(fail_after=k)
+            else:
+                session = HashSession()
+                sunk = []
+
+                def interrupting(record, to_json=engine.record_to_json):
+                    if len(sunk) == k:
+                        raise KeyboardInterrupt
+                    sunk.append(record)
+                    return to_json(record)
+
+                patch.setattr(engine, "record_to_json", interrupting)
+            stopped = self.record(workspace, patch, session, "resumed", max_inflight)
+        assert stopped.exit_code != 0
+        out = workspace / "resumed"
+        assert not (out / report.RUN_META_NAME).exists()
+        written = (out / report.RECORDS_NAME).read_bytes()
+        assert written == (workspace / "full" / report.RECORDS_NAME).read_bytes()[: len(written)]
+        cached = len(list((workspace / "cache_resumed").iterdir()))
+        assert 0 < cached < full.calls
+
+        resumed = HashSession()
+        assert self.record(workspace, monkeypatch, resumed, "resumed", max_inflight).exit_code == 0
+        assert resumed.calls == full.calls - cached
+        for name in self.OUTPUTS:
+            assert (out / name).read_bytes() == (workspace / "full" / name).read_bytes(), name
+        assert not (out / report.FAILURES_NAME).exists()
+
+
 class TestConsensusCommand:
     def test_recomputes_consensus_from_records(self, workspace):
         out = workspace / "out"
@@ -269,7 +367,7 @@ class TestConsensusCommand:
         ).read_bytes()
         with open(redo / "internal_agreement.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
-        records = engine.read_records_jsonl(out / report.RECORDS_NAME)
+        records = list(engine.read_records_jsonl(out / report.RECORDS_NAME))
         results = engine.iteration_results_from_records(records)
         model_row = [r for r in rows if r["scope"] == "model"][0]
         assert float(model_row["internal_agreement"]) == pytest.approx(
@@ -437,6 +535,23 @@ class TestEvaluateCommand:
         assert not reports.exists() or not any(reports.iterdir())
         assert "('doc-a', 'state') lacks iteration(s) [2]" in result.output
         assert "record mode" in result.output
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"iterations": 4}, {"doc_ids": ["doc-a"]}, {"dimension_ids": ["fidelity", "state"]}],
+    )
+    def test_results_outside_run_meta_are_refused_before_any_table(self, workspace, edit):
+        out = workspace / "out"
+        assert cli("run", *run_args(workspace, out)).exit_code == 0
+        meta_path = out / report.RUN_META_NAME
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta.update(edit)
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+        result, reports = self.evaluate(workspace)
+        assert result.exit_code == 1
+        assert not reports.exists() or not any(reports.iterdir())
+        assert f"outside its {report.RUN_META_NAME}" in result.output
 
     def test_evaluate_outputs_are_deterministic(self, workspace):
         _, first = self.evaluate(workspace)
