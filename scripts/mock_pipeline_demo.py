@@ -12,7 +12,6 @@ from pathlib import Path
 
 import chunkcode as cc
 from chunkcode import report
-from chunkcode.engine import record_to_json
 
 DOCS = {
     "plant-upgrade": (
@@ -70,7 +69,6 @@ def main() -> None:
             strategy=strategy,
             chunk_size=args.chunk_size,
             iterations=args.iterations,
-            cache_mode="mock",
             seed=args.seed,
         )
         mock = cc.StochasticMock(
@@ -80,14 +78,7 @@ def main() -> None:
         )
         client = cc.LLMClient(mode="mock", mock=mock)
         out_dir = workdir / f"run_{strategy}"
-        out_dir.mkdir(parents=True, exist_ok=True)
-        # Stream the records to their file as the run command does.
-        with open(out_dir / report.RECORDS_NAME, "w", encoding="utf-8", newline="\n") as fh:
-            def sink(record):
-                fh.write(record_to_json(record) + "\n")
-
-            result = cc.run_iterations(corpus, cb, cfg, client, record_sink=sink)
-        report.write_run_outputs(out_dir, cfg, cb.ids, [d.doc_id for d in corpus], result)
+        result = report.write_run(out_dir, corpus, cb, cfg, client)
         runs.append(report.load_run(out_dir))
         print(
             f"{strategy:>6}: {result.prompts} prompts,"

@@ -48,7 +48,6 @@ from .engine import (
     iteration_results_from_records,
     read_records_jsonl,
     run_iterations,
-    write_records_jsonl,
 )
 from .errors import (
     CacheMissError,

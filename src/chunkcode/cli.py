@@ -36,16 +36,12 @@ def _mock_truth(request: PromptRequest) -> bool:
 
 
 def _build_client(
-    cfg: engine.RunConfig, cache_dir: str | None, flip_probability: float, max_inflight: int
+    cache_mode: str, cache_dir: str | None, seed: int, flip_probability: float, max_inflight: int
 ) -> LLMClient:
-    if cfg.cache_mode == "mock":
-        mock = StochasticMock(
-            seed=cfg.seed if cfg.seed is not None else 0,
-            flip_probability=flip_probability,
-            truth=_mock_truth,
-        )
+    if cache_mode == "mock":
+        mock = StochasticMock(seed=seed, flip_probability=flip_probability, truth=_mock_truth)
         return LLMClient(mode="mock", mock=mock, max_inflight=max_inflight)
-    return LLMClient(mode=cfg.cache_mode, cache_dir=cache_dir, max_inflight=max_inflight)
+    return LLMClient(mode=cache_mode, cache_dir=cache_dir, max_inflight=max_inflight)
 
 
 @main.command()
@@ -85,28 +81,14 @@ def run(manifest_path, codebook_path, model, strategy, chunk_size, iterations,
             chunk_size=chunk_size,
             iterations=iterations,
             phrases=load_key_phrases(phrases_path) if phrases_path else default_key_phrases(),
-            cache_mode=cache_mode,
             word_boundary=word_boundary,
             max_prompt_words=max_prompt_words,
             seed=seed,
         )
         cb = load_codebook(codebook_path) if codebook_path else default_codebook()
         corpus = load_manifest(manifest_path)
-        client = _build_client(cfg, cache_dir, flip_probability, max_inflight)
-        engine.validate_corpus(corpus)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        # Stream records as they are produced so an interrupted run leaves a
-        # usable partial file; the request cache makes the rerun cheap.
-        with open(out / report.RECORDS_NAME, "w", encoding="utf-8", newline="\n") as fh:
-            def sink(record):
-                fh.write(engine.record_to_json(record))
-                fh.write("\n")
-
-            result = engine.run_iterations(corpus, cb, cfg, client, record_sink=sink)
-        report.write_run_outputs(
-            out_dir, cfg, cb.ids, [doc.doc_id for doc in corpus], result
-        )
+        client = _build_client(cache_mode, cache_dir, seed, flip_probability, max_inflight)
+        result = report.write_run(out_dir, corpus, cb, cfg, client)
     except ChunkCodeError as exc:
         _fail(str(exc))
     if result.failures and not result.results:

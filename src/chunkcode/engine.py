@@ -21,9 +21,9 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .classifier import BinaryCode, KeyPhraseSet, classify, default_key_phrases
 from .codebook import Codebook, Dimension
-from .errors import CellError, ChunkCodeError, ConfigError
+from .errors import CellError, ChunkCodeError, ConfigError, IngestionError
 from .ingestion import DocumentText, chunk_document
-from .llm_client import CACHE_MODES, NETWORK_MODES, LLMClient, PromptRequest, render_prompt
+from .llm_client import NETWORK_MODES, LLMClient, PromptRequest, render_prompt
 
 STRATEGIES = ("whole", "chunk")
 # Cells submitted ahead of the one being consumed, per worker.
@@ -39,7 +39,6 @@ class RunConfig:
     chunk_size: int = 500
     iterations: int = 15
     phrases: KeyPhraseSet = field(default_factory=default_key_phrases)
-    cache_mode: str = "live"
     word_boundary: bool = False
     max_prompt_words: int | None = None
     seed: int | None = None
@@ -55,10 +54,6 @@ class RunConfig:
             raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.cache_mode not in CACHE_MODES:
-            raise ConfigError(
-                f"unknown cache mode {self.cache_mode!r}; expected one of {CACHE_MODES}"
-            )
         if not isinstance(self.phrases, KeyPhraseSet):
             raise ConfigError("phrases must be a KeyPhraseSet")
 
@@ -397,16 +392,29 @@ def iteration_results_from_records(
     """Reduce prompt records, read once in order, to per-iteration cell codes.
 
     Chunked cells OR their chunk codes; whole-text cells carry one record.
-    Output order follows first appearance of each cell in the records. Only
-    one bool per cell is kept, so a stream reduces in flat memory.
+    Output order follows first appearance of each cell in the records. A
+    prompt (doc, dimension, iteration, chunk) seen twice is refused, naming
+    up to 20 repeats. Each cell keeps one int, its code in bit 0 and a bit
+    per chunk seen, so a stream reduces in flat memory.
     """
-    grouped: dict[tuple[str, str, int], bool] = {}
+    cells: dict[tuple[str, str, int], int] = {}
+    repeats: list[str] = []
     for record in records:
         key = (record.doc_id, record.dimension_id, record.iteration)
-        grouped[key] = grouped.get(key, False) or record.code.value
+        chunk = record.chunk_index
+        try:
+            bit = 2 if chunk is None else 4 << chunk
+        except (TypeError, ValueError):
+            raise IngestionError(f"record of cell {key} has chunk index {chunk!r}") from None
+        state = cells.get(key, 0)
+        if state & bit:
+            repeats.append(f"cell {key[:2]} iteration {key[2]} chunk {chunk}")
+        cells[key] = state | bit | record.code.value
+    if repeats:
+        raise IngestionError(f"records repeat {len(repeats)} prompt(s)\n" + "\n".join(repeats[:20]))
     return [
-        IterationResult(doc_id, dimension_id, iteration, value)
-        for (doc_id, dimension_id, iteration), value in grouped.items()
+        IterationResult(doc_id, dimension_id, iteration, bool(state & 1))
+        for (doc_id, dimension_id, iteration), state in cells.items()
     ]
 
 
@@ -447,13 +455,6 @@ def record_from_json(line: str) -> PromptRecord:
         code=BinaryCode(data["code"], data["matched_phrase"]),
         request_key=data["request_key"],
     )
-
-
-def write_records_jsonl(records: Iterable[PromptRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(record_to_json(record))
-            fh.write("\n")
 
 
 def read_records_jsonl(path: str | Path) -> Iterator[PromptRecord]:

@@ -32,6 +32,7 @@ CACHE_MODES = ("live", "record", "replay", "mock")
 # Modes in which a completion can wait on the endpoint.
 NETWORK_MODES = ("live", "record")
 DEFAULT_MAX_INFLIGHT = 8
+RETRY_BASE_S = 1.0
 RETRY_CAP_S = 30.0
 
 PROMPT_TEMPLATE = (
@@ -89,22 +90,21 @@ class LLMResponse:
 def retry_delay(
     attempt: int,
     *,
-    base: float = 1.0,
     cap: float = RETRY_CAP_S,
     max_attempts: int = 5,
     rng: random.Random | None = None,
 ) -> float | None:
     """Backoff delay after a failed attempt (1-based), or None to give up.
 
-    Doubles from ``base`` per attempt, capped at ``cap``, with multiplicative
-    jitter in [0.5, 1.5). Once ``attempt`` reaches ``max_attempts`` the caller
-    should stop retrying.
+    Doubles from ``RETRY_BASE_S`` per attempt, capped at ``cap``, with
+    multiplicative jitter in [0.5, 1.5). Once ``attempt`` reaches
+    ``max_attempts`` the caller should stop retrying.
     """
     if attempt < 1:
         raise ValueError("attempt numbering is 1-based")
     if attempt >= max_attempts:
         return None
-    delay = min(cap, base * (2 ** (attempt - 1)))
+    delay = min(cap, RETRY_BASE_S * (2 ** (attempt - 1)))
     jitter = (rng.uniform(0.5, 1.5) if rng is not None else random.uniform(0.5, 1.5))
     return delay * jitter
 
@@ -203,7 +203,6 @@ class LLMClient:
         cache_dir: str | Path | None = None,
         mock: Callable[[PromptRequest], str] | None = None,
         max_attempts: int = 5,
-        backoff_base: float = 1.0,
         timeout: float = 60.0,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         session: requests.Session | None = None,
@@ -226,7 +225,6 @@ class LLMClient:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.mock = mock
         self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
         self.timeout = timeout
         self.max_inflight = max_inflight
         if session is None:
@@ -289,12 +287,7 @@ class LLMClient:
                 return response
             if not retryable:
                 raise TransportError(f"chat completion failed: {failure}")
-            delay = retry_delay(
-                attempt,
-                base=self.backoff_base,
-                max_attempts=self.max_attempts,
-                rng=self._rng,
-            )
+            delay = retry_delay(attempt, max_attempts=self.max_attempts, rng=self._rng)
             if delay is None:
                 raise TransportError(
                     f"chat completion failed after {attempt} attempts: {failure}"

@@ -14,11 +14,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import agreement, engine
 from .agreement import RatingMatrix, Subject
+from .codebook import Codebook
 from .errors import IngestionError, UndefinedMetricError
+from .ingestion import DocumentText
+from .llm_client import LLMClient
 
 RUN_META_NAME = "run_meta.json"
 RECORDS_NAME = "records.jsonl"
@@ -60,17 +63,17 @@ def load_run(run_dir: str | Path) -> RunData:
 
     The records file is the source of truth; iteration results and
     consensus are rebuilt from it, one line at a time. A run holding a
-    result its metadata does not list, or in which a cell lacks some of its
-    iterations, is refused, so every table scores the run its metadata
-    describes.
+    record of another model or strategy, a prompt recorded twice, a result
+    its metadata does not list, or a cell lacking some of its iterations is
+    refused, so every table scores the run its metadata describes.
     """
     run_dir = Path(run_dir)
+    source = f"run {run_dir}"
     meta = json.loads((run_dir / RUN_META_NAME).read_text(encoding="utf-8"))
-    iteration_results = engine.iteration_results_from_records(
-        engine.read_records_jsonl(run_dir / RECORDS_NAME)
-    )
-    _check_within_meta(f"run {run_dir}", meta, iteration_results)
-    check_complete(f"run {run_dir}", set(range(1, meta["iterations"] + 1)), iteration_results)
+    records = engine.read_records_jsonl(run_dir / RECORDS_NAME)
+    iteration_results = engine.iteration_results_from_records(_of_meta_run(source, meta, records))
+    _check_within_meta(source, meta, iteration_results)
+    check_complete(source, set(range(1, meta["iterations"] + 1)), iteration_results)
     table = engine.consensus_table(iteration_results)
     return RunData(
         run_dir=run_dir,
@@ -79,6 +82,17 @@ def load_run(run_dir: str | Path) -> RunData:
         consensus=table,
         consensus_codes={subject: c.value for subject, c in table.items()},
     )
+
+
+def _of_meta_run(source: str, meta: dict, records: Iterable[engine.PromptRecord]):
+    """Yield the records, refusing one of a model or strategy the metadata does not name."""
+    for r in records:
+        if r.model != meta["model"] or r.strategy != meta["strategy"]:
+            raise IngestionError(
+                f"{source} holds a record of model {r.model!r}, strategy {r.strategy!r}, but its"
+                f" {RUN_META_NAME} names model {meta['model']!r}, strategy {meta['strategy']!r}"
+            )
+        yield r
 
 
 def _check_within_meta(
@@ -130,34 +144,50 @@ def check_complete(
 # -- run directory output ----------------------------------------------------
 
 
-def write_run_outputs(
+def write_run(
     out_dir: str | Path,
+    corpus: Sequence[DocumentText],
+    cb: Codebook,
     cfg: engine.RunConfig,
-    dimension_ids: Sequence[str],
-    doc_ids: Sequence[str],
-    result: engine.RunResult,
-) -> None:
-    """Persist a run beside its records: metadata, iteration results,
-    consensus, and the failure manifest.
+    client: LLMClient,
+) -> engine.RunResult:
+    """Code ``corpus`` and write its run directory; nothing else writes one.
 
-    The records file is written by the caller, typically streamed during the
-    run. A failure manifest left by an earlier run is removed when this run
-    has no failures, so the directory describes one run only.
+    An invalid corpus creates nothing. Records stream to ``records.jsonl``
+    as cells complete, so an interrupted run leaves a prefix from which a
+    record-mode rerun into the same cache resumes. ``run_meta.json`` takes
+    the cache mode from ``client``, its only holder.
     """
+    engine.validate_corpus(corpus)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    with open(out / RECORDS_NAME, "w", encoding="utf-8", newline="\n") as fh:
+        result = engine.run_iterations(
+            corpus, cb, cfg, client, record_sink=lambda r: fh.write(engine.record_to_json(r) + "\n")
+        )
     meta = {
         "model": cfg.model,
         "strategy": cfg.strategy,
         "chunk_size": cfg.chunk_size,
         "iterations": cfg.iterations,
-        "cache_mode": cfg.cache_mode,
+        "cache_mode": client.mode,
         "seed": cfg.seed,
         "word_boundary": cfg.word_boundary,
         "phrases": list(cfg.phrases),
-        "dimension_ids": list(dimension_ids),
-        "doc_ids": list(doc_ids),
+        "dimension_ids": list(cb.ids),
+        "doc_ids": [doc.doc_id for doc in corpus],
     }
+    write_run_outputs(out, meta, result)
+    return result
+
+
+def write_run_outputs(out: Path, meta: dict, result: engine.RunResult) -> None:
+    """Persist a run beside its records: metadata, iteration results,
+    consensus, and the failure manifest.
+
+    A failure manifest left by an earlier run is removed when this run has
+    no failures, so the directory describes one run only.
+    """
     (out / RUN_META_NAME).write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -180,8 +210,8 @@ def write_run_outputs(
     write_consensus_csv(
         out / CONSENSUS_NAME,
         engine.consensus_table(result.results),
-        doc_ids,
-        dimension_ids,
+        meta["doc_ids"],
+        meta["dimension_ids"],
     )
 
     failures_path = out / FAILURES_NAME

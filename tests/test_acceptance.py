@@ -255,25 +255,22 @@ def test_engine_semantics_under_scripted_mock(tmp_path):
     """
     docs, cb = _scripted_corpus()
     cfg = cc.RunConfig(
-        model="scripted", strategy="chunk", chunk_size=2, iterations=3, cache_mode="mock"
+        model="scripted", strategy="chunk", chunk_size=2, iterations=3
     )
     script = _build_script(docs, cb, cfg)
 
-    def run_once(path):
+    def run_once(out):
         client = cc.LLMClient(mode="mock", mock=cc.ScriptedMock(script))
-        records = []
-        rr = cc.run_iterations(docs, cb, cfg, client, record_sink=records.append)
-        assert rr.ok
-        cc.write_records_jsonl(records, path)
-        return path.read_bytes()
+        assert report.write_run(out, docs, cb, cfg, client).ok
+        return (out / report.RECORDS_NAME).read_bytes()
 
-    assert run_once(tmp_path / "first.jsonl") == run_once(tmp_path / "second.jsonl")
+    assert run_once(tmp_path / "first") == run_once(tmp_path / "second")
 
     # OR-aggregation truth table over all 2^3 chunk outcomes
     doc = cc.DocumentText.from_raw("d", " ".join(f"w{i}" for i in range(6)))
     one_dim = cc.Codebook((cc.Dimension(id="x", name="X", definition="D."),))
     or_cfg = cc.RunConfig(
-        model="m", strategy="chunk", chunk_size=2, iterations=1, cache_mode="mock"
+        model="m", strategy="chunk", chunk_size=2, iterations=1
     )
     for pattern in product([False, True], repeat=3):
         def by_chunk(request, p=pattern):
@@ -288,7 +285,7 @@ def test_engine_semantics_under_scripted_mock(tmp_path):
 
     # consensus mode truth table over all 2^3 iteration outcomes
     consensus_cfg = cc.RunConfig(
-        model="m", strategy="whole", iterations=3, cache_mode="mock"
+        model="m", strategy="whole", iterations=3
     )
     for pattern in product([False, True], repeat=3):
         def by_iteration(request, p=pattern):
@@ -321,7 +318,7 @@ def test_stochastic_mock_calibration():
         cc.DocumentText.from_raw(f"doc{i:02d}", f"body text {i}") for i in range(50)
     ]
     cfg = cc.RunConfig(
-        model="mock", strategy="whole", iterations=iterations, cache_mode="mock", seed=7
+        model="mock", strategy="whole", iterations=iterations, seed=7
     )
     client = cc.LLMClient(
         mode="mock", mock=cc.StochasticMock(seed=7, flip_probability=flip, truth=True)

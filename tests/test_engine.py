@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import random
 import sys
 import threading
@@ -62,7 +63,7 @@ def run_collecting(corpus, codebook, cfg, client):
 
 def single_iteration(corpus, codebook, client, **cfg_kwargs):
     """A single-iteration run, where each cell's code is its iteration's code."""
-    cfg = cc.RunConfig(model="m", iterations=1, cache_mode="mock", **cfg_kwargs)
+    cfg = cc.RunConfig(model="m", iterations=1, **cfg_kwargs)
     return run_collecting(corpus, codebook, cfg, client)
 
 
@@ -120,7 +121,7 @@ class TestCodeChunked:
 class TestRunIterations:
     def test_result_and_record_counts(self, codebook, tiny_corpus, positive_mock):
         cfg = cc.RunConfig(
-            model="m", strategy="chunk", chunk_size=5, iterations=3, cache_mode="mock"
+            model="m", strategy="chunk", chunk_size=5, iterations=3
         )
         rr, records = run_collecting(tiny_corpus, codebook, cfg, positive_mock)
         assert rr.ok
@@ -129,12 +130,12 @@ class TestRunIterations:
         assert len(records) == rr.prompts == (2 + 1) * 3 * 3
 
     def test_empty_corpus_rejected(self, codebook, positive_mock):
-        cfg = cc.RunConfig(model="m", cache_mode="mock")
+        cfg = cc.RunConfig(model="m")
         with pytest.raises(ConfigError, match="empty"):
             cc.run_iterations([], codebook, cfg, positive_mock)
 
     def test_duplicate_doc_ids_rejected(self, codebook, tiny_corpus, positive_mock):
-        cfg = cc.RunConfig(model="m", cache_mode="mock")
+        cfg = cc.RunConfig(model="m")
         with pytest.raises(ConfigError, match="repeats"):
             cc.run_iterations(
                 [tiny_corpus[0], tiny_corpus[0]], codebook, cfg, positive_mock
@@ -147,7 +148,7 @@ class TestRunIterations:
             return POSITIVE
 
         client = mock_client(flaky)
-        cfg = cc.RunConfig(model="m", strategy="whole", iterations=3, cache_mode="mock")
+        cfg = cc.RunConfig(model="m", strategy="whole", iterations=3)
         rr = cc.run_iterations(tiny_corpus, codebook, cfg, client)
         assert not rr.ok
         assert len(rr.failures) == 1
@@ -164,7 +165,7 @@ class TestRunIterations:
 
         client = mock_client(flaky)
         cfg = cc.RunConfig(
-            model="m", strategy="chunk", chunk_size=5, iterations=1, cache_mode="mock"
+            model="m", strategy="chunk", chunk_size=5, iterations=1
         )
         rr = cc.run_iterations(tiny_corpus, codebook, cfg, client)
         assert len(rr.failures) == 1
@@ -175,7 +176,7 @@ class TestRunIterations:
 
     def test_record_sink_streams_all_records(self, codebook, tiny_corpus, positive_mock):
         cfg = cc.RunConfig(
-            model="m", strategy="whole", iterations=2, cache_mode="mock"
+            model="m", strategy="whole", iterations=2
         )
         rr, streamed = run_collecting(tiny_corpus, codebook, cfg, positive_mock)
         assert rr.prompts == len(streamed) == 2 * 3 * 2
@@ -191,10 +192,10 @@ class TestRunIterations:
     def test_no_record_outlives_the_run(self, codebook, tiny_corpus, max_inflight):
         # None: a mock run, coded inline; 8: a live run, coded on a thread pool
         if max_inflight is None:
-            client, mode = mock_client(lambda request: POSITIVE), "mock"
+            client = mock_client(lambda request: POSITIVE)
         else:
-            client, mode = network_client(FakeEndpoint(delay=lambda: 0.0), max_inflight), "live"
-        cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=2, iterations=3, cache_mode=mode)
+            client = network_client(FakeEndpoint(delay=lambda: 0.0), max_inflight)
+        cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=2, iterations=3)
         refs = []
         rr = cc.run_iterations(
             tiny_corpus, codebook, cfg, client, record_sink=lambda r: refs.append(weakref.ref(r))
@@ -204,14 +205,14 @@ class TestRunIterations:
         assert rr.ok and rr.prompts == len(refs) == (4 + 2) * 3 * 3
 
     def test_single_iteration_consensus_equals_iteration(self, codebook, tiny_corpus, negative_mock):
-        cfg = cc.RunConfig(model="m", strategy="whole", iterations=1, cache_mode="mock")
+        cfg = cc.RunConfig(model="m", strategy="whole", iterations=1)
         rr = cc.run_iterations(tiny_corpus, codebook, cfg, negative_mock)
         for cell in cc.consensus_table(rr.results).values():
             assert cell.value is False
             assert cell.support == 1.0
 
     def test_deterministic_mock_gives_unanimous_support(self, codebook, tiny_corpus, positive_mock):
-        cfg = cc.RunConfig(model="m", strategy="whole", iterations=5, cache_mode="mock")
+        cfg = cc.RunConfig(model="m", strategy="whole", iterations=5)
         rr = cc.run_iterations(tiny_corpus, codebook, cfg, positive_mock)
         assert all(c.support == 1.0 for c in cc.consensus_table(rr.results).values())
 
@@ -306,11 +307,10 @@ class TestInternalAgreement:
 
 class TestRecordSerialization:
     def test_round_trip(self, codebook, tiny_corpus, positive_mock, tmp_path):
-        cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=4, iterations=2, cache_mode="mock")
+        cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=4, iterations=2)
         _, records = run_collecting(tiny_corpus, codebook, cfg, positive_mock)
-        path = tmp_path / "records.jsonl"
-        cc.write_records_jsonl(records, path)
-        assert list(cc.read_records_jsonl(path)) == records
+        report.write_run(tmp_path, tiny_corpus, codebook, cfg, positive_mock)
+        assert list(cc.read_records_jsonl(tmp_path / report.RECORDS_NAME)) == records
 
     def test_single_record_round_trip(self):
         record = cc.PromptRecord(
@@ -326,30 +326,37 @@ class TestRecordSerialization:
         )
         assert record_from_json(record_to_json(record)) == record
 
+    @pytest.mark.parametrize("chunk_index", [-1, "1"])
+    def test_invalid_chunk_index_is_refused(self, chunk_index):
+        record = cc.PromptRecord(
+            "d", "x", 1, chunk_index, "m", "chunk", "No.", cc.BinaryCode(False, None), "ff00"
+        )
+        with pytest.raises(cc.IngestionError, match=f"chunk index {chunk_index!r}"):
+            cc.iteration_results_from_records([record])
+
     def test_iteration_results_from_records_match_run(self, codebook, tiny_corpus):
         def varied(request):
             return POSITIVE if (iteration_of(request) + len(request.tag)) % 2 else NEGATIVE
 
         client = mock_client(varied)
-        cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=3, iterations=3, cache_mode="mock")
+        cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=3, iterations=3)
         rr, records = run_collecting(tiny_corpus, codebook, cfg, client)
         rebuilt = cc.iteration_results_from_records(records)
         assert rebuilt == rr.results
 
     def test_byte_identical_across_runs(self, codebook, tiny_corpus, tmp_path):
-        def run_once(path):
+        def run_once(out):
             client = cc.LLMClient(
                 mode="mock",
                 mock=cc.StochasticMock(seed=9, flip_probability=0.3),
             )
             cfg = cc.RunConfig(
-                model="m", strategy="chunk", chunk_size=3, iterations=3, cache_mode="mock", seed=9
+                model="m", strategy="chunk", chunk_size=3, iterations=3, seed=9
             )
-            _, records = run_collecting(tiny_corpus, codebook, cfg, client)
-            cc.write_records_jsonl(records, path)
-            return path.read_bytes()
+            report.write_run(out, tiny_corpus, codebook, cfg, client)
+            return (out / report.RECORDS_NAME).read_bytes()
 
-        assert run_once(tmp_path / "a.jsonl") == run_once(tmp_path / "b.jsonl")
+        assert run_once(tmp_path / "a") == run_once(tmp_path / "b")
 
 
 class TestCellTag:
@@ -411,20 +418,25 @@ def test_golden_records_and_request_keys(strategy, codebook, tiny_corpus, tmp_pa
         strategy=strategy,
         chunk_size=4,
         iterations=2,
-        cache_mode="mock",
         seed=3,
     )
     client = cc.LLMClient(
         mode="mock", mock=cc.StochasticMock(seed=3, flip_probability=0.4)
     )
-    rr, records = run_collecting(tiny_corpus, codebook, cfg, client)
-    assert rr.ok
+    assert report.write_run(tmp_path, tiny_corpus, codebook, cfg, client).ok
+    path = tmp_path / report.RECORDS_NAME
+    records = list(cc.read_records_jsonl(path))
     if strategy == "chunk":
         assert {r.chunk_index for r in records if r.doc_id == "doc-b"} == {0}
-    path = tmp_path / "records.jsonl"
-    cc.write_records_jsonl(records, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_RECORDS_SHA256[strategy]
     assert sorted(r.request_key for r in records) == GOLDEN_REQUEST_KEYS[strategy]
+
+
+def test_run_meta_takes_the_cache_mode_from_the_client(codebook, tiny_corpus, positive_mock, tmp_path):
+    cfg = cc.RunConfig(model="m", iterations=1)
+    assert report.write_run(tmp_path, tiny_corpus, codebook, cfg, positive_mock).ok
+    meta = json.loads((tmp_path / report.RUN_META_NAME).read_text(encoding="utf-8"))
+    assert meta["cache_mode"] == "mock"
 
 
 class FakeEndpoint:
@@ -503,7 +515,7 @@ class TestConcurrentDispatch:
     def test_mock_mode_runs_inline(self, codebook, tiny_corpus):
         responder = FakeEndpoint()
         client = cc.LLMClient(mode="mock", mock=responder, max_inflight=8)
-        cfg = cc.RunConfig(model="m", strategy="whole", iterations=2, cache_mode="mock")
+        cfg = cc.RunConfig(model="m", strategy="whole", iterations=2)
         threads_before = threading.active_count()
         assert cc.run_iterations(tiny_corpus, codebook, cfg, client).ok
         assert responder.peak == 1
@@ -512,20 +524,16 @@ class TestConcurrentDispatch:
     def test_outputs_independent_of_completion_order(self, codebook, tiny_corpus, tmp_path):
         doc_a = tiny_corpus[0]
         rejected = cc.render_prompt(codebook.dimensions[2], cc.chunk_document(doc_a, 4)[1].text)
-        cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=4, iterations=5, cache_mode="record")
+        cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=4, iterations=5)
 
         def run(max_inflight):
             rng = random.Random(max_inflight)
             endpoint = FakeEndpoint(delay=lambda: rng.uniform(0.0, 0.005), reject=[rejected])
             out = tmp_path / f"out{max_inflight}"
             client = network_client(endpoint, max_inflight, "record", tmp_path / f"cache{max_inflight}")
-            lines = []
-            rr = cc.run_iterations(
-                tiny_corpus, codebook, cfg, client,
-                record_sink=lambda r: lines.append(record_to_json(r) + "\n"),
-            )
-            report.write_run_outputs(out, cfg, codebook.ids, ["doc-a", "doc-b"], rr)
-            return rr, "".join(lines).encode(), (out / report.FAILURES_NAME).read_bytes(), endpoint
+            rr = report.write_run(out, tiny_corpus, codebook, cfg, client)
+            records = (out / report.RECORDS_NAME).read_bytes()
+            return rr, records, (out / report.FAILURES_NAME).read_bytes(), endpoint
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -180,7 +180,7 @@ class TestRunCommand:
 
                 return Response()
 
-        def fake_build_client(cfg, cache_dir, flip_probability, max_inflight):
+        def fake_build_client(cache_mode, cache_dir, seed, flip_probability, max_inflight):
             return cc.LLMClient(mode="record", cache_dir=cache_dir, session=FakeSession())
 
         monkeypatch.setattr("chunkcode.cli._build_client", fake_build_client)
@@ -214,8 +214,8 @@ class TestRunCommand:
     def test_replay_after_record_reproduces_run(self, workspace, monkeypatch):
         test = self
 
-        def fake_build_client(cfg, cache_dir, flip_probability, max_inflight):
-            if cfg.cache_mode == "replay":
+        def fake_build_client(cache_mode, cache_dir, seed, flip_probability, max_inflight):
+            if cache_mode == "replay":
                 return cc.LLMClient(mode="replay", cache_dir=cache_dir)
             return cc.LLMClient(
                 mode="record",
@@ -259,18 +259,23 @@ class TestRunCommand:
 
 class HashSession:
     """A session answering each prompt by a hash of its text, from any thread;
-    every post after the first ``fail_after`` raises RuntimeError."""
+    every post after the first ``fail_after`` raises RuntimeError, once the
+    ``hold`` event is set when one is given (or after 10 s)."""
 
-    def __init__(self, fail_after=None):
+    def __init__(self, fail_after=None, hold=None):
         self.fail_after = fail_after
+        self.hold = hold
         self.calls = 0
         self.lock = threading.Lock()
 
     def post(self, url, json=None, headers=None, timeout=None):
         with self.lock:
             self.calls += 1
-            if self.fail_after is not None and self.calls > self.fail_after:
-                raise RuntimeError("endpoint exploded")
+            failing = self.fail_after is not None and self.calls > self.fail_after
+        if failing:
+            if self.hold is not None:
+                self.hold.wait(timeout=10)
+            raise RuntimeError("endpoint exploded")
         prompt = json["messages"][0]["content"]
         if hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 2:
             answer = "Yes, the parameter is mentioned."
@@ -302,7 +307,7 @@ class TestCrashAndResume:
     def record(self, workspace, monkeypatch, session, name, max_inflight):
         monkeypatch.setattr(
             "chunkcode.cli._build_client",
-            lambda cfg, cache_dir, flip_probability, max_inflight: cc.LLMClient(
+            lambda cache_mode, cache_dir, seed, flip_probability, max_inflight: cc.LLMClient(
                 mode="record", cache_dir=cache_dir, session=session, max_inflight=max_inflight
             ),
         )
@@ -328,11 +333,17 @@ class TestCrashAndResume:
             if stop == "session raises":
                 session = HashSession(fail_after=k)
             else:
-                session = HashSession()
+                # All 18 cells fit the dispatch window, so the workers could
+                # answer every prompt before the sink raises. The last post
+                # therefore waits for the interrupt and is cut off by it, as
+                # a request in flight when the run is stopped may be.
+                interrupted = threading.Event()
+                session = HashSession(fail_after=full.calls - 1, hold=interrupted)
                 sunk = []
 
                 def interrupting(record, to_json=engine.record_to_json):
                     if len(sunk) == k:
+                        interrupted.set()
                         raise KeyboardInterrupt
                     sunk.append(record)
                     return to_json(record)
@@ -392,6 +403,30 @@ class TestConsensusCommand:
         assert "('doc-a', 'state') lacks iteration(s) [3]" in result.output
         assert "('doc-b', 'fidelity') lacks iteration(s) [3]" in result.output
         assert not redo.exists()
+
+
+@pytest.mark.parametrize("command", ["consensus", "evaluate"])
+@pytest.mark.parametrize("strategy", ["whole", "chunk"])
+def test_repeated_prompt_record_is_refused_before_writing(workspace, strategy, command):
+    out = workspace / "out"
+    assert cli("run", *run_args(workspace, out, **{"--strategy": strategy})).exit_code == 0
+    path = out / report.RECORDS_NAME
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = next(r for r in map(json.loads, lines) if not r["code"])
+    record["code"], record["matched_phrase"] = True, "yes"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
+
+    dest = workspace / "dest"
+    if command == "consensus":
+        result = cli("consensus", "--records", path, "--out", dest)
+    else:
+        result = cli("evaluate", "--manual", workspace / "manual.csv", "--run", out, "--out", dest)
+    assert result.exit_code == 1
+    assert not dest.exists()
+    assert "records repeat 1 prompt(s)" in result.output
+    cell = (record["doc_id"], record["dimension_id"])
+    assert f"cell {cell} iteration {record['iteration']} chunk {record['chunk_index']}" in result.output
 
 
 class TestEvaluateCommand:
@@ -522,7 +557,7 @@ class TestEvaluateCommand:
 
         monkeypatch.setattr(
             "chunkcode.cli._build_client",
-            lambda cfg, cache_dir, flip_probability, max_inflight: cc.LLMClient(
+            lambda cache_mode, cache_dir, seed, flip_probability, max_inflight: cc.LLMClient(
                 mode="mock", mock=failing_mock
             ),
         )
@@ -552,6 +587,23 @@ class TestEvaluateCommand:
         assert result.exit_code == 1
         assert not reports.exists() or not any(reports.iterdir())
         assert f"outside its {report.RUN_META_NAME}" in result.output
+
+    @pytest.mark.parametrize("field", ["model", "strategy"])
+    def test_record_of_another_run_is_refused_before_any_table(self, workspace, field):
+        out = workspace / "out"
+        assert cli("run", *run_args(workspace, out)).exit_code == 0
+        path = out / report.RECORDS_NAME
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[-1])
+        record[field] = "other"
+        lines[-1] = json.dumps(record) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+
+        result, reports = self.evaluate(workspace)
+        assert result.exit_code == 1
+        assert not reports.exists() or not any(reports.iterdir())
+        assert f"{field} 'other'" in result.output
+        assert f"its {report.RUN_META_NAME} names model 'mock-model', strategy 'chunk'" in result.output
 
     def test_evaluate_outputs_are_deterministic(self, workspace):
         _, first = self.evaluate(workspace)
