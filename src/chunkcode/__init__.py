@@ -51,7 +51,6 @@ from .engine import (
 )
 from .errors import (
     CacheMissError,
-    CellError,
     ChunkCodeError,
     CodebookError,
     ConfigError,

@@ -13,7 +13,7 @@ from .classifier import default_key_phrases, load_key_phrases
 from .codebook import default_codebook, load_codebook
 from .errors import ChunkCodeError, SubjectMismatchError
 from .ingestion import load_manifest
-from .llm_client import DEFAULT_MAX_INFLIGHT, LLMClient, PromptRequest, StochasticMock
+from .llm_client import CACHE_MODES, DEFAULT_MAX_INFLIGHT, LLMClient, PromptRequest, StochasticMock
 
 DEFAULT_FLIP_PROBABILITY = 0.1
 
@@ -49,11 +49,11 @@ def _build_client(
 @click.option("--codebook", "codebook_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Codebook JSON; the bundled starter codebook when omitted.")
 @click.option("--model", required=True, help="Chat-completion model identifier.")
-@click.option("--strategy", type=click.Choice(["whole", "chunk"]), default="chunk", show_default=True)
+@click.option("--strategy", type=click.Choice(engine.STRATEGIES), default="chunk", show_default=True)
 @click.option("--chunk-size", default=500, show_default=True)
 @click.option("--iterations", default=15, show_default=True)
 @click.option("--cache-dir", type=click.Path(file_okay=False), default=None)
-@click.option("--cache-mode", type=click.Choice(["live", "record", "replay", "mock"]),
+@click.option("--cache-mode", type=click.Choice(CACHE_MODES),
               default="live", show_default=True)
 @click.option("--phrases", "phrases_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Override phrase list (JSON array of strings).")

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .classifier import BinaryCode, KeyPhraseSet, classify, default_key_phrases
 from .codebook import Codebook, Dimension
-from .errors import CellError, ChunkCodeError, ConfigError, IngestionError
+from .errors import ChunkCodeError, ConfigError, IngestionError
 from .ingestion import DocumentText, chunk_document
 from .llm_client import NETWORK_MODES, LLMClient, PromptRequest, render_prompt
 
@@ -171,17 +171,15 @@ def _complete_cell(
     dim: Dimension,
     iteration: int,
     body: tuple[int | None, int, str],
-) -> PromptRecord:
+) -> PromptRecord | CellFailure:
+    """Prompt one body of a cell: its record, or the cell's failure."""
     chunk_index, body_words, text = body
     if cfg.max_prompt_words is not None and body_words > cfg.max_prompt_words:
-        raise CellError(
+        error = (
             f"prompt body of {body_words} words exceeds the configured limit of"
-            f" {cfg.max_prompt_words}; refusing to truncate",
-            doc_id=doc_id,
-            dimension_id=dim.id,
-            iteration=iteration,
-            chunk_index=chunk_index,
+            f" {cfg.max_prompt_words}; refusing to truncate"
         )
+        return CellFailure(doc_id, dim.id, iteration, chunk_index, error)
     request = PromptRequest(
         model=cfg.model,
         prompt_text=render_prompt(dim, text),
@@ -190,14 +188,11 @@ def _complete_cell(
     try:
         response = client.complete(request)
     except ChunkCodeError as exc:
-        raise CellError(
+        error = (
             f"prompt for doc={doc_id!r} dim={dim.id!r} iteration={iteration}"
-            f" chunk={chunk_index} failed: {exc}",
-            doc_id=doc_id,
-            dimension_id=dim.id,
-            iteration=iteration,
-            chunk_index=chunk_index,
-        ) from exc
+            f" chunk={chunk_index} failed: {exc}"
+        )
+        return CellFailure(doc_id, dim.id, iteration, chunk_index, error)
     code = classify(response.text, cfg.phrases, word_boundary=cfg.word_boundary)
     return PromptRecord(
         doc_id=doc_id,
@@ -276,10 +271,11 @@ def run_iterations(
     cells run at once, each prompting its bodies in order. Results are
     consumed in canonical cell order (iteration, document, dimension), so
     results, failures and the sink's stream are identical to a serial run.
-    An exception other than a cell's ``CellError``, including an interrupt,
-    cancels the cells not yet started, stops those in flight before their
-    next prompt, and is raised once the requests in flight finish; the sink
-    has then seen a canonical-order prefix of the run.
+    A failed prompt becomes its cell's ``CellFailure``, never an exception.
+    An exception, including an interrupt, cancels the cells not yet started,
+    stops those in flight before their next prompt, and is raised once the
+    requests in flight finish; the sink has then seen a canonical-order
+    prefix of the run.
     """
     validate_corpus(corpus)
     bodies_by_doc = {doc.doc_id: _prompt_bodies(doc, cfg) for doc in corpus}
@@ -295,20 +291,14 @@ def run_iterations(
     def code_cell(cell) -> list[PromptRecord] | CellFailure | None:
         iteration, doc_id, bodies, dim = cell
         cell_records = []
-        try:
-            for body in bodies:
-                if stop.is_set():
-                    return None  # the run is being abandoned; nothing reads this
-                cell_records.append(_complete_cell(client, cfg, doc_id, dim, iteration, body))
-            return cell_records
-        except CellError as exc:
-            return CellFailure(
-                doc_id=exc.doc_id,
-                dimension_id=exc.dimension_id,
-                iteration=exc.iteration,
-                chunk_index=exc.chunk_index,
-                error=str(exc),
-            )
+        for body in bodies:
+            if stop.is_set():
+                return None  # the run is being abandoned; nothing reads this
+            outcome = _complete_cell(client, cfg, doc_id, dim, iteration, body)
+            if isinstance(outcome, CellFailure):
+                return outcome
+            cell_records.append(outcome)
+        return cell_records
 
     # Only a client that waits on the network gains from threads; replay and
     # mock are CPU-bound, where a pool only adds hand-off cost.
@@ -393,14 +383,23 @@ def iteration_results_from_records(
 
     Chunked cells OR their chunk codes; whole-text cells carry one record.
     Output order follows first appearance of each cell in the records. A
-    prompt (doc, dimension, iteration, chunk) seen twice is refused, naming
-    up to 20 repeats. Each cell keeps one int, its code in bit 0 and a bit
-    per chunk seen, so a stream reduces in flat memory.
+    record of another model or strategy than the first record's is refused,
+    as is a prompt (doc, dimension, iteration, chunk) seen twice, naming up
+    to 20 repeats. Each cell keeps one int, its code in bit 0 and a bit per
+    chunk seen, so a stream reduces in flat memory.
     """
     cells: dict[tuple[str, str, int], int] = {}
     repeats: list[str] = []
+    run = None
     for record in records:
         key = (record.doc_id, record.dimension_id, record.iteration)
+        if run is None:
+            run = (record.model, record.strategy)
+        elif (record.model, record.strategy) != run:
+            raise IngestionError(
+                f"records mix runs: a record of model {record.model!r}, strategy"
+                f" {record.strategy!r} follows records of model {run[0]!r}, strategy {run[1]!r}"
+            )
         chunk = record.chunk_index
         try:
             bit = 2 if chunk is None else 4 << chunk
@@ -458,9 +457,27 @@ def record_from_json(line: str) -> PromptRecord:
 
 
 def read_records_jsonl(path: str | Path) -> Iterator[PromptRecord]:
-    """Yield the records of a records file, one line at a time."""
+    """Yield the records of a records file, one line at a time.
+
+    A line that is not JSON, lacks a field or holds an invalid code raises
+    an IngestionError naming the file and the line number.
+    """
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                yield record_from_json(line)
+            if not line:
+                continue
+            try:
+                record = record_from_json(line)
+            except json.JSONDecodeError as exc:
+                problem = f"invalid JSON (column {exc.colno}: {exc.msg})"
+            except KeyError as exc:
+                problem = f"record lacks field {exc}"
+            except TypeError:
+                problem = "not a JSON object"
+            except ValueError as exc:  # a code that breaks BinaryCode's invariants
+                problem = str(exc)
+            else:
+                yield record
+                continue
+            raise IngestionError(f"records file {path}, line {number}: {problem}")

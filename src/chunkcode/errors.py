@@ -25,17 +25,6 @@ class CacheMissError(ChunkCodeError):
     """Strict replay was requested but the cache has no entry for the key."""
 
 
-class CellError(ChunkCodeError):
-    """A single (document, dimension, iteration[, chunk]) cell failed."""
-
-    def __init__(self, message, *, doc_id, dimension_id, iteration, chunk_index=None):
-        super().__init__(message)
-        self.doc_id = doc_id
-        self.dimension_id = dimension_id
-        self.iteration = iteration
-        self.chunk_index = chunk_index
-
-
 class SubjectMismatchError(ChunkCodeError):
     """Two rating sources do not cover the same subjects."""
 

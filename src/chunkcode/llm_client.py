@@ -9,6 +9,7 @@ call order and safe to issue from concurrent workers.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -90,13 +91,12 @@ class LLMResponse:
 def retry_delay(
     attempt: int,
     *,
-    cap: float = RETRY_CAP_S,
     max_attempts: int = 5,
     rng: random.Random | None = None,
 ) -> float | None:
     """Backoff delay after a failed attempt (1-based), or None to give up.
 
-    Doubles from ``RETRY_BASE_S`` per attempt, capped at ``cap``, with
+    Doubles from ``RETRY_BASE_S`` per attempt, capped at ``RETRY_CAP_S``, with
     multiplicative jitter in [0.5, 1.5). Once ``attempt`` reaches
     ``max_attempts`` the caller should stop retrying.
     """
@@ -104,7 +104,7 @@ def retry_delay(
         raise ValueError("attempt numbering is 1-based")
     if attempt >= max_attempts:
         return None
-    delay = min(cap, RETRY_BASE_S * (2 ** (attempt - 1)))
+    delay = min(RETRY_CAP_S, RETRY_BASE_S * (2 ** (attempt - 1)))
     jitter = (rng.uniform(0.5, 1.5) if rng is not None else random.uniform(0.5, 1.5))
     return delay * jitter
 
@@ -119,6 +119,26 @@ def _retry_after_s(value: str | None) -> float | None:
     if not (value.isascii() and value.isdigit()):
         return None
     return min(float(value), RETRY_CAP_S)
+
+
+def _completion(resp: requests.Response, latency: float) -> LLMResponse:
+    """The completion a 200 answer carries; a malformed payload is not retried."""
+    try:
+        data = resp.json()
+        text = data["choices"][0]["message"]["content"]
+    except (ValueError, KeyError, IndexError, TypeError) as exc:
+        raise TransportError(
+            f"chat completion failed: malformed completion payload: {exc}"
+        ) from exc
+    if not isinstance(text, str):
+        raise TransportError("chat completion failed: completion content is not a string")
+    meta = {
+        "status": resp.status_code,
+        "latency_s": latency,
+        "model": data.get("model"),
+        "usage": data.get("usage"),
+    }
+    return LLMResponse(text=text, provider_meta=meta, from_cache=False)
 
 
 class ScriptedMock:
@@ -280,54 +300,27 @@ class LLMClient:
             "messages": [{"role": "user", "content": request.prompt_text}],
         }
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
-        attempt = 1
-        while True:
-            retryable, failure, response, retry_after = self._try_once(url, body, headers)
-            if response is not None:
-                return response
-            if not retryable:
-                raise TransportError(f"chat completion failed: {failure}")
+        for attempt in itertools.count(1):
+            retry_after = None  # per attempt, never on self: threads share the client
+            start = time.monotonic()
+            try:
+                resp = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
+            except requests.RequestException as exc:
+                failure = f"{type(exc).__name__}: {exc}"
+            else:
+                if resp.status_code == 200:
+                    return _completion(resp, time.monotonic() - start)
+                failure = f"HTTP {resp.status_code}: {resp.text[:200]}"
+                if resp.status_code in (429, 503):
+                    retry_after = _retry_after_s(resp.headers.get("Retry-After"))
+                elif resp.status_code < 500:  # the request itself is at fault: a retry repeats it
+                    raise TransportError(f"chat completion failed: {failure}")
             delay = retry_delay(attempt, max_attempts=self.max_attempts, rng=self._rng)
             if delay is None:
                 raise TransportError(
                     f"chat completion failed after {attempt} attempts: {failure}"
                 )
             self._sleep(delay if retry_after is None else retry_after)
-            attempt += 1
-
-    def _try_once(self, url, body, headers):
-        """One POST: (retryable, failure, response, retry_after).
-
-        ``retry_after`` is the delay a 429 or 503 asked for, capped at the
-        backoff cap, or None. It is returned rather than stored because
-        several threads share the client.
-        """
-        start = time.monotonic()
-        try:
-            resp = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
-        except requests.RequestException as exc:
-            return True, f"{type(exc).__name__}: {exc}", None, None
-        latency = time.monotonic() - start
-        if resp.status_code != 200:
-            retryable = resp.status_code == 429 or resp.status_code >= 500
-            retry_after = None
-            if resp.status_code in (429, 503):
-                retry_after = _retry_after_s(resp.headers.get("Retry-After"))
-            return retryable, f"HTTP {resp.status_code}: {resp.text[:200]}", None, retry_after
-        try:
-            data = resp.json()
-            text = data["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            return False, f"malformed completion payload: {exc}", None, None
-        if not isinstance(text, str):
-            return False, "completion content is not a string", None, None
-        meta = {
-            "status": resp.status_code,
-            "latency_s": latency,
-            "model": data.get("model"),
-            "usage": data.get("usage"),
-        }
-        return False, "", LLMResponse(text=text, provider_meta=meta, from_cache=False), None
 
     # -- cache -------------------------------------------------------------
 
@@ -340,10 +333,8 @@ class LLMClient:
         try:
             with open(path, encoding="utf-8") as fh:
                 entry = json.load(fh)
-        except FileNotFoundError:
-            return None
         except (OSError, json.JSONDecodeError):
-            # Unreadable entries count as misses; record mode will refetch.
+            # Missing or unreadable entries count as misses; record mode will refetch.
             return None
         if not isinstance(entry, dict) or "response" not in entry:
             return None

@@ -94,7 +94,7 @@ class TestRetryPolicy:
         rng = random.Random(0)
         d3 = retry_delay(3, max_attempts=10, rng=rng)
         assert 2.0 <= d3 < 6.0
-        d9 = retry_delay(9, max_attempts=10, cap=30.0, rng=rng)
+        d9 = retry_delay(9, max_attempts=10, rng=rng)
         assert d9 < 45.0
 
     def test_give_up_at_max_attempts(self):

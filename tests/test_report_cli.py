@@ -4,6 +4,7 @@ import json
 import threading
 
 import pytest
+import requests
 from click.testing import CliRunner
 
 import chunkcode as cc
@@ -429,6 +430,73 @@ def test_repeated_prompt_record_is_refused_before_writing(workspace, strategy, c
     assert f"cell {cell} iteration {record['iteration']} chunk {record['chunk_index']}" in result.output
 
 
+def truncate_last_line(lines):
+    lines[-1] = lines[-1][: len(lines[-1]) // 2]
+    return len(lines)
+
+
+def drop_a_field(lines):
+    record = json.loads(lines[1])
+    del record["request_key"]
+    lines[1] = json.dumps(record)
+    return 2
+
+
+def true_code_without_phrase(lines):
+    record = json.loads(lines[2])
+    record["code"], record["matched_phrase"] = True, None
+    lines[2] = json.dumps(record)
+    return 3
+
+
+@pytest.mark.parametrize("command", ["consensus", "evaluate"])
+@pytest.mark.parametrize(
+    "defect, problem",
+    [
+        (truncate_last_line, "invalid JSON (column"),
+        (drop_a_field, "record lacks field 'request_key'"),
+        (true_code_without_phrase, "a True code must record its matched phrase"),
+    ],
+    ids=["truncated", "field missing", "true without phrase"],
+)
+def test_malformed_record_is_named_by_file_and_line(workspace, command, defect, problem):
+    out = workspace / "out"
+    assert cli("run", *run_args(workspace, out)).exit_code == 0
+    path = out / report.RECORDS_NAME
+    lines = path.read_text(encoding="utf-8").splitlines()
+    number = defect(lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    dest = workspace / "dest"
+    if command == "consensus":
+        result = cli("consensus", "--records", path, "--out", dest)
+    else:
+        result = cli("evaluate", "--manual", workspace / "manual.csv", "--run", out, "--out", dest)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # refused, not crashed
+    assert not dest.exists()
+    assert f"error: records file {path}, line {number}: {problem}" in result.output
+
+
+def test_records_of_two_runs_are_refused_before_writing(workspace):
+    for strategy in ("chunk", "whole"):
+        result = cli("run", *run_args(workspace, workspace / strategy, **{"--strategy": strategy}))
+        assert result.exit_code == 0, result.output
+    mixed = workspace / "mixed.jsonl"
+    mixed.write_bytes(
+        b"".join((workspace / s / report.RECORDS_NAME).read_bytes() for s in ("chunk", "whole"))
+    )
+
+    dest = workspace / "dest"
+    result = cli("consensus", "--records", mixed, "--out", dest)
+    assert result.exit_code == 1
+    assert not dest.exists()
+    assert (
+        "records mix runs: a record of model 'mock-model', strategy 'whole' follows records"
+        " of model 'mock-model', strategy 'chunk'"
+    ) in result.output
+
+
 class TestEvaluateCommand:
     def evaluate(self, workspace, runs=("out",)):
         for name in runs:
@@ -766,3 +834,89 @@ class TestValidateCodebook:
         result = cli("validate-codebook", "--codebook", path)
         assert result.exit_code == 1
         assert "duplicate" in result.output
+
+
+class CauseSession:
+    """A session that answers each prompt by the failure cause its dimension
+    names; a body holding ``alpha0`` is always answered, so a chunked cell
+    can fail on a later chunk. Safe to share between threads."""
+
+    ANSWERS = ("The paper does not focus on it.", "Yes, the parameter is mentioned.")
+
+    class Response:
+        def __init__(self, status_code, text="", headers=None, payload=None):
+            self.status_code = status_code
+            self.text = text if payload is None else json.dumps(payload)
+            self.headers = requests.structures.CaseInsensitiveDict(headers or {})
+
+        def json(self):
+            return json.loads(self.text)
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        prompt = json["messages"][0]["content"]
+        cause = prompt.split("parameter '", 1)[1].split("'", 1)[0]
+        if cause == "ok" or "alpha0" in prompt:
+            answer = self.ANSWERS[hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 2]
+            return self.Response(200, payload={"choices": [{"message": {"content": answer}}]})
+        if cause == "http-400":
+            return self.Response(400, "bad request: unknown model")
+        if cause == "http-503":
+            return self.Response(503, "overloaded", {"Retry-After": "0"})
+        if cause == "connection":
+            raise requests.ConnectionError("connection refused")
+        if cause == "not-json":
+            return self.Response(200, "<html>gateway</html>")
+        if cause == "no-choices":
+            return self.Response(200, payload={"choices": []})
+        assert cause == "non-string"
+        return self.Response(200, payload={"choices": [{"message": {"content": 42}}]})
+
+
+# sha256 of the files test_golden_failure_outputs pins, per run.
+GOLDEN_FAILURE_SHA256 = {
+    "chunk/failures.json": "d8286685a1fc654870a6b365fcbbf313e5bd1b71803a84b33ed1b2b78809f561",
+    "chunk/records.jsonl": "41b2d71340d88673262c9e11e142b3847404f5d92e8911795159df9abf8fffe2",
+    "chunk/iteration_results.csv": "c79e932029830274eb1330c00ade22a3e246e9d3ebbbf385e650524f8d622b64",
+    "chunk/consensus.csv": "98ab812bbf0fe7f8e6860d749afe294794423dfa14fb1aab30b06f78fb287135",
+    "whole/failures.json": "f42800e7bbfee6b1a0acf14562fc37fd77177a016f7cff566d64bf60935b480a",
+    "whole/records.jsonl": "c6d166f74508ca988e02fb972e0440961faedf8da7ccc648b2ca70da8cb90189",
+    "whole/iteration_results.csv": "e370e031f9b57f7cf1e1f1979a8d8f790be4f69c41ff727f48c0a0b44d681955",
+    "whole/consensus.csv": "436705a3aa85a74a0e9abc62b4b618e2fb325a0c4bc4bf07dc1070570644a229",
+    "replay/failures.json": "1ec18a170f9b4e78dcfebd5d2418c5dc4cddb39b31b1b747084d40380833849f",
+    "replay/records.jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "replay/iteration_results.csv": "47ca500ab1a4b654110f37e574bc781de45c3d698d4780d9d3b4e25b640560de",
+    "replay/consensus.csv": "27ef2bbd88ac27505a58483f8c41038c29ad809bf12d41980f2ec9b4da1fdb3d",
+}
+
+
+def test_golden_failure_outputs(tmp_path):
+    """Pin every failure message and the outputs around it: each HTTP cause
+    on a chunked and a whole-text run, a body over the word limit, and a
+    replay of a cold cache."""
+    causes = ("ok", "http-400", "http-503", "connection", "not-json", "no-choices", "non-string")
+    cb = cc.Codebook(tuple(cc.Dimension(id=c, name=c, definition=f"{c}.") for c in causes))
+    corpus = [
+        cc.DocumentText.from_raw("doc-a", " ".join(f"alpha{i}" for i in range(7))),
+        cc.DocumentText.from_raw("doc-b", "beta0 beta1"),
+    ]
+    live = dict(mode="live", session=CauseSession(), sleep=lambda s: None, max_inflight=4)
+    cold = dict(mode="replay", cache_dir=tmp_path / "cold")
+    runs = {
+        "chunk": (dict(strategy="chunk", chunk_size=3), live),
+        "whole": (dict(strategy="whole", max_prompt_words=4), live),
+        "replay": (dict(strategy="chunk", chunk_size=3), cold),
+    }
+    digests = {}
+    for name, (options, client_options) in runs.items():
+        cfg = cc.RunConfig(model="gpt-test", iterations=2, **options)
+        result = report.write_run(tmp_path / name, corpus, cb, cfg, cc.LLMClient(**client_options))
+        assert result.failures
+        for file in (
+            report.FAILURES_NAME,
+            report.RECORDS_NAME,
+            report.ITERATION_RESULTS_NAME,
+            report.CONSENSUS_NAME,
+        ):
+            data = (tmp_path / name / file).read_bytes()
+            digests[f"{name}/{file}"] = hashlib.sha256(data).hexdigest()
+    assert digests == GOLDEN_FAILURE_SHA256
