@@ -333,21 +333,29 @@ def read_ratings_csv(path: str | Path) -> RatingMatrix:
                 f" least one rater"
             )
         raters = tuple(header[2:])
-        subjects: list[Subject] = []
+        subjects: dict[Subject, int] = {}  # subject -> its line number
         rows: list[tuple[bool, ...]] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{p}:{lineno}: expected {len(header)} cells")
-            subjects.append((row[0], row[1]))
+            subject = (row[0], row[1])
+            if subject in subjects:
+                raise ValueError(
+                    f"{p}:{lineno}: subject {subject} repeats line {subjects[subject]}"
+                )
+            subjects[subject] = lineno
             rows.append(
                 tuple(
                     _parse_code(cell, f"{p}:{lineno}:{raters[j]}")
                     for j, cell in enumerate(row[2:])
                 )
             )
-    return RatingMatrix(subjects=tuple(subjects), raters=raters, codes=tuple(rows))
+    try:
+        return RatingMatrix(subjects=tuple(subjects), raters=raters, codes=tuple(rows))
+    except ValueError as exc:
+        raise ValueError(f"{p}: {exc}") from None
 
 
 def write_ratings_csv(m: RatingMatrix, path: str | Path) -> None:

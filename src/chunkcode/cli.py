@@ -165,7 +165,7 @@ def evaluate(manual_path, run_dirs, out_dir):
         if exc.extra:
             lines.append(f"absent from manual ratings: {list(exc.extra)[:20]}")
         _fail("\n".join(lines))
-    except (ChunkCodeError, ValueError, OSError, KeyError) as exc:
+    except (ChunkCodeError, ValueError, OSError) as exc:
         _fail(str(exc))
     click.echo(f"wrote {len(written)} table file(s) to {out_dir}")
 

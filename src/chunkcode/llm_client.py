@@ -171,22 +171,21 @@ class StochasticMock:
     or a callable of the request (for example keyed off ``request.tag``).
     """
 
+    positive_text = "Yes, the parameter is mentioned in the text."
+    negative_text = "The paper does not focus on this parameter."
+
     def __init__(
         self,
         *,
         seed: int,
         flip_probability: float,
         truth: bool | Callable[[PromptRequest], bool] = True,
-        positive_text: str = "Yes, the parameter is mentioned in the text.",
-        negative_text: str = "The paper does not focus on this parameter.",
     ):
         if not 0.0 <= flip_probability <= 1.0:
             raise ValueError("flip probability must lie in [0, 1]")
         self.seed = seed
         self.flip_probability = flip_probability
         self.truth = truth
-        self.positive_text = positive_text
-        self.negative_text = negative_text
 
     def __call__(self, request: PromptRequest) -> str:
         base = self.truth(request) if callable(self.truth) else self.truth

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from . import agreement, engine
 from .agreement import RatingMatrix, Subject
 from .codebook import Codebook
-from .errors import IngestionError, UndefinedMetricError
+from .errors import DegenerateKappaError, IngestionError, UndefinedMetricError
 from .ingestion import DocumentText
 from .llm_client import LLMClient
 
@@ -32,21 +32,13 @@ FAILURES_NAME = "failures.json"
 
 @dataclass
 class RunData:
-    """One run directory, loaded: metadata plus everything derived from it."""
+    """One run directory, loaded: model, strategy and all its records give."""
 
-    run_dir: Path
-    meta: dict
+    model: str
+    strategy: str
     iteration_results: list[engine.IterationResult]
     consensus: dict[Subject, engine.ConsensusResult]
     consensus_codes: dict[Subject, bool]
-
-    @property
-    def model(self) -> str:
-        return self.meta["model"]
-
-    @property
-    def strategy(self) -> str:
-        return self.meta["strategy"]
 
     @property
     def rater_id(self) -> str:
@@ -62,59 +54,72 @@ def load_run(run_dir: str | Path) -> RunData:
     """Load a run directory written by the run command.
 
     The records file is the source of truth; iteration results and
-    consensus are rebuilt from it, one line at a time. A run holding a
-    record of another model or strategy, a prompt recorded twice, a result
-    its metadata does not list, or a cell lacking some of its iterations is
-    refused, so every table scores the run its metadata describes.
+    consensus are rebuilt from it, one line at a time. A run whose metadata
+    is malformed, or holding a record of another model or strategy, a
+    record its metadata does not list, a prompt recorded twice, or a cell
+    lacking some of its iterations is refused, so every table scores the
+    run its metadata describes.
     """
     run_dir = Path(run_dir)
     source = f"run {run_dir}"
-    meta = json.loads((run_dir / RUN_META_NAME).read_text(encoding="utf-8"))
+    model, strategy, iterations, docs, dims = _read_run_meta(run_dir / RUN_META_NAME)
+    listed = range(1, iterations + 1)
+
+    def within_meta(records: Iterable[engine.PromptRecord]):
+        for r in records:
+            if r.model != model or r.strategy != strategy:
+                raise IngestionError(
+                    f"{source} holds a record of model {r.model!r}, strategy {r.strategy!r}, but its"
+                    f" {RUN_META_NAME} names model {model!r}, strategy {strategy!r}"
+                )
+            if r.iteration not in listed or r.doc_id not in docs or r.dimension_id not in dims:
+                raise IngestionError(
+                    f"{source} holds a record outside its {RUN_META_NAME} (iterations"
+                    f" 1..{iterations}, {len(docs)} document(s), {len(dims)}"
+                    f" dimension(s)): cell {(r.doc_id, r.dimension_id)} iteration {r.iteration}"
+                )
+            yield r
+
     records = engine.read_records_jsonl(run_dir / RECORDS_NAME)
-    iteration_results = engine.iteration_results_from_records(_of_meta_run(source, meta, records))
-    _check_within_meta(source, meta, iteration_results)
-    check_complete(source, set(range(1, meta["iterations"] + 1)), iteration_results)
+    iteration_results = engine.iteration_results_from_records(within_meta(records))
+    check_complete(source, set(listed), iteration_results)
     table = engine.consensus_table(iteration_results)
     return RunData(
-        run_dir=run_dir,
-        meta=meta,
+        model=model,
+        strategy=strategy,
         iteration_results=iteration_results,
         consensus=table,
         consensus_codes={subject: c.value for subject, c in table.items()},
     )
 
 
-def _of_meta_run(source: str, meta: dict, records: Iterable[engine.PromptRecord]):
-    """Yield the records, refusing one of a model or strategy the metadata does not name."""
-    for r in records:
-        if r.model != meta["model"] or r.strategy != meta["strategy"]:
-            raise IngestionError(
-                f"{source} holds a record of model {r.model!r}, strategy {r.strategy!r}, but its"
-                f" {RUN_META_NAME} names model {meta['model']!r}, strategy {meta['strategy']!r}"
-            )
-        yield r
+def _read_run_meta(path: Path) -> tuple[str, str, int, frozenset[str], frozenset[str]]:
+    """Model, strategy, iteration count, doc ids and dimension ids of a
+    run's metadata; a malformed file raises an IngestionError naming it."""
+    try:
+        meta = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise IngestionError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise IngestionError(f"{path}: expected a JSON object")
 
+    def field(name: str, expected: str, valid) -> object:
+        if name not in meta:
+            raise IngestionError(f"{path}: lacks field {name!r}")
+        if not valid(meta[name]):
+            raise IngestionError(f"{path}: field {name!r} must be {expected}, got {meta[name]!r}")
+        return meta[name]
 
-def _check_within_meta(
-    source: str, meta: dict, results: Sequence[engine.IterationResult]
-) -> None:
-    """Refuse results whose iteration, document or dimension the run's
-    metadata does not list, naming up to 20 of them."""
-    iterations = range(1, meta["iterations"] + 1)
-    doc_ids, dimension_ids = set(meta["doc_ids"]), set(meta["dimension_ids"])
-    outside = [
-        f"cell {(r.doc_id, r.dimension_id)} iteration {r.iteration}"
-        for r in results
-        if r.iteration not in iterations
-        or r.doc_id not in doc_ids
-        or r.dimension_id not in dimension_ids
-    ]
-    if outside:
-        raise IngestionError(
-            f"{source} holds {len(outside)} result(s) outside its {RUN_META_NAME}"
-            f" (iterations 1..{meta['iterations']}, {len(doc_ids)} document(s),"
-            f" {len(dimension_ids)} dimension(s))\n" + "\n".join(outside[:20])
-        )
+    def ids(v: object) -> bool:
+        return isinstance(v, list) and all(isinstance(x, str) for x in v)
+
+    return (
+        field("model", "a string", lambda v: isinstance(v, str)),
+        field("strategy", "a string", lambda v: isinstance(v, str)),
+        field("iterations", "a positive integer", lambda v: type(v) is int and v > 0),
+        frozenset(field("doc_ids", "a list of strings", ids)),
+        frozenset(field("dimension_ids", "a list of strings", ids)),
+    )
 
 
 def check_complete(
@@ -217,16 +222,7 @@ def write_run_outputs(out: Path, meta: dict, result: engine.RunResult) -> None:
     failures_path = out / FAILURES_NAME
     failures_path.unlink(missing_ok=True)
     if result.failures:
-        manifest = [
-            {
-                "doc_id": f.doc_id,
-                "dimension_id": f.dimension_id,
-                "iteration": f.iteration,
-                "chunk_index": f.chunk_index,
-                "error": f.error,
-            }
-            for f in result.failures
-        ]
+        manifest = [asdict(f) for f in result.failures]
         failures_path.write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
@@ -254,8 +250,7 @@ def write_consensus_csv(
 
 
 def performance_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict]:
-    """One row per run: internal agreement, accuracy, precision, recall and
-    the confusion counts behind them."""
+    """One row per run: internal agreement, accuracy, precision and recall."""
     gold = agreement.manual_consensus(manual)
     rows = []
     for run in runs:
@@ -268,13 +263,19 @@ def performance_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict
                 "accuracy": agreement.accuracy(counts),
                 "precision": agreement.precision(counts),
                 "recall": agreement.recall(counts),
-                "tp": counts.tp,
-                "fp": counts.fp,
-                "fn": counts.fn,
-                "tn": counts.tn,
             }
         )
     return rows
+
+
+def confusion_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict]:
+    """One row per run: the confusion counts behind its performance row."""
+    gold = agreement.manual_consensus(manual)
+    return [
+        {"model": run.model, "strategy": run.strategy,
+         **asdict(agreement.confusion(run.consensus_codes, gold))}
+        for run in runs
+    ]
 
 
 def per_dimension_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict]:
@@ -315,17 +316,27 @@ def per_dimension_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[di
 
 
 def _kappa_row(model: str, strategy: str, m: RatingMatrix) -> dict:
-    kappa = agreement.fleiss_kappa(m)
-    pct = agreement.percent_agreement(m)
+    """Kappa and percent agreement of one matrix. Where kappa is undefined
+    its cells are empty and ``band`` names why; under two raters percent
+    agreement is undefined too."""
+    kappa = pct = None
+    band = "undefined: fewer than two raters"
+    if len(m.raters) >= 2:
+        pct = agreement.percent_agreement(m)
+        try:
+            kappa = agreement.fleiss_kappa(m)
+            band = agreement.kappa_band(kappa)
+        except DegenerateKappaError:
+            band = "undefined: single-category ratings"
     return {
         "model": model,
         "strategy": strategy,
         "kappa": kappa,
-        "band": agreement.kappa_band(kappa),
-        "significant": kappa >= agreement.KAPPA_FAIR_MIN,
+        "band": band,
+        "significant": None if kappa is None else kappa >= agreement.KAPPA_FAIR_MIN,
         "raters": len(m.raters),
         "percent_agreement": pct,
-        "percent_agreement_flag": (
+        "percent_agreement_flag": None if pct is None else (
             "ok" if pct >= agreement.PERCENT_AGREEMENT_TARGET else "weak: below 0.90"
         ),
     }
@@ -362,44 +373,29 @@ def kappa_delta_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict
     rows = []
     for run in runs:
         by_doc = agreement.kappa_with_llm_by_doc(manual, run.consensus_codes, run.rater_id)
-        for doc_id, comparison in by_doc.items():
-            row: dict[str, object] = {
-                "model": run.model,
-                "strategy": run.strategy,
-                "doc_id": doc_id,
-            }
-            if comparison is None:
-                row.update(
-                    {"kappa_before": None, "kappa_after": None, "delta": None,
-                     "note": "degenerate: single-category ratings"}
-                )
-            else:
-                row.update(
-                    {
-                        "kappa_before": comparison.kappa_before,
-                        "kappa_after": comparison.kappa_after,
-                        "delta": comparison.delta,
-                        "note": "",
-                    }
-                )
-            rows.append(row)
-    return rows
-
-
-def internal_agreement_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict]:
-    """Per run and document internal agreement (the per-paper breakdown)."""
-    rows = []
-    for run in runs:
-        for doc_id, value in run.internal.papers.items():
+        for doc_id, c in by_doc.items():  # c is None where the document is degenerate
             rows.append(
                 {
                     "model": run.model,
                     "strategy": run.strategy,
                     "doc_id": doc_id,
-                    "internal_agreement": value,
+                    "kappa_before": c and c.kappa_before,
+                    "kappa_after": c and c.kappa_after,
+                    "delta": c and c.delta,
+                    "note": "" if c else "degenerate: single-category ratings",
                 }
             )
     return rows
+
+
+def internal_agreement_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict]:
+    """Per run and document internal agreement (the per-paper breakdown)."""
+    return [
+        {"model": run.model, "strategy": run.strategy, "doc_id": doc_id,
+         "internal_agreement": value}
+        for run in runs
+        for doc_id, value in run.internal.papers.items()
+    ]
 
 
 # -- serialization -------------------------------------------------------------
@@ -416,12 +412,15 @@ def _csv_cell(value: object) -> str:
 
 
 def write_table_csv(path: str | Path, fieldnames: Sequence[str], rows: Sequence[Mapping]) -> None:
-    """Write rows as CSV; floats keep full precision, None becomes empty."""
+    """Write rows as CSV; floats keep full precision, None becomes empty.
+
+    A row lacking one of ``fieldnames`` raises KeyError.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fieldnames)
         for row in rows:
-            writer.writerow([_csv_cell(row.get(name)) for name in fieldnames])
+            writer.writerow([_csv_cell(row[name]) for name in fieldnames])
 
 
 def _md_cell(value: object, percent: bool) -> str:
@@ -443,87 +442,52 @@ def markdown_table(
         "| " + " | ".join("---" for _ in fieldnames) + " |",
     ]
     for row in rows:
-        lines.append(
-            "| "
-            + " | ".join(
-                _md_cell(row.get(name), name in percent_cols) for name in fieldnames
-            )
-            + " |"
-        )
+        cells = (_md_cell(row[name], name in percent_cols) for name in fieldnames)
+        lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 
 
+# Table name -> (row builder, percent columns). A table's columns are the
+# keys of its rows, in order.
 _TABLES = {
-    "performance": (
-        performance_rows,
-        ["model", "strategy", "internal_agreement", "accuracy", "precision", "recall"],
-        ["internal_agreement", "accuracy", "precision", "recall"],
-    ),
-    "confusion": (
-        performance_rows,
-        ["model", "strategy", "tp", "fp", "fn", "tn"],
-        [],
-    ),
-    "per_dimension": (
-        per_dimension_rows,
-        [
-            "model",
-            "strategy",
-            "dimension_id",
-            "tp",
-            "tn",
-            "manual_positives",
-            "manual_negatives",
-            "positive_rate",
-            "negative_rate",
-        ],
-        ["positive_rate", "negative_rate"],
-    ),
-    "kappa": (
-        kappa_rows,
-        [
-            "model",
-            "strategy",
-            "kappa",
-            "band",
-            "significant",
-            "raters",
-            "percent_agreement",
-            "percent_agreement_flag",
-        ],
-        ["percent_agreement"],
-    ),
-    "kappa_delta_per_paper": (
-        kappa_delta_rows,
-        ["model", "strategy", "doc_id", "kappa_before", "kappa_after", "delta", "note"],
-        [],
-    ),
-    "internal_agreement_by_doc": (
-        internal_agreement_rows,
-        ["model", "strategy", "doc_id", "internal_agreement"],
-        ["internal_agreement"],
-    ),
+    "performance": (performance_rows, ("internal_agreement", "accuracy", "precision", "recall")),
+    "confusion": (confusion_rows, ()),
+    "per_dimension": (per_dimension_rows, ("positive_rate", "negative_rate")),
+    "kappa": (kappa_rows, ("percent_agreement",)),
+    "kappa_delta_per_paper": (kappa_delta_rows, ()),
+    "internal_agreement_by_doc": (internal_agreement_rows, ("internal_agreement",)),
 }
 
 
 def write_report_bundle(
     out_dir: str | Path, runs: Sequence[RunData], manual: RatingMatrix
 ) -> list[Path]:
-    """Write every evaluation table as CSV and markdown; returns the paths."""
+    """Write every evaluation table as CSV and markdown, plus the merged
+    ratings; returns the paths.
+
+    Every table is built before ``out_dir`` is created, so a run or matrix
+    that some table refuses leaves no file.
+    """
+    if not runs:
+        raise ValueError("a report needs at least one run")
+    tables = {
+        name: (builder(runs, manual), percent_cols)
+        for name, (builder, percent_cols) in _TABLES.items()
+    }
+    merged = merged_ratings(runs, manual)
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for name, (builder, fieldnames, percent_cols) in _TABLES.items():
-        rows = builder(runs, manual)
+    for name, (rows, percent_cols) in tables.items():
+        fieldnames = list(rows[0])
         csv_path = out / f"{name}.csv"
         write_table_csv(csv_path, fieldnames, rows)
         md_path = out / f"{name}.md"
-        md_path.write_text(
-            markdown_table(fieldnames, rows, percent_cols), encoding="utf-8"
-        )
+        md_path.write_text(markdown_table(fieldnames, rows, percent_cols), encoding="utf-8")
         written.extend([csv_path, md_path])
 
     merged_path = out / "merged_ratings.csv"
-    agreement.write_ratings_csv(merged_ratings(runs, manual), merged_path)
+    agreement.write_ratings_csv(merged, merged_path)
     written.append(merged_path)
     return written

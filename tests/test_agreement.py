@@ -330,6 +330,23 @@ class TestRatingsCSV:
         m = cc.read_ratings_csv(path)
         assert m.codes == ((True, False), (True, False))
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("doc_id,dimension_id,r1,r2\nd,x,T,F\nd,y,T,T\nd,x,F,F\n",
+             ":4: subject ('d', 'x') repeats line 2"),
+            ("doc_id,dimension_id,r1,r2\n", ": a rating matrix needs at least one subject"),
+            ("doc_id,dimension_id,r1,r1\nd,x,T,F\n", ": rater ids must be unique"),
+        ],
+        ids=["repeated-subject", "no-rows", "repeated-rater"],
+    )
+    def test_matrix_refusals_name_the_file(self, tmp_path, text, problem):
+        path = tmp_path / "ratings.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            cc.read_ratings_csv(path)
+        assert str(excinfo.value) == f"{path}{problem}"
+
 
 class TestKappaBand:
     def test_bands(self):

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 import threading
 
 import pytest
@@ -582,8 +583,6 @@ class TestEvaluateCommand:
     def test_markdown_uses_two_decimal_percentages(self, workspace):
         result, reports = self.evaluate(workspace)
         text = (reports / "performance.md").read_text(encoding="utf-8")
-        import re
-
         assert re.search(r"\| \d{1,3}\.\d{2}% ", text)
 
     def test_multiple_runs_one_row_each(self, workspace):
@@ -655,6 +654,37 @@ class TestEvaluateCommand:
         assert result.exit_code == 1
         assert not reports.exists() or not any(reports.iterdir())
         assert f"outside its {report.RUN_META_NAME}" in result.output
+        assert re.search(r"cell \('doc-[ab]', '[a-z-]+'\) iteration \d", result.output)
+
+    @pytest.mark.parametrize(
+        "defect, problem",
+        [
+            (lambda meta, text: json.dumps({k: v for k, v in meta.items() if k != "iterations"}),
+             "lacks field 'iterations'"),
+            (lambda meta, text: text[:50], "not valid JSON"),
+            (lambda meta, text: json.dumps([meta]), "expected a JSON object"),
+            (lambda meta, text: json.dumps({**meta, "doc_ids": [["doc-a"], "doc-b"]}),
+             "field 'doc_ids' must be a list of strings"),
+            (lambda meta, text: json.dumps({**meta, "iterations": 0}),
+             "field 'iterations' must be a positive integer, got 0"),
+            (lambda meta, text: json.dumps({**meta, "iterations": True}),
+             "field 'iterations' must be a positive integer, got True"),
+        ],
+        ids=["no-iterations", "truncated", "array", "nested-doc-id", "zero-iterations",
+             "true-iterations"],
+    )
+    def test_malformed_run_meta_is_refused_before_any_table(self, workspace, defect, problem):
+        out = workspace / "out"
+        assert cli("run", *run_args(workspace, out)).exit_code == 0
+        meta_path = out / report.RUN_META_NAME
+        text = meta_path.read_text(encoding="utf-8")
+        meta_path.write_text(defect(json.loads(text), text), encoding="utf-8")
+
+        result, reports = self.evaluate(workspace)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # refused, not a traceback
+        assert not reports.exists()
+        assert f"error: {meta_path}: {problem}" in result.output
 
     @pytest.mark.parametrize("field", ["model", "strategy"])
     def test_record_of_another_run_is_refused_before_any_table(self, workspace, field):
@@ -672,6 +702,60 @@ class TestEvaluateCommand:
         assert not reports.exists() or not any(reports.iterdir())
         assert f"{field} 'other'" in result.output
         assert f"its {report.RUN_META_NAME} names model 'mock-model', strategy 'chunk'" in result.output
+
+    def kappa_rows(self, reports):
+        with open(reports / "kappa.csv", encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_single_category_iteration_ratings_give_an_undefined_kappa_row(self, workspace):
+        phrases = workspace / "phrases.json"
+        phrases.write_text('["parameter"]', encoding="utf-8")  # every mock answer holds it
+        out = workspace / "out"
+        args = run_args(workspace, out, **{"--strategy": "whole", "--phrases": phrases})
+        assert cli("run", *args).exit_code == 0
+
+        result, reports = self.evaluate(workspace)
+        assert result.exit_code == 0, result.output
+        assert len(list(reports.iterdir())) == 13
+        row = self.kappa_rows(reports)[-1]
+        assert row["strategy"] == "whole (iterations as raters)"
+        assert (row["kappa"], row["band"], row["significant"]) == (
+            "", "undefined: single-category ratings", ""
+        )
+        assert (row["raters"], row["percent_agreement"], row["percent_agreement_flag"]) == (
+            "5", "1.0", "ok"
+        )
+
+    def test_single_iteration_gives_an_undefined_kappa_row(self, workspace):
+        out = workspace / "out"
+        assert cli("run", *run_args(workspace, out, **{"--iterations": 1})).exit_code == 0
+
+        result, reports = self.evaluate(workspace)
+        assert result.exit_code == 0, result.output
+        assert len(list(reports.iterdir())) == 13
+        rows = self.kappa_rows(reports)
+        assert rows[-1] == {
+            "model": "mock-model",
+            "strategy": "chunk (iterations as raters)",
+            "kappa": "",
+            "band": "undefined: fewer than two raters",
+            "significant": "",
+            "raters": "1",
+            "percent_agreement": "",
+            "percent_agreement_flag": "",
+        }
+        assert all(row["kappa"] for row in rows[:-1])
+
+    def test_single_rater_manual_is_refused_before_any_table(self, workspace):
+        manual = workspace / "manual.csv"
+        lines = manual.read_text(encoding="utf-8").splitlines()
+        one_rater = "".join(line.rsplit(",", 2)[0] + "\n" for line in lines)
+        manual.write_text(one_rater, encoding="utf-8")
+
+        result, reports = self.evaluate(workspace)
+        assert result.exit_code == 1
+        assert "Fleiss' kappa needs at least two raters" in result.output
+        assert not reports.exists()
 
     def test_evaluate_outputs_are_deterministic(self, workspace):
         _, first = self.evaluate(workspace)
@@ -735,6 +819,11 @@ def test_golden_report_bytes(workspace):
         for path in [*reports.iterdir(), *redo.iterdir()]
     }
     assert digests == GOLDEN_REPORT_SHA256
+
+
+def test_write_table_csv_refuses_a_row_lacking_a_column(tmp_path):
+    with pytest.raises(KeyError, match="b"):
+        report.write_table_csv(tmp_path / "t.csv", ["a", "b"], [{"a": 1, "b": 2}, {"a": 3}])
 
 
 class TestStatsCommand:
