@@ -441,26 +441,54 @@ def record_to_json(record: PromptRecord) -> str:
     )
 
 
+_RECORD_STRING_FIELDS = (
+    "doc_id", "dimension_id", "model", "strategy", "raw_response", "request_key"
+)
+
+
 def record_from_json(line: str) -> PromptRecord:
+    """The record one line of a records file holds.
+
+    Raises JSONDecodeError for invalid JSON, TypeError for a line that is
+    not an object, KeyError for a missing field, and ValueError for a field
+    of the wrong type or an invalid code.
+    """
     data = json.loads(line)
+    for name in _RECORD_STRING_FIELDS:
+        if not isinstance(data[name], str):
+            raise _field_error(data, name, "a string")
+    iteration, chunk, phrase = data["iteration"], data["chunk_index"], data["matched_phrase"]
+    if type(iteration) is not int or iteration < 1:  # bool is an int subclass
+        raise _field_error(data, "iteration", "a positive integer")
+    if chunk is not None and (type(chunk) is not int or chunk < 0):
+        raise _field_error(data, "chunk_index", "null or a non-negative integer")
+    if type(data["code"]) is not bool:
+        raise _field_error(data, "code", "true or false")
+    if phrase is not None and not isinstance(phrase, str):
+        raise _field_error(data, "matched_phrase", "null or a string")
     return PromptRecord(
         doc_id=data["doc_id"],
         dimension_id=data["dimension_id"],
-        iteration=data["iteration"],
-        chunk_index=data["chunk_index"],
+        iteration=iteration,
+        chunk_index=chunk,
         model=data["model"],
         strategy=data["strategy"],
         raw_response=data["raw_response"],
-        code=BinaryCode(data["code"], data["matched_phrase"]),
+        code=BinaryCode(data["code"], phrase),
         request_key=data["request_key"],
     )
+
+
+def _field_error(data: dict, name: str, expected: str) -> ValueError:
+    return ValueError(f"field {name!r} must be {expected}, not {json.dumps(data[name])}")
 
 
 def read_records_jsonl(path: str | Path) -> Iterator[PromptRecord]:
     """Yield the records of a records file, one line at a time.
 
-    A line that is not JSON, lacks a field or holds an invalid code raises
-    an IngestionError naming the file and the line number.
+    A line that is not JSON, lacks a field, holds a field of the wrong type
+    or an invalid code raises an IngestionError naming the file and the
+    line number.
     """
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):

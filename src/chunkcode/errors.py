@@ -22,7 +22,7 @@ class TransportError(ChunkCodeError):
 
 
 class CacheMissError(ChunkCodeError):
-    """Strict replay was requested but the cache has no entry for the key."""
+    """Strict replay was requested but the cache has no usable entry for the key."""
 
 
 class SubjectMismatchError(ChunkCodeError):

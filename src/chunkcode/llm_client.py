@@ -74,9 +74,17 @@ class PromptRequest:
 
     @property
     def request_key(self) -> str:
-        """Stable hex cache key derived from model, tag, and prompt text."""
-        payload = "\x1f".join((self.model, self.tag, self.prompt_text))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        """Stable hex cache key derived from model, tag, and prompt text.
+
+        A hash over the whole prompt, taken on first read and kept on the
+        instance: the client and the engine both read it for every prompt.
+        """
+        key = self.__dict__.get("_request_key")
+        if key is None:
+            payload = "\x1f".join((self.model, self.tag, self.prompt_text))
+            key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_request_key", key)
+        return key
 
 
 @dataclass(frozen=True)
@@ -141,6 +149,29 @@ def _completion(resp: requests.Response, latency: float) -> LLMResponse:
     return LLMResponse(text=text, provider_meta=meta, from_cache=False)
 
 
+def _read_cache_entry(path: Path) -> LLMResponse | None:
+    """The response a cache entry holds, or None when there is no entry.
+
+    Only ``response`` is read, so entries recorded with their prompt text
+    serve as well as those without. An entry that is unreadable, not JSON,
+    or holds no ``response`` object whose ``text`` is a string raises
+    OSError or ValueError.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            entry = json.load(fh)
+    except FileNotFoundError:
+        return None
+    response = entry.get("response") if isinstance(entry, dict) else None
+    if not (isinstance(response, dict) and isinstance(response.get("text"), str)):
+        raise ValueError("no response object with a string text")
+    return LLMResponse(
+        text=response["text"],
+        provider_meta=response.get("provider_meta", {}),
+        from_cache=True,
+    )
+
+
 class ScriptedMock:
     """Deterministic responder: a fixed mapping of request keys to text.
 
@@ -201,11 +232,14 @@ class LLMClient:
     """Front end for chat completions with four modes.
 
     live    - always call the endpoint, no cache traffic.
-    record  - read-through cache: serve hits, fetch and persist misses.
-    replay  - cache only; a miss is an error naming the request key.
+    record  - read-through cache: serve hits, fetch and persist misses; a
+              corrupt entry is a miss, fetched again and overwritten.
+    replay  - cache only; a miss is an error naming the request key, a
+              corrupt entry one naming its path.
     mock    - delegate to an offline responder, no cache or network.
 
-    The cache holds one JSON file per request key (filename = hex key).
+    The cache holds one JSON file per request key (filename = hex key),
+    holding the model, the tag and the response, not the prompt.
     ``complete`` is safe to call from several threads: cache writes are
     serialized and atomic, reads need no lock. ``max_inflight`` is the
     number of concurrent requests the caller may issue (``run_iterations``
@@ -275,19 +309,20 @@ class LLMClient:
                 from_cache=False,
             )
         if self.mode in ("record", "replay"):
-            key = request.request_key  # a hash over the whole prompt: derive it once
-            entry = self._cache_read(key)
-            if entry is not None:
-                return LLMResponse(
-                    text=entry["response"]["text"],
-                    provider_meta=entry["response"].get("provider_meta", {}),
-                    from_cache=True,
-                )
+            path = self._cache_path(request.request_key)
+            try:
+                cached = _read_cache_entry(path)
+            except (OSError, ValueError) as exc:
+                if self.mode == "replay":
+                    raise CacheMissError(f"corrupt cache entry {path}: {exc}") from exc
+                cached = None  # record mode fetches again and overwrites it
+            if cached is not None:
+                return cached
             if self.mode == "replay":
-                raise CacheMissError(f"no cached response for request_key {key}")
+                raise CacheMissError(f"no cached response for request_key {request.request_key}")
         response = self._post(request)
         if self.mode == "record":
-            self._cache_write(key, request, response)
+            self._cache_write(path, request, response)
         return response
 
     # -- transport ---------------------------------------------------------
@@ -327,31 +362,17 @@ class LLMClient:
         assert self.cache_dir is not None
         return self.cache_dir / key
 
-    def _cache_read(self, key: str) -> dict | None:
-        path = self._cache_path(key)
-        try:
-            with open(path, encoding="utf-8") as fh:
-                entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            # Missing or unreadable entries count as misses; record mode will refetch.
-            return None
-        if not isinstance(entry, dict) or "response" not in entry:
-            return None
-        return entry
-
-    def _cache_write(self, key: str, request: PromptRequest, response: LLMResponse) -> None:
+    def _cache_write(self, path: Path, request: PromptRequest, response: LLMResponse) -> None:
+        # The prompt is not stored: the file name is its request key, so a
+        # prompt re-rendered from the codebook and the corpus is checked by
+        # recomputing the key from it, the model and the tag.
         entry = {
-            "request": {
-                "model": request.model,
-                "tag": request.tag,
-                "prompt_text": request.prompt_text,
-            },
+            "request": {"model": request.model, "tag": request.tag},
             "response": {
                 "text": response.text,
                 "provider_meta": dict(response.provider_meta),
             },
         }
-        path = self._cache_path(key)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with self._cache_write_lock:
             with open(tmp, "w", encoding="utf-8") as fh:

@@ -36,6 +36,18 @@ def tiny_corpus():
 
 
 @pytest.fixture
+def old_cache_entry():
+    """A cache entry recorded while entries still held the prompt text.
+
+    It answers doc-a/fidelity/i1/c1 of a record-mode chunk run of
+    ``tiny_corpus`` and ``codebook`` (model "m", chunk size 4) against an
+    endpoint that answers by a hash of the prompt; its name is its key.
+    """
+    (entry,) = (Path(__file__).parent / "data" / "cache_with_prompt_text").iterdir()
+    return entry
+
+
+@pytest.fixture
 def positive_mock():
     return cc.LLMClient(
         mode="mock", mock=cc.ScriptedMock(default="Yes, the parameter is mentioned.")

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import shutil
 import sys
 import threading
 import time
@@ -501,6 +502,45 @@ def network_client(endpoint, max_inflight, mode="live", cache_dir=None):
         max_inflight=max_inflight,
         sleep=lambda s: None,
     )
+
+
+def test_cache_mixing_entry_shapes_replays_the_recorded_bytes(
+    codebook, tiny_corpus, old_cache_entry, tmp_path
+):
+    """Entries that hold their prompt text, as entries once did, and entries
+    that do not serve side by side; a record-mode rerun sends no request."""
+    cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=4, iterations=2)
+    cache = tmp_path / "cache"
+
+    def run(name, mode, endpoint):
+        out = tmp_path / name
+        client = network_client(endpoint, 2, mode, cache)
+        assert report.write_run(out, tiny_corpus, codebook, cfg, client).ok
+        return out / report.RECORDS_NAME
+
+    recorded = run("record", "record", FakeEndpoint(delay=lambda: 0.0))
+    # Every other entry gets its prompt back, re-rendered from the corpus and
+    # the codebook and checked against the entry's name, its request key.
+    dims = {dim.id: dim for dim in codebook}
+    docs = {doc.doc_id: doc for doc in tiny_corpus}
+    for record in list(cc.read_records_jsonl(recorded))[::2]:
+        body = cc.chunk_document(docs[record.doc_id], cfg.chunk_size)[record.chunk_index].text
+        tag = cell_tag(record.doc_id, record.dimension_id, record.iteration, record.chunk_index)
+        prompt = cc.render_prompt(dims[record.dimension_id], body)
+        request = cc.PromptRequest(cfg.model, prompt, tag)
+        assert request.request_key == record.request_key
+        path = cache / record.request_key
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry["request"]["prompt_text"] = request.prompt_text
+        path.write_text(json.dumps(entry), encoding="utf-8")
+    # One of this run's entries as it was recorded with its prompt text.
+    assert (cache / old_cache_entry.name).is_file()
+    shutil.copy(old_cache_entry, cache)
+
+    assert run("replay", "replay", FakeEndpoint()).read_bytes() == recorded.read_bytes()
+    endpoint = FakeEndpoint()
+    assert run("rerun", "record", endpoint).read_bytes() == recorded.read_bytes()
+    assert endpoint.calls == 0
 
 
 class TestConcurrentDispatch:

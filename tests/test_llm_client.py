@@ -1,10 +1,14 @@
 import json
 import random
+import re
+import shutil
+from types import SimpleNamespace
 
 import pytest
 import requests
 
 import chunkcode as cc
+from chunkcode import llm_client
 from chunkcode.errors import CacheMissError, ConfigError, TransportError
 from chunkcode.llm_client import retry_delay
 
@@ -82,6 +86,22 @@ class TestRequestKey:
         assert make_request(tag="a").request_key != make_request(tag="b").request_key
         assert make_request(model="m1").request_key != make_request(model="m2").request_key
         assert make_request(text="x").request_key != make_request(text="y").request_key
+
+    def test_hashed_once_per_request(self, monkeypatch):
+        hashed, real_sha256 = [], llm_client.hashlib.sha256
+
+        def sha256(data):
+            hashed.append(data)
+            return real_sha256(data)
+
+        monkeypatch.setattr(llm_client, "hashlib", SimpleNamespace(sha256=sha256))
+        request = make_request("hash me", tag="t")
+        assert request.request_key == request.request_key
+        assert len(hashed) == 1
+        # The kept digest is no field: equality, hashing and repr ignore it.
+        assert request == make_request("hash me", tag="t")
+        assert hash(request) == hash(make_request("hash me", tag="t"))
+        assert repr(request) == "PromptRequest(model='gpt-test', prompt_text='hash me', tag='t')"
 
 
 class TestRetryPolicy:
@@ -245,6 +265,58 @@ class TestClientModes:
         req = make_request("never recorded")
         with pytest.raises(CacheMissError, match=req.request_key):
             client.complete(req)
+
+
+def record_client(cache_dir, session):
+    return cc.LLMClient(mode="record", base_url="http://t/v1", cache_dir=cache_dir, session=session)
+
+
+class TestCacheEntries:
+    def test_record_entry_holds_the_response_not_the_prompt(self, tmp_path):
+        session = FakeSession([FakeResponse(200, completion_payload("the answer"))])
+        req = make_request("a prompt the entry leaves out", tag="doc/dim/i1/c0")
+        record_client(tmp_path, session).complete(req)
+        raw = (tmp_path / req.request_key).read_text(encoding="utf-8")
+        entry = json.loads(raw)
+        assert list(entry) == ["request", "response"]
+        assert entry["request"] == {"model": "gpt-test", "tag": "doc/dim/i1/c0"}
+        assert list(entry["response"]) == ["text", "provider_meta"]
+        assert entry["response"]["text"] == "the answer"
+        meta = entry["response"]["provider_meta"]
+        assert list(meta) == ["status", "latency_s", "model", "usage"]
+        assert meta["usage"] == {"prompt_tokens": 3, "completion_tokens": 5}
+        assert "leaves out" not in raw
+
+    def test_entry_recorded_with_its_prompt_still_serves(self, old_cache_entry, tmp_path):
+        entry = json.loads(old_cache_entry.read_text(encoding="utf-8"))
+        req = cc.PromptRequest(**entry["request"])
+        assert req.request_key == old_cache_entry.name
+        shutil.copy(old_cache_entry, tmp_path)
+
+        replayed = cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req)
+        assert replayed.text == entry["response"]["text"]
+        assert replayed.provider_meta == entry["response"]["provider_meta"]
+        assert replayed.from_cache is True
+        session = FakeSession([FakeResponse(500, text="nothing should be sent")])
+        assert record_client(tmp_path, session).complete(req) == replayed
+        assert session.calls == []
+
+    @pytest.mark.parametrize(
+        "content",
+        ['{"response": {}}', '{"response": "x"}', '{"response": {"text": 5}}', "[]", '{"resp'],
+        ids=["no text", "response not an object", "text not a string", "not an object", "not JSON"],
+    )
+    def test_malformed_entry_is_corrupt(self, tmp_path, content):
+        req = make_request("p")
+        path = tmp_path / req.request_key
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(CacheMissError, match=f"corrupt cache entry {re.escape(str(path))}"):
+            cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req)
+
+        session = FakeSession([FakeResponse(200, completion_payload("fetched again"))])
+        assert record_client(tmp_path, session).complete(req).text == "fetched again"
+        assert len(session.calls) == 1
+        assert json.loads(path.read_text(encoding="utf-8"))["response"]["text"] == "fetched again"
 
 
 class TestRetryBehaviour:

@@ -450,6 +450,16 @@ def true_code_without_phrase(lines):
     return 3
 
 
+def set_field(name, value):
+    def defect(lines):
+        record = json.loads(lines[1])
+        record[name] = value
+        lines[1] = json.dumps(record)
+        return 2
+
+    return defect
+
+
 @pytest.mark.parametrize("command", ["consensus", "evaluate"])
 @pytest.mark.parametrize(
     "defect, problem",
@@ -457,8 +467,20 @@ def true_code_without_phrase(lines):
         (truncate_last_line, "invalid JSON (column"),
         (drop_a_field, "record lacks field 'request_key'"),
         (true_code_without_phrase, "a True code must record its matched phrase"),
+        (set_field("doc_id", ["a"]), 'field \'doc_id\' must be a string, not ["a"]'),
+        (set_field("iteration", "1"), 'field \'iteration\' must be a positive integer, not "1"'),
+        (set_field("iteration", True), "field 'iteration' must be a positive integer, not true"),
+        (set_field("code", 1), "field 'code' must be true or false, not 1"),
     ],
-    ids=["truncated", "field missing", "true without phrase"],
+    ids=[
+        "truncated",
+        "field missing",
+        "true without phrase",
+        "doc_id a list",
+        "iteration a string",
+        "iteration a bool",
+        "code a number",
+    ],
 )
 def test_malformed_record_is_named_by_file_and_line(workspace, command, defect, problem):
     out = workspace / "out"
