@@ -87,8 +87,8 @@ def run(manifest_path, codebook_path, model, strategy, chunk_size, iterations,
         )
         cb = load_codebook(codebook_path) if codebook_path else default_codebook()
         corpus = load_manifest(manifest_path)
-        client = _build_client(cache_mode, cache_dir, seed, flip_probability, max_inflight)
-        result = report.write_run(out_dir, corpus, cb, cfg, client)
+        with _build_client(cache_mode, cache_dir, seed, flip_probability, max_inflight) as client:
+            result = report.write_run(out_dir, corpus, cb, cfg, client)
     except ChunkCodeError as exc:
         _fail(str(exc))
     if result.failures and not result.results:

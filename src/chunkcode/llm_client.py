@@ -1,5 +1,5 @@
 """Chat-completion client: prompt rendering, HTTP transport with retry,
-record/replay caching, and deterministic offline mocks.
+a record/replay request cache, and deterministic offline mocks.
 
 Every call is stateless. A request carries the complete prompt; no
 conversation state survives between calls, so results are independent of
@@ -13,8 +13,12 @@ import itertools
 import json
 import os
 import random
+import re
 import threading
 import time
+import weakref
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
@@ -150,12 +154,13 @@ def _completion(resp: requests.Response, latency: float) -> LLMResponse:
 
 
 def _read_cache_entry(path: Path) -> LLMResponse | None:
-    """The response a cache entry holds, or None when there is no entry.
+    """The response a flat cache entry holds, or None when there is none.
 
-    Only ``response`` is read, so entries recorded with their prompt text
-    serve as well as those without. An entry that is unreadable, not JSON,
-    or holds no ``response`` object whose ``text`` is a string raises
-    OSError or ValueError.
+    Flat entries are one JSON file per request key, as caches held them
+    before segments. Only ``response`` is read, so entries recorded with
+    their prompt text serve as well as those without. An entry that is
+    unreadable, not JSON, or holds no ``response`` object whose ``text`` is
+    a string raises OSError or ValueError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -170,6 +175,222 @@ def _read_cache_entry(path: Path) -> LLMResponse | None:
         provider_meta=response.get("provider_meta", {}),
         from_cache=True,
     )
+
+
+def _response_from_line(line: bytes) -> LLMResponse:
+    """The response a segment line ``<key>\\t<JSON [model, tag, response]>``
+    holds; a line of another shape raises ValueError."""
+    # Decoded first: given bytes, json.loads detects the encoding every call.
+    entry = json.loads(line[65:].decode("utf-8"))
+    if not (
+        isinstance(entry, list)
+        and len(entry) == 3
+        and isinstance(entry[0], str)
+        and isinstance(entry[1], str)
+        and isinstance(entry[2], dict)
+        and isinstance(entry[2].get("text"), str)
+    ):
+        raise ValueError("not a [model, tag, {text, ...}] entry")
+    response = entry[2]
+    return LLMResponse(
+        text=response["text"],
+        provider_meta=response.get("provider_meta", {}),
+        from_cache=True,
+    )
+
+
+_SEGMENT_NAME = re.compile(r"segment-(\d+)-\d+-[0-9a-f]+")
+_FLAT_NAME = re.compile(r"[0-9a-f]{64}")
+_LINE_HEAD = re.compile(rb"[0-9a-f]{64}\t")
+# Open segment descriptors a cache holds at most, its own segment included.
+MAX_OPEN_SEGMENTS = 16
+_LOW64 = (1 << 64) - 1
+
+
+def _close_descriptors(fds: dict[int, int]) -> None:
+    for fd in fds.values():
+        os.close(fd)
+    fds.clear()
+
+
+class RequestCache:
+    """Responses stored by request key in append-only segment files.
+
+    Each recording client appends to a segment of its own,
+    ``segment-<generation>-<pid>-<random hex>``, created on its first
+    ``put``; one line per entry, ``<key>\\t<JSON [model, tag, {"text",
+    "provider_meta"}]>\\n``. The generation is one more than the highest in
+    the directory when the cache was opened, so a segment sorts after every
+    segment its writer could read. Opening lists the directory once and
+    indexes every segment, by generation and then name; a later line for a
+    key wins. A
+    line without its trailing newline (torn by a crash) or without a key
+    head is skipped, so it reads as a miss. The index is three arrays sorted
+    by key, 20 B per entry: each key's first 8 bytes, where its line starts
+    among the segments laid end to end, and the line's length. A read checks
+    the whole key, so a key sharing another's prefix reads as a miss rather
+    than as the other's response.
+
+    A key not in the index falls back to a flat file named by the key, the
+    layout of caches recorded before segments; flat files are never
+    written. A writable cache treats a corrupt entry as a miss, so its
+    caller fetches it again and the appended line wins. A read-only one
+    raises ``CacheMissError`` naming the file (and a segment's line), and
+    treats a missing directory as empty, creating nothing.
+
+    ``get`` and ``put`` are safe to call from several threads. The cache
+    holds at most ``MAX_OPEN_SEGMENTS`` descriptors, released by ``close``
+    or when it is collected.
+    """
+
+    def __init__(self, directory: str | Path, *, writable: bool):
+        self.directory = Path(directory)
+        self.writable = writable
+        self._lock = threading.Lock()
+        self._paths: list[Path] = []
+        self._bases: list[int] = []  # where each segment starts, end to end
+        self._end = 0
+        self._own: int | None = None  # this cache's segment, once it has one
+        self._fds: dict[int, int] = {}  # segment -> descriptor, oldest first
+        self._release = weakref.finalize(self, _close_descriptors, self._fds)
+        if writable:
+            self.directory.mkdir(parents=True, exist_ok=True)
+        try:
+            names = os.listdir(self.directory)
+        except FileNotFoundError:
+            names = []
+        self._has_flat = any(_FLAT_NAME.fullmatch(name) for name in names)
+        segments = sorted(
+            (int(m.group(1)), name) for name in names if (m := _SEGMENT_NAME.fullmatch(name))
+        )
+        self._generation = segments[-1][0] + 1 if segments else 1
+        # prefix << 96 | position << 32 | length, in the order lines were
+        # written, so that sorting puts a key's later lines after its earlier.
+        entries = []
+        for _, name in segments:
+            path = self.directory / name
+            offset = 0
+            with open(path, "rb") as fh:
+                for line in fh:
+                    if line[-1:] == b"\n" and _LINE_HEAD.match(line):
+                        position = self._end + offset
+                        entries.append(int(line[:16], 16) << 96 | position << 32 | len(line) - 1)
+                    offset += len(line)
+            self._paths.append(path)
+            self._bases.append(self._end)
+            self._end += offset
+        entries.sort()
+        self._prefixes, self._positions, self._lengths = array("Q"), array("Q"), array("I")
+        for entry in entries:
+            prefix, position, length = entry >> 96, entry >> 32 & _LOW64, entry & 0xFFFF_FFFF
+            if self._prefixes and self._prefixes[-1] == prefix:  # a later line for the key
+                self._positions[-1], self._lengths[-1] = position, length
+            else:
+                self._prefixes.append(prefix)
+                self._positions.append(position)
+                self._lengths.append(length)
+
+    def close(self) -> None:
+        """Release the open descriptors; the cache is not used after this."""
+        self._release()
+
+    def get(self, key: str) -> LLMResponse | None:
+        """The cached response for ``key``, or None on a miss."""
+        prefix = int(key[:16], 16)
+        line = None
+        with self._lock:
+            if not self._release.alive:
+                raise ValueError("request cache is closed")
+            i = bisect_left(self._prefixes, prefix)
+            if i < len(self._prefixes) and self._prefixes[i] == prefix:
+                position = self._positions[i]
+                try:
+                    line = self._line_at(position, self._lengths[i])
+                except OSError as exc:
+                    return self._corrupt(position, exc)
+        if line is not None and line[:64] == key.encode("ascii"):
+            try:
+                return _response_from_line(line)
+            except ValueError as exc:
+                return self._corrupt(position, exc)
+        if not self._has_flat:
+            return None
+        path = self.directory / key
+        try:
+            return _read_cache_entry(path)
+        except (OSError, ValueError) as exc:
+            if self.writable:
+                return None
+            raise CacheMissError(f"corrupt cache entry {path}: {exc}") from exc
+
+    def put(self, key: str, request: PromptRequest, response: LLMResponse) -> None:
+        """Append ``response`` under ``key`` to this cache's segment.
+
+        The prompt is not stored: the key is a hash of it, the model and
+        the tag, so a prompt re-rendered from the codebook and the corpus is
+        checked by recomputing the key. The line is written by one
+        ``os.write`` before this returns, so a crash loses at most it.
+        """
+        entry = [
+            request.model,
+            request.tag,
+            {"text": response.text, "provider_meta": dict(response.provider_meta)},
+        ]
+        body = json.dumps(entry, separators=(",", ":"), ensure_ascii=False)
+        line = f"{key}\t{body}\n".encode("utf-8")
+        with self._lock:
+            if not self._release.alive:
+                raise ValueError("request cache is closed")
+            if self._own is None:
+                name = f"segment-{self._generation}-{os.getpid()}-{os.urandom(8).hex()}"
+                path = self.directory / name
+                flags = os.O_RDWR | os.O_CREAT | os.O_EXCL | os.O_APPEND
+                self._fds[len(self._paths)] = os.open(path, flags, 0o644)
+                self._own = len(self._paths)
+                self._paths.append(path)
+                self._bases.append(self._end)
+            written = os.write(self._fds[self._own], line)
+            position = self._end
+            self._end += written
+            if written != len(line):
+                # The torn line reads as a miss; the next put starts a new segment.
+                path, self._own = self._paths[self._own], None
+                raise OSError(f"short write to cache segment {path}")
+            prefix = int(key[:16], 16)
+            i = bisect_left(self._prefixes, prefix)
+            if i < len(self._prefixes) and self._prefixes[i] == prefix:
+                self._positions[i], self._lengths[i] = position, written - 1
+            else:
+                self._prefixes.insert(i, prefix)
+                self._positions.insert(i, position)
+                self._lengths.insert(i, written - 1)
+
+    def _line_at(self, position: int, length: int) -> bytes | None:
+        """The line starting at ``position``, without its newline; None when
+        the segment has been cut short since it was indexed."""
+        segment = bisect_right(self._bases, position) - 1
+        fd = self._fds.get(segment)
+        if fd is None:
+            if len(self._fds) >= MAX_OPEN_SEGMENTS:
+                oldest = next(s for s in self._fds if s != self._own)
+                os.close(self._fds.pop(oldest))
+            fd = self._fds[segment] = os.open(self._paths[segment], os.O_RDONLY)
+        line = os.pread(fd, length, position - self._bases[segment])
+        return line if len(line) == length else None
+
+    def _corrupt(self, position: int, exc: Exception) -> None:
+        """A miss for a writable cache; otherwise raise naming the line."""
+        if self.writable:
+            return None
+        segment = bisect_right(self._bases, position) - 1
+        where = path = self._paths[segment]
+        try:
+            with open(path, "rb") as fh:
+                lines_before = fh.read(position - self._bases[segment]).count(b"\n")
+            where = f"{path} line {lines_before + 1}"
+        except OSError:
+            pass
+        raise CacheMissError(f"corrupt cache entry {where}: {exc}") from exc
 
 
 class ScriptedMock:
@@ -232,19 +453,19 @@ class LLMClient:
     """Front end for chat completions with four modes.
 
     live    - always call the endpoint, no cache traffic.
-    record  - read-through cache: serve hits, fetch and persist misses; a
-              corrupt entry is a miss, fetched again and overwritten.
-    replay  - cache only; a miss is an error naming the request key, a
-              corrupt entry one naming its path.
+    record  - read-through cache: serve hits, fetch and append misses; a
+              corrupt entry is a miss, fetched again and appended.
+    replay  - cache only, never written; a miss is an error naming the
+              request key, a corrupt entry one naming its file and line.
     mock    - delegate to an offline responder, no cache or network.
 
-    The cache holds one JSON file per request key (filename = hex key),
-    holding the model, the tag and the response, not the prompt.
-    ``complete`` is safe to call from several threads: cache writes are
-    serialized and atomic, reads need no lock. ``max_inflight`` is the
-    number of concurrent requests the caller may issue (``run_iterations``
-    sizes its pool by it); the client sizes its own HTTP connection pool to
-    match but does not enforce it.
+    Record and replay keep their responses in a ``RequestCache`` under
+    ``cache_dir``; live and mock ignore it. ``complete`` is safe to call
+    from several threads. ``max_inflight`` is the number of concurrent
+    requests the caller may issue (``run_iterations`` sizes its pool by it);
+    the client sizes its own HTTP connection pool to match but does not
+    enforce it. ``close`` (or leaving a ``with`` block) releases the
+    cache's open files.
     """
 
     def __init__(
@@ -273,9 +494,6 @@ class LLMClient:
         self.mode = mode
         self.base_url = (base_url or os.environ.get(BASE_URL_ENV) or DEFAULT_BASE_URL).rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.mock = mock
         self.max_attempts = max_attempts
         self.timeout = timeout
@@ -297,7 +515,22 @@ class LLMClient:
         self._session = session
         self._sleep = sleep
         self._rng = rng
-        self._cache_write_lock = threading.Lock()
+        self._cache = (
+            RequestCache(cache_dir, writable=mode == "record")
+            if mode in ("record", "replay")
+            else None
+        )
+
+    def close(self) -> None:
+        """Release the request cache's open files."""
+        if self._cache is not None:
+            self._cache.close()
+
+    def __enter__(self) -> LLMClient:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def complete(self, request: PromptRequest) -> LLMResponse:
         """Execute one stateless completion per the configured mode."""
@@ -308,21 +541,16 @@ class LLMClient:
                 provider_meta={"provider": "mock"},
                 from_cache=False,
             )
-        if self.mode in ("record", "replay"):
-            path = self._cache_path(request.request_key)
-            try:
-                cached = _read_cache_entry(path)
-            except (OSError, ValueError) as exc:
-                if self.mode == "replay":
-                    raise CacheMissError(f"corrupt cache entry {path}: {exc}") from exc
-                cached = None  # record mode fetches again and overwrites it
+        if self._cache is not None:
+            key = request.request_key
+            cached = self._cache.get(key)
             if cached is not None:
                 return cached
             if self.mode == "replay":
-                raise CacheMissError(f"no cached response for request_key {request.request_key}")
+                raise CacheMissError(f"no cached response for request_key {key}")
         response = self._post(request)
         if self.mode == "record":
-            self._cache_write(path, request, response)
+            self._cache.put(key, request, response)
         return response
 
     # -- transport ---------------------------------------------------------
@@ -355,28 +583,3 @@ class LLMClient:
                     f"chat completion failed after {attempt} attempts: {failure}"
                 )
             self._sleep(delay if retry_after is None else retry_after)
-
-    # -- cache -------------------------------------------------------------
-
-    def _cache_path(self, key: str) -> Path:
-        assert self.cache_dir is not None
-        return self.cache_dir / key
-
-    def _cache_write(self, path: Path, request: PromptRequest, response: LLMResponse) -> None:
-        # The prompt is not stored: the file name is its request key, so a
-        # prompt re-rendered from the codebook and the corpus is checked by
-        # recomputing the key from it, the model and the tag.
-        entry = {
-            "request": {"model": request.model, "tag": request.tag},
-            "response": {
-                "text": response.text,
-                "provider_meta": dict(response.provider_meta),
-            },
-        }
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        with self._cache_write_lock:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                # dumps runs the C encoder once; json.dump feeds the file
-                # chunk by chunk from the pure-Python encoder.
-                fh.write(json.dumps(entry, ensure_ascii=False))
-            os.replace(tmp, path)

@@ -1,18 +1,22 @@
 import gc
 import hashlib
+import functools
 import json
+import os
 import random
 import shutil
+import subprocess
 import sys
 import threading
 import time
 import weakref
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 import chunkcode as cc
-from chunkcode import report
+from chunkcode import llm_client, report
 from chunkcode.engine import cell_tag, record_from_json, record_to_json
 from chunkcode.errors import ConfigError
 
@@ -504,43 +508,166 @@ def network_client(endpoint, max_inflight, mode="live", cache_dir=None):
     )
 
 
+SEGMENT_CFG = cc.RunConfig(model="m", strategy="chunk", chunk_size=4, iterations=2)
+
+
+def cached_run(codebook, corpus, cache, out, mode, endpoint=None):
+    """A chunk run of ``corpus`` through ``cache``: its result and records bytes."""
+    client = network_client(endpoint or FakeEndpoint(delay=lambda: 0.0), 2, mode, cache)
+    with client:
+        result = report.write_run(out, corpus, codebook, SEGMENT_CFG, client)
+    return result, (out / report.RECORDS_NAME).read_bytes()
+
+
 def test_cache_mixing_entry_shapes_replays_the_recorded_bytes(
     codebook, tiny_corpus, old_cache_entry, tmp_path
 ):
-    """Entries that hold their prompt text, as entries once did, and entries
-    that do not serve side by side; a record-mode rerun sends no request."""
-    cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=4, iterations=2)
+    """Flat entries, as caches held them before segments (with and without
+    their prompt text), serve beside segment lines; a record-mode rerun
+    sends no request and writes nothing."""
     cache = tmp_path / "cache"
-
-    def run(name, mode, endpoint):
-        out = tmp_path / name
-        client = network_client(endpoint, 2, mode, cache)
-        assert report.write_run(out, tiny_corpus, codebook, cfg, client).ok
-        return out / report.RECORDS_NAME
-
-    recorded = run("record", "record", FakeEndpoint(delay=lambda: 0.0))
-    # Every other entry gets its prompt back, re-rendered from the corpus and
-    # the codebook and checked against the entry's name, its request key.
+    run = functools.partial(cached_run, codebook, tiny_corpus, cache)
+    _, recorded = run(tmp_path / "record", "record")
+    (segment,) = cache.iterdir()
+    lines = {line[:64].decode(): line for line in segment.read_bytes().splitlines(keepends=True)}
+    # Every other entry moves to a flat file; every other of those also gets
+    # its prompt back, re-rendered from the corpus and the codebook and
+    # checked against its request key.
     dims = {dim.id: dim for dim in codebook}
     docs = {doc.doc_id: doc for doc in tiny_corpus}
-    for record in list(cc.read_records_jsonl(recorded))[::2]:
-        body = cc.chunk_document(docs[record.doc_id], cfg.chunk_size)[record.chunk_index].text
-        tag = cell_tag(record.doc_id, record.dimension_id, record.iteration, record.chunk_index)
-        prompt = cc.render_prompt(dims[record.dimension_id], body)
-        request = cc.PromptRequest(cfg.model, prompt, tag)
-        assert request.request_key == record.request_key
-        path = cache / record.request_key
-        entry = json.loads(path.read_text(encoding="utf-8"))
-        entry["request"]["prompt_text"] = request.prompt_text
-        path.write_text(json.dumps(entry), encoding="utf-8")
+    records = list(cc.read_records_jsonl(tmp_path / "record" / report.RECORDS_NAME))
+    for n, record in enumerate(records[::2]):
+        model, tag, response = json.loads(lines.pop(record.request_key).split(b"\t", 1)[1])
+        request = {"model": model, "tag": tag}
+        if n % 2:
+            chunks = cc.chunk_document(docs[record.doc_id], SEGMENT_CFG.chunk_size)
+            prompt = cc.render_prompt(dims[record.dimension_id], chunks[record.chunk_index].text)
+            assert cc.PromptRequest(model, prompt, tag).request_key == record.request_key
+            request["prompt_text"] = prompt
+        entry = {"request": request, "response": response}
+        (cache / record.request_key).write_text(json.dumps(entry), encoding="utf-8")
     # One of this run's entries as it was recorded with its prompt text.
-    assert (cache / old_cache_entry.name).is_file()
+    assert old_cache_entry.name.encode() in recorded
+    lines.pop(old_cache_entry.name, None)
     shutil.copy(old_cache_entry, cache)
+    segment.write_bytes(b"".join(lines.values()))
+    listing = sorted(cache.iterdir())
 
-    assert run("replay", "replay", FakeEndpoint()).read_bytes() == recorded.read_bytes()
+    assert run(tmp_path / "replay", "replay")[1] == recorded
     endpoint = FakeEndpoint()
-    assert run("rerun", "record", endpoint).read_bytes() == recorded.read_bytes()
+    assert run(tmp_path / "rerun", "record", endpoint)[1] == recorded
     assert endpoint.calls == 0
+    assert sorted(cache.iterdir()) == listing
+
+
+def test_segment_cut_mid_line_reads_that_key_as_a_miss(codebook, tiny_corpus, tmp_path):
+    cache = tmp_path / "cache"
+    run = functools.partial(cached_run, codebook, tiny_corpus, cache)
+    _, recorded = run(tmp_path / "record", "record")
+    (segment,) = cache.iterdir()
+    data = segment.read_bytes()
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1
+    key = data[last : last + 64].decode()
+    segment.write_bytes(data[: (last + len(data)) // 2])
+
+    result, _ = run(tmp_path / "replay", "replay")
+    (failure,) = result.failures
+    assert f"no cached response for request_key {key}" in failure.error
+    endpoint = FakeEndpoint()
+    assert run(tmp_path / "rerun", "record", endpoint)[1] == recorded
+    assert endpoint.calls == 1
+    assert len(list(cache.iterdir())) == 2
+    assert run(tmp_path / "replay2", "replay")[1] == recorded
+
+
+def test_two_processes_recording_into_one_cache_at_once(codebook, tiny_corpus, tmp_path):
+    """Each process opens the cache before either writes, so each records
+    every prompt into a segment of its own."""
+    script = """if True:
+        import hashlib, json, sys
+        import chunkcode as cc
+        from chunkcode import report
+
+        class Response:
+            status_code = 200
+            def __init__(self, text):
+                self.text = text
+            def json(self):
+                return {"choices": [{"message": {"content": self.text}}]}
+
+        class Endpoint:
+            def post(self, url, json=None, headers=None, timeout=None):
+                prompt = json["messages"][0]["content"]
+                odd = hashlib.sha256(prompt.encode()).digest()[0] % 2
+                return Response(POSITIVE if odd else NEGATIVE)
+
+        POSITIVE, NEGATIVE, spec, out = sys.argv[1:]
+        spec = json.loads(spec)
+        cb = cc.Codebook(tuple(cc.Dimension(*dim) for dim in spec["dims"]))
+        corpus = [cc.DocumentText.from_raw(*doc) for doc in spec["docs"]]
+        cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=4, iterations=2)
+        with cc.LLMClient(mode="record", base_url="http://t/v1", cache_dir=spec["cache"],
+                          session=Endpoint(), max_inflight=2) as client:
+            print("opened", flush=True)
+            sys.stdin.readline()
+            assert report.write_run(out, corpus, cb, cfg, client).ok
+    """
+    cache = tmp_path / "cache"
+    run = functools.partial(cached_run, codebook, tiny_corpus, cache)
+    spec = json.dumps({
+        "dims": [[dim.id, dim.name, dim.definition] for dim in codebook],
+        "docs": [[doc.doc_id, doc.raw] for doc in tiny_corpus],
+        "cache": str(cache),
+    })
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cc.__file__))}
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script, POSITIVE, NEGATIVE, spec, str(tmp_path / f"out{i}")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+        )
+        for i in range(2)
+    ]
+    try:
+        assert [proc.stdout.readline() for proc in procs] == ["opened\n"] * 2
+        for proc in procs:
+            proc.communicate("go\n", timeout=60)
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    assert [proc.returncode for proc in procs] == [0, 0]
+    recorded = (tmp_path / "out0" / report.RECORDS_NAME).read_bytes()
+    assert (tmp_path / "out1" / report.RECORDS_NAME).read_bytes() == recorded
+    segments = list(cache.iterdir())
+    assert len(segments) == 2
+    for segment in segments:
+        assert segment.read_bytes().count(b"\n") == recorded.count(b"\n")
+    endpoint = FakeEndpoint()
+    assert run(tmp_path / "replay", "replay", endpoint)[1] == recorded
+    assert endpoint.calls == 0
+
+
+def test_more_segments_than_open_descriptors_replay(codebook, tiny_corpus, tmp_path):
+    cache = tmp_path / "cache"
+    run = functools.partial(cached_run, codebook, tiny_corpus, cache)
+    _, recorded = run(tmp_path / "record", "record")
+    (segment,) = cache.iterdir()
+    lines = segment.read_bytes().splitlines(keepends=True)
+    segment.unlink()
+    count = llm_client.MAX_OPEN_SEGMENTS + 3
+    for i in range(count):  # round robin: consecutive prompts read different segments
+        (cache / f"segment-1-0-{i:02x}").write_bytes(b"".join(lines[i::count]))
+
+    fds = Path("/proc/self/fd")
+    before = len(list(fds.iterdir()))
+    client = network_client(FakeEndpoint(), 2, "replay", cache)
+    result = report.write_run(tmp_path / "replay", tiny_corpus, codebook, SEGMENT_CFG, client)
+    assert result.ok
+    assert len(list(fds.iterdir())) - before <= llm_client.MAX_OPEN_SEGMENTS
+    client.close()
+    assert len(list(fds.iterdir())) == before
+    assert (tmp_path / "replay" / report.RECORDS_NAME).read_bytes() == recorded
 
 
 class TestConcurrentDispatch:

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import shutil
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -224,14 +225,16 @@ class TestClientModes:
         assert replayed.from_cache is True
         assert replayed.text == "recorded text"
 
-    def test_cache_file_named_by_request_key(self, tmp_path):
+    def test_segment_line_headed_by_request_key(self, tmp_path):
         session = FakeSession([FakeResponse(200, completion_payload("x"))])
         client = cc.LLMClient(
             mode="record", base_url="http://t/v1", cache_dir=tmp_path, session=session
         )
         req = make_request("name check")
         client.complete(req)
-        assert (tmp_path / req.request_key).is_file()
+        (segment,) = tmp_path.iterdir()
+        assert re.fullmatch(r"segment-1-\d+-[0-9a-f]{16}", segment.name)
+        assert segment.read_bytes().startswith(f"{req.request_key}\t".encode())
 
     def test_own_session_pools_max_inflight_connections(self):
         client = cc.LLMClient(mode="live", max_inflight=16)
@@ -260,6 +263,14 @@ class TestClientModes:
         cc.LLMClient(mode="live", max_inflight=16, session=session)
         assert session.adapters == before
 
+    def test_live_mode_ignores_the_cache_directory(self, tmp_path):
+        session = FakeSession([FakeResponse(200, completion_payload("pong"))])
+        cache = tmp_path / "cache"
+        client = cc.LLMClient(mode="live", base_url="http://t/v1", cache_dir=cache, session=session)
+        assert [client.complete(make_request()).text for _ in range(2)] == ["pong", "pong"]
+        assert len(session.calls) == 2
+        assert not cache.exists()
+
     def test_strict_replay_miss(self, tmp_path):
         client = cc.LLMClient(mode="replay", cache_dir=tmp_path)
         req = make_request("never recorded")
@@ -271,21 +282,25 @@ def record_client(cache_dir, session):
     return cc.LLMClient(mode="record", base_url="http://t/v1", cache_dir=cache_dir, session=session)
 
 
+def segment_entry(key, body):
+    return f"{key}\t{body}\n".encode("utf-8")
+
+
 class TestCacheEntries:
     def test_record_entry_holds_the_response_not_the_prompt(self, tmp_path):
-        session = FakeSession([FakeResponse(200, completion_payload("the answer"))])
+        session = FakeSession([FakeResponse(200, completion_payload("the answer — ü"))])
         req = make_request("a prompt the entry leaves out", tag="doc/dim/i1/c0")
         record_client(tmp_path, session).complete(req)
-        raw = (tmp_path / req.request_key).read_text(encoding="utf-8")
-        entry = json.loads(raw)
-        assert list(entry) == ["request", "response"]
-        assert entry["request"] == {"model": "gpt-test", "tag": "doc/dim/i1/c0"}
-        assert list(entry["response"]) == ["text", "provider_meta"]
-        assert entry["response"]["text"] == "the answer"
-        meta = entry["response"]["provider_meta"]
-        assert list(meta) == ["status", "latency_s", "model", "usage"]
-        assert meta["usage"] == {"prompt_tokens": 3, "completion_tokens": 5}
-        assert "leaves out" not in raw
+        (segment,) = tmp_path.iterdir()
+        raw = segment.read_bytes()
+        latency = json.loads(raw.split(b"\t", 1)[1])[2]["provider_meta"]["latency_s"]
+        assert raw == segment_entry(
+            req.request_key,
+            '["gpt-test","doc/dim/i1/c0",{"text":"the answer — ü","provider_meta":'
+            f'{{"status":200,"latency_s":{latency!r},"model":"gpt-test",'
+            '"usage":{"prompt_tokens":3,"completion_tokens":5}}}]',
+        )
+        assert b"leaves out" not in raw
 
     def test_entry_recorded_with_its_prompt_still_serves(self, old_cache_entry, tmp_path):
         entry = json.loads(old_cache_entry.read_text(encoding="utf-8"))
@@ -316,7 +331,85 @@ class TestCacheEntries:
         session = FakeSession([FakeResponse(200, completion_payload("fetched again"))])
         assert record_client(tmp_path, session).complete(req).text == "fetched again"
         assert len(session.calls) == 1
-        assert json.loads(path.read_text(encoding="utf-8"))["response"]["text"] == "fetched again"
+        assert cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req).text == "fetched again"
+        assert path.read_text(encoding="utf-8") == content  # flat files are never rewritten
+
+    @pytest.mark.parametrize(
+        "content",
+        ['["m","t",{}]', '["m","t","x"]', '["m","t",{"text":5}]', '{"text":"x"}', '["m","t",{"te'],
+        ids=["no text", "response not an object", "text not a string", "not a list", "not JSON"],
+    )
+    def test_malformed_segment_line_is_corrupt(self, tmp_path, content):
+        req, other = make_request("p"), make_request("other")
+        segment = tmp_path / "segment-1-1-00"
+        segment.write_bytes(
+            segment_entry(other.request_key, '["m","",{"text":"fine"}]')
+            + segment_entry(req.request_key, content)
+        )
+        replayer = cc.LLMClient(mode="replay", cache_dir=tmp_path)
+        assert replayer.complete(other).text == "fine"
+        with pytest.raises(
+            CacheMissError, match=f"corrupt cache entry {re.escape(str(segment))} line 2"
+        ):
+            replayer.complete(req)
+
+        session = FakeSession([FakeResponse(200, completion_payload("fetched again"))])
+        recorder = record_client(tmp_path, session)
+        assert recorder.complete(req).text == "fetched again"
+        assert recorder.complete(req).from_cache is True
+        assert len(session.calls) == 1
+        assert cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req).text == "fetched again"
+
+    def test_torn_headless_or_other_key_line_reads_as_a_miss(self, tmp_path):
+        torn, headless, whole = make_request("torn"), make_request("headless"), make_request("w")
+        shadowed = make_request("shadowed")
+        key = shadowed.request_key
+        other_key = key[:16] + ("0" if key[16] != "0" else "1") + key[17:]  # same index prefix
+        line = segment_entry(torn.request_key, '["m","",{"text":"cut"}]')
+        (tmp_path / "segment-1-1-00").write_bytes(
+            b"no key here\n"
+            + segment_entry(whole.request_key, '["m","",{"text":"whole"}]')
+            + segment_entry(other_key, '["m","",{"text":"another key"}]')
+            + headless.request_key.encode()
+            + b' ["m","",{"text":"no tab"}]\n'
+            + line[:-1]
+        )
+        replayer = cc.LLMClient(mode="replay", cache_dir=tmp_path)
+        assert replayer.complete(whole).text == "whole"
+        for req in (torn, headless, shadowed):
+            with pytest.raises(CacheMissError, match=f"no cached response for request_key {req.request_key}"):
+                replayer.complete(req)
+
+    def test_later_line_for_a_key_wins(self, tmp_path):
+        req = make_request("p")
+        (tmp_path / "segment-1-1-00").write_bytes(
+            segment_entry(req.request_key, '["m","",{"text":"first"}]')
+            + segment_entry(req.request_key, '["m","",{"text":"second"}]')
+        )
+        (tmp_path / "segment-2-1-00").write_bytes(
+            segment_entry(req.request_key, '["m","",{"text":"third"}]')
+        )
+        (tmp_path / req.request_key).write_text('{"response": {"text": "flat"}}', encoding="utf-8")
+        assert cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req).text == "third"
+
+    def test_index_retains_at_most_24_bytes_per_entry(self, tmp_path):
+        n = 51_000
+        keys = [make_request(str(i)).request_key for i in range(n)]
+        with open(tmp_path / "segment-1-1-00", "wb") as fh:
+            for i, key in enumerate(keys):
+                fh.write(segment_entry(key, f'["m","",{{"text":"answer {i}"}}]'))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = llm_client.RequestCache(tmp_path, writable=False)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 24 * n
+        for i in (0, n // 2, n - 1):
+            assert cache.get(keys[i]).text == f"answer {i}"
+        assert cache.get(make_request("absent").request_key) is None
+        cache.close()
 
 
 class TestRetryBehaviour:

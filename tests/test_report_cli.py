@@ -146,6 +146,35 @@ class TestRunCommand:
         assert result.exit_code == 1
         assert "no cached response" in result.output
 
+    def test_replay_writes_nothing_to_the_cache_directory(self, workspace, monkeypatch):
+        missing = workspace / "missing"
+        result = cli(
+            "run",
+            *run_args(workspace, workspace / "cold", **{"--cache-mode": "replay", "--cache-dir": missing}),
+        )
+        assert result.exit_code == 1
+        assert "no cached response" in result.output
+        assert not missing.exists()
+
+        def fake_build_client(cache_mode, cache_dir, seed, flip_probability, max_inflight):
+            session = self.StaticSession("The paper does not focus on it.")
+            return cc.LLMClient(mode=cache_mode, cache_dir=cache_dir, session=session)
+
+        monkeypatch.setattr("chunkcode.cli._build_client", fake_build_client)
+        cache = workspace / "cache"
+        options = {"--cache-mode": "record", "--cache-dir": cache, "--iterations": 2}
+        assert cli("run", *run_args(workspace, workspace / "rec", **options)).exit_code == 0
+
+        def listing():
+            return {p.name: (p.stat().st_size, p.stat().st_mtime_ns) for p in [cache, *cache.iterdir()]}
+
+        before = listing()
+        for iterations, exit_code in ((2, 0), (3, 2)):  # iteration 3 misses
+            options = {"--cache-mode": "replay", "--cache-dir": cache, "--iterations": iterations}
+            result = cli("run", *run_args(workspace, workspace / f"rep{iterations}", **options))
+            assert result.exit_code == exit_code, result.output
+        assert listing() == before
+
     def test_invalid_config_exits_one(self, workspace):
         result = cli("run", *run_args(workspace, workspace / "out", **{"--chunk-size": 0}))
         assert result.exit_code == 1
@@ -357,7 +386,9 @@ class TestCrashAndResume:
         assert not (out / report.RUN_META_NAME).exists()
         written = (out / report.RECORDS_NAME).read_bytes()
         assert written == (workspace / "full" / report.RECORDS_NAME).read_bytes()[: len(written)]
-        cached = len(list((workspace / "cache_resumed").iterdir()))
+        cached = sum(
+            segment.read_bytes().count(b"\n") for segment in (workspace / "cache_resumed").iterdir()
+        )
         assert 0 < cached < full.calls
 
         resumed = HashSession()
