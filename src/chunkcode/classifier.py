@@ -10,8 +10,6 @@ from typing import Iterable, Iterator
 
 from .errors import ConfigError
 
-_WHITESPACE_RUN = re.compile(r"\s+")
-
 # Stock marker list: a response containing any of these (case-insensitive,
 # single-spaced) is coded True. Order matters only for which match is logged.
 _DEFAULT_PHRASES = (
@@ -32,20 +30,27 @@ _DEFAULT_PHRASES = (
 )
 
 
+def _fold(text: str) -> str:
+    """``text`` lowercased, its whitespace runs collapsed to single spaces and
+    its edges stripped; whitespace is what ``str.split`` splits on."""
+    return " ".join(text.split()).lower()
+
+
 class KeyPhraseSet:
     """Ordered list of phrases whose presence marks a response True.
 
     Phrases are stored lowercase with inner whitespace collapsed to single
-    spaces; duplicates and empty entries are rejected.
+    spaces; duplicates and empty entries are rejected. Each phrase's
+    word-boundary pattern is compiled once, here.
     """
 
-    __slots__ = ("phrases",)
+    __slots__ = ("phrases", "_bounded")
 
     def __init__(self, phrases: Iterable[str]):
         normalized: list[str] = []
         seen: set[str] = set()
         for phrase in phrases:
-            p = _WHITESPACE_RUN.sub(" ", phrase).strip().lower()
+            p = _fold(phrase)
             if not p:
                 raise ValueError("key phrases must be nonempty")
             if p in seen:
@@ -55,6 +60,7 @@ class KeyPhraseSet:
         if not normalized:
             raise ValueError("at least one key phrase is required")
         self.phrases = tuple(normalized)
+        self._bounded = tuple((p, re.compile(rf"\b{re.escape(p)}\b")) for p in self.phrases)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.phrases)
@@ -99,13 +105,16 @@ def classify(
     (in list order) is recorded. With ``word_boundary`` the phrase must also
     start and end on word boundaries, so "yes" no longer hits "yesterday".
     """
-    haystack = _WHITESPACE_RUN.sub(" ", response_text).lower()
-    for phrase in phrases:
-        if word_boundary:
-            if re.search(rf"\b{re.escape(phrase)}\b", haystack):
+    haystack = _fold(response_text)
+    if word_boundary:
+        # A boundary match is also a substring match, so the scan goes first.
+        for phrase, pattern in phrases._bounded:
+            if phrase in haystack and pattern.search(haystack):
                 return BinaryCode(True, phrase)
-        elif phrase in haystack:
-            return BinaryCode(True, phrase)
+    else:
+        for phrase in phrases.phrases:
+            if phrase in haystack:
+                return BinaryCode(True, phrase)
     return BinaryCode(False)
 
 

@@ -420,9 +420,13 @@ def iteration_results_from_records(
 # -- persistence -----------------------------------------------------------
 
 
+# Built once: json.dumps builds an encoder per call when given options.
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+
+
 def record_to_json(record: PromptRecord) -> str:
     """Canonical single-line JSON for one record (stable byte-for-byte)."""
-    return json.dumps(
+    return _RECORD_ENCODER.encode(
         {
             "doc_id": record.doc_id,
             "dimension_id": record.dimension_id,
@@ -434,10 +438,7 @@ def record_to_json(record: PromptRecord) -> str:
             "code": record.code.value,
             "matched_phrase": record.code.matched_phrase,
             "request_key": record.request_key,
-        },
-        sort_keys=True,
-        ensure_ascii=True,
-        separators=(",", ":"),
+        }
     )
 
 

@@ -337,7 +337,11 @@ class RequestCache:
             {"text": response.text, "provider_meta": dict(response.provider_meta)},
         ]
         body = json.dumps(entry, separators=(",", ":"), ensure_ascii=False)
-        line = f"{key}\t{body}\n".encode("utf-8")
+        try:
+            line = f"{key}\t{body}\n".encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, whose JSON escape reads back as itself
+            body = json.dumps(entry, separators=(",", ":"), ensure_ascii=True)
+            line = f"{key}\t{body}\n".encode("ascii")
         with self._lock:
             if not self._release.alive:
                 raise ValueError("request cache is closed")

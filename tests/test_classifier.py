@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 
 import pytest
 from hypothesis import given
@@ -12,6 +14,41 @@ from sample_responses import NEGATIVE_RESPONSES, POSITIVE_RESPONSES
 @pytest.fixture(scope="module")
 def phrases():
     return cc.default_key_phrases()
+
+
+# The folding classify and KeyPhraseSet used before str.split, kept as the
+# reference the current folding must agree with.
+REGEX_WHITESPACE = re.compile(r"\s+")
+
+
+def regex_normalized(phrase):
+    return REGEX_WHITESPACE.sub(" ", phrase).strip().lower()
+
+
+def regex_classify(text, phrases, word_boundary):
+    haystack = REGEX_WHITESPACE.sub(" ", text).lower()
+    for phrase in phrases:
+        if word_boundary:
+            if re.search(rf"\b{re.escape(phrase)}\b", haystack):
+                return cc.BinaryCode(True, phrase)
+        elif phrase in haystack:
+            return cc.BinaryCode(True, phrase)
+    return cc.BinaryCode(False)
+
+
+ALL_CODE_POINTS = range(sys.maxunicode + 1)
+WHITESPACE = [c for c in map(chr, ALL_CODE_POINTS) if c.isspace()]
+FRAGMENTS = [
+    "yes", "YES", "Yes", "yesterday", "is", "discussed", "mention", "ed", "the text does",
+    "indeed", "implicit", "c++", "e.g.", "(", ")", "-", "_", "'", "x", "İ", "ß", "9",
+]
+# Phrases with non-word edges, where \b depends on the neighbouring characters,
+# and one with inner Unicode whitespace.
+EDGE_PHRASES = cc.KeyPhraseSet(["c++", "(yes)", "e.g.", "- ed", "is\u00a0 discussed"])
+pieces = st.lists(
+    st.sampled_from(WHITESPACE) | st.sampled_from(FRAGMENTS) | st.text(max_size=3), max_size=30
+).map("".join)
+runs = st.text(alphabet=WHITESPACE, max_size=4)
 
 
 class TestDefaultPhrases:
@@ -58,6 +95,16 @@ class TestKeyPhraseSet:
         with pytest.raises(ValueError):
             cc.KeyPhraseSet([])
 
+    @given(runs, pieces, runs)
+    def test_normalized_as_the_regex_reference(self, head, phrase, tail):
+        phrase = head + phrase + tail
+        expected = regex_normalized(phrase)
+        if not expected:
+            with pytest.raises(ValueError, match="nonempty"):
+                cc.KeyPhraseSet([phrase])
+        else:
+            assert cc.KeyPhraseSet([phrase]).phrases == (expected,)
+
 
 class TestBinaryCode:
     def test_true_requires_phrase(self):
@@ -96,6 +143,19 @@ class TestClassify:
 
     def test_whitespace_runs_normalized(self, phrases):
         assert cc.classify("the topic is\n   discussed", phrases).value is True
+
+    def test_regex_and_str_split_whitespace_agree(self):
+        regex_whitespace = [c for c in map(chr, ALL_CODE_POINTS) if REGEX_WHITESPACE.match(c)]
+        assert regex_whitespace == WHITESPACE
+        assert len(WHITESPACE) == 29
+
+    @pytest.mark.parametrize("word_boundary", [False, True])
+    @given(head=runs, text=pieces, tail=runs)
+    def test_folding_codes_as_the_regex_reference(self, word_boundary, head, text, tail):
+        text = head + text + tail
+        for phrases in (cc.default_key_phrases(), EDGE_PHRASES):
+            expected = regex_classify(text, phrases, word_boundary)
+            assert cc.classify(text, phrases, word_boundary=word_boundary) == expected
 
     def test_word_boundary_flag(self, phrases):
         assert cc.classify("We met yesterday.", phrases).value is True

@@ -331,6 +331,51 @@ class TestRecordSerialization:
         )
         assert record_from_json(record_to_json(record)) == record
 
+    @pytest.mark.parametrize("code", [cc.BinaryCode(False), cc.BinaryCode(True, 'say "yes"')])
+    @pytest.mark.parametrize("chunk_index", [None, 0, 7])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'quotes "yes" and \'no\'',
+            "back\\slash \\u0041 \\",
+            "controls \x00\x01\x1f\x7f\x85 \t\n\r\f\b",
+            "non-BMP \U0001d518 \U0001f642 ü — ☃",
+            "lone surrogates \ud800 \udfff \udbff\ud800",
+            "",
+        ],
+    )
+    def test_bytes_equal_json_dumps(self, text, chunk_index, code):
+        record = cc.PromptRecord(
+            doc_id=f"d{text[:3]}",
+            dimension_id=text[-2:],
+            iteration=3,
+            chunk_index=chunk_index,
+            model=text,
+            strategy="chunk",
+            raw_response=text,
+            code=code,
+            request_key="ab" * 32,
+        )
+        expected = json.dumps(
+            {
+                "doc_id": record.doc_id,
+                "dimension_id": record.dimension_id,
+                "iteration": record.iteration,
+                "chunk_index": record.chunk_index,
+                "model": record.model,
+                "strategy": record.strategy,
+                "raw_response": record.raw_response,
+                "code": record.code.value,
+                "matched_phrase": record.code.matched_phrase,
+                "request_key": record.request_key,
+            },
+            sort_keys=True,
+            ensure_ascii=True,
+            separators=(",", ":"),
+        )
+        assert record_to_json(record) == expected
+        assert record_from_json(expected) == record
+
     @pytest.mark.parametrize("chunk_index", [-1, "1"])
     def test_invalid_chunk_index_is_refused(self, chunk_index):
         record = cc.PromptRecord(

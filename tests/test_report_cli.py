@@ -243,15 +243,21 @@ class TestRunCommand:
         ).read_bytes()
 
     def test_replay_after_record_reproduces_run(self, workspace, monkeypatch):
-        test = self
+        self.record_then_replay(workspace, monkeypatch, "The paper does not focus on it.")
+
+    def test_answer_with_a_lone_surrogate_is_recorded_and_replayed(self, workspace, monkeypatch):
+        self.record_then_replay(workspace, monkeypatch, "Yes, bad \ud800 text")
+        assert "Yes, bad \\ud800 text" in (workspace / "rep" / report.RECORDS_NAME).read_text()
+
+    def record_then_replay(self, workspace, monkeypatch, answer):
+        """Record a run whose every answer is ``answer``, replay its cache, and
+        check both runs exit 0 with the same records bytes."""
 
         def fake_build_client(cache_mode, cache_dir, seed, flip_probability, max_inflight):
             if cache_mode == "replay":
                 return cc.LLMClient(mode="replay", cache_dir=cache_dir)
             return cc.LLMClient(
-                mode="record",
-                cache_dir=cache_dir,
-                session=test.StaticSession("The paper does not focus on it."),
+                mode="record", cache_dir=cache_dir, session=self.StaticSession(answer)
             )
 
         monkeypatch.setattr("chunkcode.cli._build_client", fake_build_client)
