@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
@@ -102,6 +101,8 @@ def default_codebook() -> Codebook:
     It carries only the dimensions whose definitions are published verbatim;
     extend it with your own entries for a full coding exercise.
     """
+    from importlib import resources  # a start-up cost no other command needs
+
     data = (
         resources.files("chunkcode").joinpath("data/default_codebook.json").read_text("utf-8")
     )

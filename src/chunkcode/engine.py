@@ -13,7 +13,6 @@ import contextlib
 import json
 import threading
 from collections import defaultdict, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -217,6 +216,8 @@ def _map_in_order(fn, items, workers: int, stop: threading.Event) -> Iterator:
     cancels the calls not yet started; leaving the pool waits for those
     already running, which may poll ``stop`` to end early.
     """
+    from concurrent.futures import ThreadPoolExecutor  # only network modes come here
+
     items = iter(items)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         ahead = islice(items, _WINDOW_PER_WORKER * workers)

@@ -21,13 +21,13 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping
-
-import requests
-from requests.adapters import HTTPAdapter
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .codebook import Dimension
 from .errors import CacheMissError, ConfigError, TransportError
+
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "CHUNKCODE_API_KEY"
 BASE_URL_ENV = "CHUNKCODE_BASE_URL"
@@ -453,6 +453,32 @@ class StochasticMock:
         return self.positive_text if value else self.negative_text
 
 
+def _own_session(base_url: str, max_inflight: int) -> requests.Session:
+    """A session for a client that posts, with its environment read once.
+
+    The HTTP stack is imported here, not at module level: replay, mock and
+    the analysis commands never post, and loading ``requests`` would double
+    their start-up.
+    """
+    import requests
+    from requests.adapters import HTTPAdapter
+
+    # urllib3 keeps 10 connections per host by default; a larger
+    # bound would open and discard a connection per request.
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_maxsize=max_inflight)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    # Read proxies, CA bundle and netrc credentials once. Left to
+    # requests, every request rescans the environment and stats the
+    # netrc paths: CPU that competes with the requests in flight.
+    env = session.merge_environment_settings(base_url, {}, None, None, None)
+    session.proxies, session.verify = env["proxies"], env["verify"]
+    session.auth = requests.utils.get_netrc_auth(base_url)
+    session.trust_env = False
+    return session
+
+
 class LLMClient:
     """Front end for chat completions with four modes.
 
@@ -502,20 +528,8 @@ class LLMClient:
         self.max_attempts = max_attempts
         self.timeout = timeout
         self.max_inflight = max_inflight
-        if session is None:
-            # urllib3 keeps 10 connections per host by default; a larger
-            # bound would open and discard a connection per request.
-            session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=max_inflight)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-            # Read proxies, CA bundle and netrc credentials once. Left to
-            # requests, every request rescans the environment and stats the
-            # netrc paths: CPU that competes with the requests in flight.
-            env = session.merge_environment_settings(self.base_url, {}, None, None, None)
-            session.proxies, session.verify = env["proxies"], env["verify"]
-            session.auth = requests.utils.get_netrc_auth(self.base_url)
-            session.trust_env = False
+        if session is None and mode in NETWORK_MODES:
+            session = _own_session(self.base_url, max_inflight)
         self._session = session
         self._sleep = sleep
         self._rng = rng
@@ -560,6 +574,8 @@ class LLMClient:
     # -- transport ---------------------------------------------------------
 
     def _post(self, request: PromptRequest) -> LLMResponse:
+        import requests  # for RequestException; loaded already with an own session
+
         url = f"{self.base_url}/chat/completions"
         body = {
             "model": request.model,

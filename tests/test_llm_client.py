@@ -257,11 +257,33 @@ class TestClientModes:
         bypassed = cc.LLMClient(mode="live", base_url="https://internal.example/v1")
         assert "https" not in bypassed._session.proxies
 
-    def test_caller_session_is_left_as_is(self):
+    @pytest.mark.parametrize("mode", llm_client.CACHE_MODES)
+    def test_caller_session_is_left_as_is(self, tmp_path, mode):
         session = requests.Session()
         before = dict(session.adapters)
-        cc.LLMClient(mode="live", max_inflight=16, session=session)
+        with cc.LLMClient(
+            mode=mode, max_inflight=16, cache_dir=tmp_path, mock=lambda request: "ok", session=session
+        ) as client:
+            assert client._session is session
         assert session.adapters == before
+        session.close()
+
+    @pytest.mark.parametrize("mode", ["replay", "mock"])
+    def test_offline_client_builds_no_session(self, monkeypatch, tmp_path, mode):
+        def no_netrc(url, raise_errors=False):
+            raise AssertionError("an offline client looked up netrc")
+
+        monkeypatch.setattr(requests.utils, "get_netrc_auth", no_netrc)
+        with cc.LLMClient(mode=mode, cache_dir=tmp_path, mock=lambda request: "ok") as client:
+            assert client._session is None
+
+    @pytest.mark.parametrize("mode", ["live", "record"])
+    def test_network_client_builds_its_own_session(self, monkeypatch, tmp_path, mode):
+        lookups = []
+        monkeypatch.setattr(requests.utils, "get_netrc_auth", lambda url: lookups.append(url))
+        with cc.LLMClient(mode=mode, base_url="http://t/v1", cache_dir=tmp_path) as client:
+            assert isinstance(client._session, requests.Session)
+        assert lookups == ["http://t/v1"]
 
     def test_live_mode_ignores_the_cache_directory(self, tmp_path):
         session = FakeSession([FakeResponse(200, completion_payload("pong"))])

@@ -2,7 +2,10 @@ import csv
 import hashlib
 import json
 import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 import requests
@@ -1068,3 +1071,50 @@ def test_golden_failure_outputs(tmp_path):
             data = (tmp_path / name / file).read_bytes()
             digests[f"{name}/{file}"] = hashlib.sha256(data).hexdigest()
     assert digests == GOLDEN_FAILURE_SHA256
+
+
+OFFLINE_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from chunkcode import cli
+for argv in json.loads(sys.argv[2]):
+    cli.main(argv, standalone_mode=False)
+    loaded = sorted({"requests", "concurrent.futures"} & sys.modules.keys())
+    assert not loaded, f"{argv[0]} loaded {loaded}"
+"""
+
+
+def test_offline_commands_never_load_the_http_stack(workspace, monkeypatch):
+    """Commands that never post load neither requests nor a thread pool: in a
+    fresh interpreter, each of them leaves both out of ``sys.modules``."""
+    cache = workspace / "cache"
+    monkeypatch.setattr(
+        "chunkcode.cli._build_client",
+        lambda cache_mode, cache_dir, seed, flip_probability, max_inflight: cc.LLMClient(
+            mode="record", cache_dir=cache_dir, session=HashSession()
+        ),
+    )
+    record = run_args(workspace, workspace / "rec", **{"--cache-mode": "record", "--cache-dir": cache})
+    recorded = cli("run", *record)
+    assert recorded.exit_code == 0, recorded.output
+    samples = workspace / "samples.csv"
+    samples.write_text("group,value\na,1\na,2\nb,3\nb,4\n", encoding="utf-8")
+    replay = {"--cache-mode": "replay", "--cache-dir": cache}
+    commands = [
+        ["validate-codebook", "--codebook", workspace / "codebook.json"],
+        ["run", *run_args(workspace, workspace / "mock", **{"--strategy": "whole"})],
+        ["run", *run_args(workspace, workspace / "rep", **replay)],
+        ["consensus", "--records", workspace / "rep" / report.RECORDS_NAME, "--out", workspace / "redo"],
+        ["evaluate", "--manual", workspace / "manual.csv", "--run", workspace / "mock",
+         "--run", workspace / "rep", "--out", workspace / "reports"],
+        ["stats", "--samples", samples, "--test", "mann-whitney"],
+    ]
+    src = Path(cc.__file__).resolve().parents[1]
+    argvs = json.dumps([[str(a) for a in argv] for argv in commands])
+    child = subprocess.run(
+        [sys.executable, "-c", OFFLINE_CHILD, str(src), argvs], capture_output=True, text=True
+    )
+    assert child.returncode == 0, child.stderr
+    assert (workspace / "rep" / report.RECORDS_NAME).read_bytes() == (
+        workspace / "rec" / report.RECORDS_NAME
+    ).read_bytes()
