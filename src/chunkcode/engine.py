@@ -22,7 +22,7 @@ from .classifier import BinaryCode, KeyPhraseSet, classify, default_key_phrases
 from .codebook import Codebook, Dimension
 from .errors import ChunkCodeError, ConfigError, IngestionError
 from .ingestion import DocumentText, chunk_document
-from .llm_client import NETWORK_MODES, LLMClient, PromptRequest, render_prompt
+from .llm_client import NETWORK_MODES, LLMClient, PromptRequest, decode_json, render_prompt
 
 STRATEGIES = ("whole", "chunk")
 # Cells submitted ahead of the one being consumed, per worker.
@@ -421,25 +421,29 @@ def iteration_results_from_records(
 # -- persistence -----------------------------------------------------------
 
 
-# Built once: json.dumps builds an encoder per call when given options.
-_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+# The string escape of json.dumps with ensure_ascii (quotes included).
+_escape = json.encoder.encode_basestring_ascii
 
 
 def record_to_json(record: PromptRecord) -> str:
-    """Canonical single-line JSON for one record (stable byte-for-byte)."""
-    return _RECORD_ENCODER.encode(
-        {
-            "doc_id": record.doc_id,
-            "dimension_id": record.dimension_id,
-            "iteration": record.iteration,
-            "chunk_index": record.chunk_index,
-            "model": record.model,
-            "strategy": record.strategy,
-            "raw_response": record.raw_response,
-            "code": record.code.value,
-            "matched_phrase": record.code.matched_phrase,
-            "request_key": record.request_key,
-        }
+    """Canonical single-line JSON for one record (stable byte-for-byte).
+
+    The bytes of ``json.dumps`` with sorted keys, ``,``/``:`` separators and
+    ``ensure_ascii``, written through a fixed template in that key order.
+    """
+    chunk, code = record.chunk_index, record.code
+    phrase = code.matched_phrase
+    return (
+        f'{{"chunk_index":{"null" if chunk is None else chunk},'
+        f'"code":{"true" if code.value else "false"},'
+        f'"dimension_id":{_escape(record.dimension_id)},'
+        f'"doc_id":{_escape(record.doc_id)},'
+        f'"iteration":{record.iteration},'
+        f'"matched_phrase":{"null" if phrase is None else _escape(phrase)},'
+        f'"model":{_escape(record.model)},'
+        f'"raw_response":{_escape(record.raw_response)},'
+        f'"request_key":{_escape(record.request_key)},'
+        f'"strategy":{_escape(record.strategy)}}}'
     )
 
 
@@ -455,7 +459,7 @@ def record_from_json(line: str) -> PromptRecord:
     not an object, KeyError for a missing field, and ValueError for a field
     of the wrong type or an invalid code.
     """
-    data = json.loads(line)
+    data = decode_json(line)
     for name in _RECORD_STRING_FIELDS:
         if not isinstance(data[name], str):
             raise _field_error(data, name, "a string")

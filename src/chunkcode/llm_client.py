@@ -177,11 +177,30 @@ def _read_cache_entry(path: Path) -> LLMResponse | None:
     )
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def decode_json(text: str):
+    """``json.loads(text)``, without its set-up when one value fills the text.
+
+    Any other text (whitespace around the value, data after it, invalid
+    JSON) goes to ``json.loads``, so what is accepted, what is refused and
+    every error message are its own.
+    """
+    try:
+        value, end = _raw_decode(text)
+    except json.JSONDecodeError:
+        return json.loads(text)
+    if end != len(text):
+        return json.loads(text)
+    return value
+
+
 def _response_from_line(line: bytes) -> LLMResponse:
     """The response a segment line ``<key>\\t<JSON [model, tag, response]>``
     holds; a line of another shape raises ValueError."""
     # Decoded first: given bytes, json.loads detects the encoding every call.
-    entry = json.loads(line[65:].decode("utf-8"))
+    entry = decode_json(line[65:].decode("utf-8"))
     if not (
         isinstance(entry, list)
         and len(entry) == 3
@@ -201,7 +220,6 @@ def _response_from_line(line: bytes) -> LLMResponse:
 
 _SEGMENT_NAME = re.compile(r"segment-(\d+)-\d+-[0-9a-f]+")
 _FLAT_NAME = re.compile(r"[0-9a-f]{64}")
-_LINE_HEAD = re.compile(rb"[0-9a-f]{64}\t")
 # Open segment descriptors a cache holds at most, its own segment included.
 MAX_OPEN_SEGMENTS = 16
 _LOW64 = (1 << 64) - 1
@@ -272,7 +290,12 @@ class RequestCache:
             offset = 0
             with open(path, "rb") as fh:
                 for line in fh:
-                    if line[-1:] == b"\n" and _LINE_HEAD.match(line):
+                    # The head is 64 lowercase hex digits and a tab.
+                    if (
+                        line[-1:] == b"\n"
+                        and line[64:65] == b"\t"
+                        and not line[:64].strip(b"0123456789abcdef")
+                    ):
                         position = self._end + offset
                         entries.append(int(line[:16], 16) << 96 | position << 32 | len(line) - 1)
                     offset += len(line)
@@ -280,15 +303,12 @@ class RequestCache:
             self._bases.append(self._end)
             self._end += offset
         entries.sort()
-        self._prefixes, self._positions, self._lengths = array("Q"), array("Q"), array("I")
-        for entry in entries:
-            prefix, position, length = entry >> 96, entry >> 32 & _LOW64, entry & 0xFFFF_FFFF
-            if self._prefixes and self._prefixes[-1] == prefix:  # a later line for the key
-                self._positions[-1], self._lengths[-1] = position, length
-            else:
-                self._prefixes.append(prefix)
-                self._positions.append(position)
-                self._lengths.append(length)
+        # Sorted, a key's lines run in written order: keep each key's last.
+        latest = [entry for entry, after in zip(entries, entries[1:]) if entry >> 96 != after >> 96]
+        latest += entries[-1:]
+        self._prefixes = array("Q", (entry >> 96 for entry in latest))
+        self._positions = array("Q", (entry >> 32 & _LOW64 for entry in latest))
+        self._lengths = array("I", (entry & 0xFFFF_FFFF for entry in latest))
 
     def close(self) -> None:
         """Release the open descriptors; the cache is not used after this."""

@@ -14,10 +14,10 @@ from collections import defaultdict
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import agreement, engine
-from .agreement import RatingMatrix, Subject
+from .agreement import ConfusionCounts, RatingMatrix, Subject
 from .codebook import Codebook
 from .errors import DegenerateKappaError, IngestionError, UndefinedMetricError
 from .ingestion import DocumentText
@@ -249,6 +249,14 @@ def write_consensus_csv(
 # -- table construction --------------------------------------------------------
 
 
+def _defined(metric: Callable[[ConfusionCounts], float], counts: ConfusionCounts) -> float | None:
+    """The metric of ``counts``, or None (an empty cell) where it is undefined."""
+    try:
+        return metric(counts)
+    except UndefinedMetricError:
+        return None
+
+
 def performance_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict]:
     """One row per run: internal agreement, accuracy, precision and recall."""
     gold = agreement.manual_consensus(manual)
@@ -261,8 +269,8 @@ def performance_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict
                 "strategy": run.strategy,
                 "internal_agreement": run.internal.model,
                 "accuracy": agreement.accuracy(counts),
-                "precision": agreement.precision(counts),
-                "recall": agreement.recall(counts),
+                "precision": _defined(agreement.precision, counts),
+                "recall": _defined(agreement.recall, counts),
             }
         )
     return rows
@@ -291,14 +299,6 @@ def per_dimension_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[di
                 {s: pred[s] for s in subjects if s in pred},
                 {s: gold[s] for s in subjects},
             )
-            try:
-                positive_rate = agreement.recall(counts)
-            except UndefinedMetricError:
-                positive_rate = None
-            try:
-                negative_rate = agreement.negative_identification_rate(counts)
-            except UndefinedMetricError:
-                negative_rate = None
             rows.append(
                 {
                     "model": run.model,
@@ -308,8 +308,8 @@ def per_dimension_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[di
                     "tn": counts.tn,
                     "manual_positives": counts.tp + counts.fn,
                     "manual_negatives": counts.tn + counts.fp,
-                    "positive_rate": positive_rate,
-                    "negative_rate": negative_rate,
+                    "positive_rate": _defined(agreement.recall, counts),
+                    "negative_rate": _defined(agreement.negative_identification_rate, counts),
                 }
             )
     return rows

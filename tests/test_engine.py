@@ -14,9 +14,11 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import chunkcode as cc
-from chunkcode import llm_client, report
+from chunkcode import engine, llm_client, report
 from chunkcode.engine import cell_tag, record_from_json, record_to_json
 from chunkcode.errors import ConfigError
 
@@ -35,6 +37,31 @@ def chunk_index_of(request):
 
 def iteration_of(request):
     return int(request.tag.split("/i", 1)[1].split("/", 1)[0])
+
+
+# Any text, lone surrogates and C0/C1 controls included.
+ANY_TEXT = st.text(st.characters(blacklist_categories=()))
+
+
+def sorted_json_dumps(record):
+    """A record line as json.dumps writes it: the form records.jsonl keeps."""
+    return json.dumps(
+        {
+            "doc_id": record.doc_id,
+            "dimension_id": record.dimension_id,
+            "iteration": record.iteration,
+            "chunk_index": record.chunk_index,
+            "model": record.model,
+            "strategy": record.strategy,
+            "raw_response": record.raw_response,
+            "code": record.code.value,
+            "matched_phrase": record.code.matched_phrase,
+            "request_key": record.request_key,
+        },
+        sort_keys=True,
+        ensure_ascii=True,
+        separators=(",", ":"),
+    )
 
 
 class TestRunConfig:
@@ -375,6 +402,31 @@ class TestRecordSerialization:
         )
         assert record_to_json(record) == expected
         assert record_from_json(expected) == record
+
+    @given(
+        texts=st.lists(ANY_TEXT, min_size=6, max_size=6),
+        chunk_index=st.none() | st.integers(min_value=0),
+        iteration=st.integers(min_value=1),
+        code=st.just(cc.BinaryCode(False)) | st.builds(cc.BinaryCode, st.just(True), ANY_TEXT),
+    )
+    def test_template_equals_sorted_json_dumps(self, texts, chunk_index, iteration, code):
+        doc_id, dimension_id, model, strategy, raw_response, request_key = texts
+        record = cc.PromptRecord(
+            doc_id, dimension_id, iteration, chunk_index, model, strategy, raw_response, code,
+            request_key,
+        )
+        line = record_to_json(record)
+        assert line == sorted_json_dumps(record)
+        assert record_from_json(line) == record
+
+    def test_template_with_the_pure_python_escape(self, monkeypatch):
+        """The escape interpreters built without ``_json`` use gives the same line."""
+        monkeypatch.setattr(engine, "_escape", json.encoder.py_encode_basestring_ascii)
+        text = 'controls \x00\x1f\x7f\x85 "q" \\ \ud800 \U0001f642 \u2028'
+        record = cc.PromptRecord(
+            text, text, 4, 2, text, text, text, cc.BinaryCode(True, text), text
+        )
+        assert record_to_json(record) == sorted_json_dumps(record)
 
     @pytest.mark.parametrize("chunk_index", [-1, "1"])
     def test_invalid_chunk_index_is_refused(self, chunk_index):

@@ -300,6 +300,34 @@ class TestClientModes:
             client.complete(req)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '["m","t",{"text":"x"}]',
+        ' \t\n\r{"a":[1,2.5,null]} \n',
+        "\u00a0[]",
+        "\ufeff[]",
+        "[1]x",
+        "[1] [2]",
+        "[1]{}",
+        "[1",
+        "",
+        "   ",
+        "NaN",
+        '"\\ud800"',
+    ],
+)
+def test_decode_json_accepts_and_refuses_as_json_loads(text):
+    try:
+        expected = json.loads(text)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(json.JSONDecodeError) as refused:
+            llm_client.decode_json(text)
+        assert (refused.value.msg, refused.value.pos) == (exc.msg, exc.pos)
+    else:
+        assert repr(llm_client.decode_json(text)) == repr(expected)  # NaN is not NaN
+
+
 def record_client(cache_dir, session):
     return cc.LLMClient(mode="record", base_url="http://t/v1", cache_dir=cache_dir, session=session)
 
@@ -358,8 +386,22 @@ class TestCacheEntries:
 
     @pytest.mark.parametrize(
         "content",
-        ['["m","t",{}]', '["m","t","x"]', '["m","t",{"text":5}]', '{"text":"x"}', '["m","t",{"te'],
-        ids=["no text", "response not an object", "text not a string", "not a list", "not JSON"],
+        [
+            '["m","t",{}]',
+            '["m","t","x"]',
+            '["m","t",{"text":5}]',
+            '{"text":"x"}',
+            '["m","t",{"te',
+            '["m","t",{"text":"x"}]x',
+        ],
+        ids=[
+            "no text",
+            "response not an object",
+            "text not a string",
+            "not a list",
+            "not JSON",
+            "data after the array",
+        ],
     )
     def test_malformed_segment_line_is_corrupt(self, tmp_path, content):
         req, other = make_request("p"), make_request("other")
@@ -401,6 +443,26 @@ class TestCacheEntries:
         for req in (torn, headless, shadowed):
             with pytest.raises(CacheMissError, match=f"no cached response for request_key {req.request_key}"):
                 replayer.complete(req)
+
+    def test_whitespace_around_the_json_still_serves(self, tmp_path):
+        req = make_request("p")
+        (tmp_path / "segment-1-1-00").write_bytes(
+            segment_entry(req.request_key, ' \t["m","",{"text":"spaced"}]\r ')
+        )
+        assert cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req).text == "spaced"
+
+    def test_line_without_a_lowercase_hex_head_neither_serves_nor_shadows(self, tmp_path):
+        served, unserved = make_request("served"), make_request("unserved")
+        lines = [segment_entry(served.request_key, '["m","",{"text":"kept"}]')]
+        for key in (served.request_key, unserved.request_key):
+            assert key.upper() != key
+            heads = (key.upper(), key[:63], key[:8] + "_" + key[9:], key[:40] + "g" + key[41:])
+            lines += [segment_entry(head, '["m","",{"text":"bad head"}]') for head in heads]
+        (tmp_path / "segment-1-1-00").write_bytes(b"".join(lines))
+        replayer = cc.LLMClient(mode="replay", cache_dir=tmp_path)
+        assert replayer.complete(served).text == "kept"
+        with pytest.raises(CacheMissError, match="no cached response"):
+            replayer.complete(unserved)
 
     def test_later_line_for_a_key_wins(self, tmp_path):
         req = make_request("p")

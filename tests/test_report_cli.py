@@ -490,6 +490,14 @@ def true_code_without_phrase(lines):
     return 3
 
 
+def data_after_the_object(suffix):
+    def defect(lines):
+        lines[1] += suffix
+        return 2
+
+    return defect
+
+
 def set_field(name, value):
     def defect(lines):
         record = json.loads(lines[1])
@@ -505,6 +513,9 @@ def set_field(name, value):
     "defect, problem",
     [
         (truncate_last_line, "invalid JSON (column"),
+        # {column} is the column just past the line as written.
+        (data_after_the_object("x"), "invalid JSON (column {column}: Extra data)"),
+        (data_after_the_object("{}"), "invalid JSON (column {column}: Extra data)"),
         (drop_a_field, "record lacks field 'request_key'"),
         (true_code_without_phrase, "a True code must record its matched phrase"),
         (set_field("doc_id", ["a"]), 'field \'doc_id\' must be a string, not ["a"]'),
@@ -514,6 +525,8 @@ def set_field(name, value):
     ],
     ids=[
         "truncated",
+        "data after the object",
+        "a second object",
         "field missing",
         "true without phrase",
         "doc_id a list",
@@ -527,8 +540,10 @@ def test_malformed_record_is_named_by_file_and_line(workspace, command, defect, 
     assert cli("run", *run_args(workspace, out)).exit_code == 0
     path = out / report.RECORDS_NAME
     lines = path.read_text(encoding="utf-8").splitlines()
+    written = list(lines)
     number = defect(lines)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    problem = problem.format(column=len(written[number - 1]) + 1)
 
     dest = workspace / "dest"
     if command == "consensus":
@@ -787,6 +802,20 @@ class TestEvaluateCommand:
         assert (row["raters"], row["percent_agreement"], row["percent_agreement_flag"]) == (
             "5", "1.0", "ok"
         )
+
+    def test_run_coding_nothing_true_gives_an_empty_precision_cell(self, workspace):
+        phrases = workspace / "phrases.json"
+        phrases.write_text('["xyzzy"]', encoding="utf-8")  # no mock answer holds it
+        out = workspace / "out"
+        assert cli("run", *run_args(workspace, out, **{"--phrases": phrases})).exit_code == 0
+
+        result, reports = self.evaluate(workspace)
+        assert result.exit_code == 0, result.output
+        assert len(list(reports.iterdir())) == 13
+        with open(reports / "performance.csv", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["precision"], row["recall"]) == ("", "0.0")
+        assert "| mock-model | chunk |" in (reports / "performance.md").read_text(encoding="utf-8")
 
     def test_single_iteration_gives_an_undefined_kappa_row(self, workspace):
         out = workspace / "out"
