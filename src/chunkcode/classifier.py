@@ -41,10 +41,12 @@ class KeyPhraseSet:
 
     Phrases are stored lowercase with inner whitespace collapsed to single
     spaces; duplicates and empty entries are rejected. Each phrase's
-    word-boundary pattern is compiled once, here.
+    word-boundary pattern and the True code it marks are built once, here:
+    ``codes`` maps each phrase to the one ``BinaryCode`` that ``classify``
+    returns for it.
     """
 
-    __slots__ = ("phrases", "_bounded")
+    __slots__ = ("phrases", "codes", "_bounded")
 
     def __init__(self, phrases: Iterable[str]):
         normalized: list[str] = []
@@ -60,6 +62,7 @@ class KeyPhraseSet:
         if not normalized:
             raise ValueError("at least one key phrase is required")
         self.phrases = tuple(normalized)
+        self.codes = {p: BinaryCode(True, p) for p in self.phrases}
         self._bounded = tuple((p, re.compile(rf"\b{re.escape(p)}\b")) for p in self.phrases)
 
     def __iter__(self) -> Iterator[str]:
@@ -95,6 +98,11 @@ class BinaryCode:
             raise ValueError("a False code cannot carry a matched phrase")
 
 
+# The one False code: classify returns it for every response that matches no
+# phrase, and engine.record_from_json for every such record it reads.
+NO_MATCH = BinaryCode(False)
+
+
 def classify(
     response_text: str, phrases: KeyPhraseSet, *, word_boundary: bool = False
 ) -> BinaryCode:
@@ -104,18 +112,20 @@ def classify(
     whitespace runs collapsed to single spaces; the first phrase to occur
     (in list order) is recorded. With ``word_boundary`` the phrase must also
     start and end on word boundaries, so "yes" no longer hits "yesterday".
+    The code is shared, not built per call: the phrase set's code for the
+    phrase, or ``NO_MATCH``.
     """
     haystack = _fold(response_text)
     if word_boundary:
         # A boundary match is also a substring match, so the scan goes first.
         for phrase, pattern in phrases._bounded:
             if phrase in haystack and pattern.search(haystack):
-                return BinaryCode(True, phrase)
+                return phrases.codes[phrase]
     else:
         for phrase in phrases.phrases:
             if phrase in haystack:
-                return BinaryCode(True, phrase)
-    return BinaryCode(False)
+                return phrases.codes[phrase]
+    return NO_MATCH
 
 
 def default_key_phrases() -> KeyPhraseSet:

@@ -16,9 +16,9 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .classifier import BinaryCode, KeyPhraseSet, classify, default_key_phrases
+from .classifier import NO_MATCH, BinaryCode, KeyPhraseSet, classify, default_key_phrases
 from .codebook import Codebook, Dimension
 from .errors import ChunkCodeError, ConfigError, IngestionError
 from .ingestion import DocumentText, chunk_document
@@ -27,6 +27,10 @@ from .llm_client import NETWORK_MODES, LLMClient, PromptRequest, decode_json, re
 STRATEGIES = ("whole", "chunk")
 # Cells submitted ahead of the one being consumed, per worker.
 _WINDOW_PER_WORKER = 4
+# A records file's chunk indices lie below this. A document would need a
+# million words at chunk size 1 to reach it; an index read from a file is
+# refused at or above it, since reducing a cell costs a bit per index.
+CHUNK_INDEX_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,11 @@ class RunConfig:
             raise ConfigError("phrases must be a KeyPhraseSet")
 
 
-@dataclass(frozen=True)
-class PromptRecord:
+# A NamedTuple rather than a dataclass, as ingestion.Chunk: a run, a replay
+# and every load of a records file build one per prompt, and a tuple costs a
+# fraction of a frozen dataclass to build. The hot paths build it
+# positionally; the keyword constructor costs about twice as much.
+class PromptRecord(NamedTuple):
     """One model exchange, fully attributable to its cell."""
 
     doc_id: str
@@ -194,15 +201,8 @@ def _complete_cell(
         return CellFailure(doc_id, dim.id, iteration, chunk_index, error)
     code = classify(response.text, cfg.phrases, word_boundary=cfg.word_boundary)
     return PromptRecord(
-        doc_id=doc_id,
-        dimension_id=dim.id,
-        iteration=iteration,
-        chunk_index=chunk_index,
-        model=cfg.model,
-        strategy=cfg.strategy,
-        raw_response=response.text,
-        code=code,
-        request_key=request.request_key,
+        doc_id, dim.id, iteration, chunk_index, cfg.model, cfg.strategy, response.text, code,
+        request.request_key,
     )
 
 
@@ -468,20 +468,15 @@ def record_from_json(line: str) -> PromptRecord:
         raise _field_error(data, "iteration", "a positive integer")
     if chunk is not None and (type(chunk) is not int or chunk < 0):
         raise _field_error(data, "chunk_index", "null or a non-negative integer")
-    if type(data["code"]) is not bool:
+    value = data["code"]
+    if type(value) is not bool:
         raise _field_error(data, "code", "true or false")
     if phrase is not None and not isinstance(phrase, str):
         raise _field_error(data, "matched_phrase", "null or a string")
+    code = NO_MATCH if value is False and phrase is None else BinaryCode(value, phrase)
     return PromptRecord(
-        doc_id=data["doc_id"],
-        dimension_id=data["dimension_id"],
-        iteration=iteration,
-        chunk_index=chunk,
-        model=data["model"],
-        strategy=data["strategy"],
-        raw_response=data["raw_response"],
-        code=BinaryCode(data["code"], phrase),
-        request_key=data["request_key"],
+        data["doc_id"], data["dimension_id"], iteration, chunk, data["model"],
+        data["strategy"], data["raw_response"], code, data["request_key"],
     )
 
 
@@ -493,8 +488,8 @@ def read_records_jsonl(path: str | Path) -> Iterator[PromptRecord]:
     """Yield the records of a records file, one line at a time.
 
     A line that is not JSON, lacks a field, holds a field of the wrong type
-    or an invalid code raises an IngestionError naming the file and the
-    line number.
+    or an invalid code, or a chunk index at or above ``CHUNK_INDEX_LIMIT``,
+    raises an IngestionError naming the file and the line number.
     """
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -503,13 +498,18 @@ def read_records_jsonl(path: str | Path) -> Iterator[PromptRecord]:
                 continue
             try:
                 record = record_from_json(line)
+                chunk = record.chunk_index
+                if chunk is not None and chunk >= CHUNK_INDEX_LIMIT:
+                    raise ValueError(
+                        f"field 'chunk_index' must be below {CHUNK_INDEX_LIMIT}, not {chunk}"
+                    )
             except json.JSONDecodeError as exc:
                 problem = f"invalid JSON (column {exc.colno}: {exc.msg})"
             except KeyError as exc:
                 problem = f"record lacks field {exc}"
             except TypeError:
                 problem = "not a JSON object"
-            except ValueError as exc:  # a code that breaks BinaryCode's invariants
+            except ValueError as exc:  # a mistyped or out-of-range field, an invalid code
                 problem = str(exc)
             else:
                 yield record

@@ -19,9 +19,10 @@ import time
 import weakref
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from .codebook import Dimension
 from .errors import CacheMissError, ConfigError, TransportError
@@ -91,12 +92,13 @@ class PromptRequest:
         return key
 
 
-@dataclass(frozen=True)
-class LLMResponse:
+# A NamedTuple, as engine.PromptRecord: a replay builds one per prompt. The
+# default metadata is one shared mapping, so it is a read-only view.
+class LLMResponse(NamedTuple):
     """Verbatim assistant text plus transport metadata."""
 
     text: str
-    provider_meta: Mapping[str, object] = field(default_factory=dict)
+    provider_meta: Mapping[str, object] = MappingProxyType({})
     from_cache: bool = False
 
 
@@ -211,11 +213,7 @@ def _response_from_line(line: bytes) -> LLMResponse:
     ):
         raise ValueError("not a [model, tag, {text, ...}] entry")
     response = entry[2]
-    return LLMResponse(
-        text=response["text"],
-        provider_meta=response.get("provider_meta", {}),
-        from_cache=True,
-    )
+    return LLMResponse(response["text"], response.get("provider_meta", {}), True)
 
 
 _SEGMENT_NAME = re.compile(r"segment-(\d+)-\d+-[0-9a-f]+")

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import chunkcode as cc
+from chunkcode.classifier import NO_MATCH
 from chunkcode.errors import ConfigError
 from sample_responses import NEGATIVE_RESPONSES, POSITIVE_RESPONSES
 
@@ -155,7 +156,21 @@ class TestClassify:
         text = head + text + tail
         for phrases in (cc.default_key_phrases(), EDGE_PHRASES):
             expected = regex_classify(text, phrases, word_boundary)
-            assert cc.classify(text, phrases, word_boundary=word_boundary) == expected
+            code = cc.classify(text, phrases, word_boundary=word_boundary)
+            assert code == expected
+            assert code is (phrases.codes[code.matched_phrase] if code.value else NO_MATCH)
+
+    @pytest.mark.parametrize("word_boundary", [False, True])
+    def test_codes_are_shared_not_built_per_call(self, phrases, word_boundary):
+        for text, fresh in [
+            ("Yes, it is.", cc.BinaryCode(True, "yes")),
+            ("The topic is discussed.", cc.BinaryCode(True, "is discussed")),
+            ("Nothing of the kind.", cc.BinaryCode(False)),
+        ]:
+            first = cc.classify(text, phrases, word_boundary=word_boundary)
+            assert first == fresh
+            assert first is cc.classify(text.upper(), phrases, word_boundary=word_boundary)
+            assert first is (phrases.codes[fresh.matched_phrase] if fresh.value else NO_MATCH)
 
     def test_word_boundary_flag(self, phrases):
         assert cc.classify("We met yesterday.", phrases).value is True

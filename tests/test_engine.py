@@ -9,7 +9,6 @@ import subprocess
 import sys
 import threading
 import time
-import weakref
 from itertools import product
 from pathlib import Path
 
@@ -227,14 +226,31 @@ class TestRunIterations:
             client = mock_client(lambda request: POSITIVE)
         else:
             client = network_client(FakeEndpoint(delay=lambda: 0.0), max_inflight)
-        cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=2, iterations=3)
-        refs = []
-        rr = cc.run_iterations(
-            tiny_corpus, codebook, cfg, client, record_sink=lambda r: refs.append(weakref.ref(r))
-        )
-        gc.collect()
-        assert refs and all(ref() is None for ref in refs)
-        assert rr.ok and rr.prompts == len(refs) == (4 + 2) * 3 * 3
+        # Records are tuples, which take no weak reference, so the test looks
+        # for them among the objects the collector tracks. The sink holds the
+        # first record back, to show that the scan finds a record still alive.
+        cfg = cc.RunConfig(model="outlives", strategy="chunk", chunk_size=2, iterations=3)
+        held, seen = [], []
+
+        def sink(record):
+            if not held:
+                held.append(record)
+            seen.append(record.request_key)
+
+        rr = cc.run_iterations(tiny_corpus, codebook, cfg, client, record_sink=sink)
+
+        def live_records():
+            gc.collect()
+            return [
+                o for o in gc.get_objects() if type(o) is cc.PromptRecord and o.model == cfg.model
+            ]
+
+        found = live_records()
+        assert len(found) == 1 and found[0] is held[0]
+        del found
+        held.clear()
+        assert live_records() == []
+        assert rr.ok and rr.prompts == len(seen) == (4 + 2) * 3 * 3
 
     def test_single_iteration_consensus_equals_iteration(self, codebook, tiny_corpus, negative_mock):
         cfg = cc.RunConfig(model="m", strategy="whole", iterations=1)

@@ -1,3 +1,4 @@
+import collections.abc
 import json
 import random
 import re
@@ -159,6 +160,19 @@ class TestMocks:
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
             cc.StochasticMock(seed=0, flip_probability=1.5)
+
+
+class TestLLMResponse:
+    def test_default_provider_meta_is_empty_and_read_only(self):
+        meta = cc.LLMResponse("x").provider_meta
+        assert dict(meta) == {}
+        with pytest.raises(TypeError):
+            meta["status"] = 200
+
+    def test_default_responses_share_no_mutable_mapping(self):
+        first, second = cc.LLMResponse("a"), cc.LLMResponse("b")
+        for meta in (first.provider_meta, second.provider_meta):
+            assert not isinstance(meta, collections.abc.MutableMapping)
 
 
 class TestClientModes:

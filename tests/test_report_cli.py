@@ -522,6 +522,10 @@ def set_field(name, value):
         (set_field("iteration", "1"), 'field \'iteration\' must be a positive integer, not "1"'),
         (set_field("iteration", True), "field 'iteration' must be a positive integer, not true"),
         (set_field("code", 1), "field 'code' must be true or false, not 1"),
+        (
+            set_field("chunk_index", 2**63),
+            f"field 'chunk_index' must be below {engine.CHUNK_INDEX_LIMIT}, not {2**63}",
+        ),
     ],
     ids=[
         "truncated",
@@ -533,6 +537,7 @@ def set_field(name, value):
         "iteration a string",
         "iteration a bool",
         "code a number",
+        "chunk_index 2**63",
     ],
 )
 def test_malformed_record_is_named_by_file_and_line(workspace, command, defect, problem):
