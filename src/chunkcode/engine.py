@@ -27,9 +27,9 @@ from .llm_client import NETWORK_MODES, LLMClient, PromptRequest, decode_json, re
 STRATEGIES = ("whole", "chunk")
 # Cells submitted ahead of the one being consumed, per worker.
 _WINDOW_PER_WORKER = 4
-# A records file's chunk indices lie below this. A document would need a
-# million words at chunk size 1 to reach it; an index read from a file is
-# refused at or above it, since reducing a cell costs a bit per index.
+# Chunk indices lie below this. A document would need a million words at
+# chunk size 1 to reach it; a run that would reach it is refused, and so is
+# a record at or above it, since reducing a cell costs a bit per index.
 CHUNK_INDEX_LIMIT = 1_000_000
 
 
@@ -234,8 +234,9 @@ def _map_in_order(fn, items, workers: int, stop: threading.Event) -> Iterator:
                 future.cancel()
 
 
-def validate_corpus(corpus: Sequence[DocumentText]) -> None:
-    """Reject an empty corpus, a repeated doc_id or a document without words."""
+def validate_corpus(corpus: Sequence[DocumentText], cfg: RunConfig) -> None:
+    """Reject an empty corpus, a repeated doc_id, a document without words,
+    and a chunk run that would give a chunk index of ``CHUNK_INDEX_LIMIT``."""
     if not corpus:
         raise ConfigError("corpus is empty")
     seen: set[str] = set()
@@ -245,6 +246,11 @@ def validate_corpus(corpus: Sequence[DocumentText]) -> None:
         seen.add(doc.doc_id)
         if not doc.words:
             raise ConfigError(f"document {doc.doc_id!r} has no words")
+        if cfg.strategy == "chunk" and len(doc.words) > CHUNK_INDEX_LIMIT * cfg.chunk_size:
+            raise ConfigError(
+                f"document {doc.doc_id!r} has {len(doc.words)} words: at chunk size"
+                f" {cfg.chunk_size} its chunk indices would reach {CHUNK_INDEX_LIMIT}"
+            )
 
 
 def run_iterations(
@@ -278,7 +284,7 @@ def run_iterations(
     requests in flight finish; the sink has then seen a canonical-order
     prefix of the run.
     """
-    validate_corpus(corpus)
+    validate_corpus(corpus, cfg)
     bodies_by_doc = {doc.doc_id: _prompt_bodies(doc, cfg) for doc in corpus}
     cells = (
         (iteration, doc_id, bodies, dim)
@@ -402,10 +408,9 @@ def iteration_results_from_records(
                 f" {record.strategy!r} follows records of model {run[0]!r}, strategy {run[1]!r}"
             )
         chunk = record.chunk_index
-        try:
-            bit = 2 if chunk is None else 4 << chunk
-        except (TypeError, ValueError):
-            raise IngestionError(f"record of cell {key} has chunk index {chunk!r}") from None
+        if not (chunk is None or type(chunk) is int and 0 <= chunk < CHUNK_INDEX_LIMIT):
+            raise IngestionError(f"record of cell {key} has chunk index {chunk!r}")
+        bit = 2 if chunk is None else 4 << chunk
         state = cells.get(key, 0)
         if state & bit:
             repeats.append(f"cell {key[:2]} iteration {key[2]} chunk {chunk}")

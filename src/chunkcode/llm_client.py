@@ -136,16 +136,23 @@ def _retry_after_s(value: str | None) -> float | None:
 
 
 def _completion(resp: requests.Response, latency: float) -> LLMResponse:
-    """The completion a 200 answer carries; a malformed payload is not retried."""
+    """The completion a 200 answer carries. A malformed payload, an answer cut
+    short or withheld, and an empty answer are refused and not retried."""
     try:
         data = resp.json()
-        text = data["choices"][0]["message"]["content"]
+        choice = data["choices"][0]
+        text = choice["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise TransportError(
             f"chat completion failed: malformed completion payload: {exc}"
         ) from exc
     if not isinstance(text, str):
         raise TransportError("chat completion failed: completion content is not a string")
+    finish = choice.get("finish_reason")
+    if finish in ("length", "content_filter"):
+        raise TransportError(f"chat completion failed: unfinished answer (finish_reason {finish!r})")
+    if not text.strip():
+        raise TransportError(f"chat completion failed: empty answer (finish_reason {finish!r})")
     meta = {
         "status": resp.status_code,
         "latency_s": latency,
@@ -169,14 +176,14 @@ def _read_cache_entry(path: Path) -> LLMResponse | None:
             entry = json.load(fh)
     except FileNotFoundError:
         return None
-    response = entry.get("response") if isinstance(entry, dict) else None
+    return _stored_response(entry.get("response") if isinstance(entry, dict) else None)
+
+
+def _stored_response(response) -> LLMResponse:
+    """The cached response a stored object holds; ValueError unless its ``text`` is a string."""
     if not (isinstance(response, dict) and isinstance(response.get("text"), str)):
         raise ValueError("no response object with a string text")
-    return LLMResponse(
-        text=response["text"],
-        provider_meta=response.get("provider_meta", {}),
-        from_cache=True,
-    )
+    return LLMResponse(response["text"], response.get("provider_meta", {}), True)
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -208,12 +215,9 @@ def _response_from_line(line: bytes) -> LLMResponse:
         and len(entry) == 3
         and isinstance(entry[0], str)
         and isinstance(entry[1], str)
-        and isinstance(entry[2], dict)
-        and isinstance(entry[2].get("text"), str)
     ):
-        raise ValueError("not a [model, tag, {text, ...}] entry")
-    response = entry[2]
-    return LLMResponse(response["text"], response.get("provider_meta", {}), True)
+        raise ValueError("not a [model, tag, response] entry")
+    return _stored_response(entry[2])
 
 
 _SEGMENT_NAME = re.compile(r"segment-(\d+)-\d+-[0-9a-f]+")
@@ -239,13 +243,14 @@ class RequestCache:
     the directory when the cache was opened, so a segment sorts after every
     segment its writer could read. Opening lists the directory once and
     indexes every segment, by generation and then name; a later line for a
-    key wins. A
-    line without its trailing newline (torn by a crash) or without a key
-    head is skipped, so it reads as a miss. The index is three arrays sorted
-    by key, 20 B per entry: each key's first 8 bytes, where its line starts
-    among the segments laid end to end, and the line's length. A read checks
-    the whole key, so a key sharing another's prefix reads as a miss rather
-    than as the other's response.
+    key wins. A line without its trailing newline (torn by a crash) or
+    without a key head is skipped, so it reads as a miss. The open builds the
+    index, three arrays sorted by key, 20 B per entry: each key's first 8
+    bytes, where its line starts among the segments laid end to end, and the
+    line's length. This cache's puts go into a dict instead (about 120 B per
+    entry), read first, so a put's cost does not grow with the cache. A read
+    checks the whole key, so a key sharing another's prefix reads as a miss
+    rather than as the other's response.
 
     A key not in the index falls back to a flat file named by the key, the
     layout of caches recorded before segments; flat files are never
@@ -307,6 +312,7 @@ class RequestCache:
         self._prefixes = array("Q", (entry >> 96 for entry in latest))
         self._positions = array("Q", (entry >> 32 & _LOW64 for entry in latest))
         self._lengths = array("I", (entry & 0xFFFF_FFFF for entry in latest))
+        self._puts: dict[int, int] = {}  # prefix -> position << 32 | length
 
     def close(self) -> None:
         """Release the open descriptors; the cache is not used after this."""
@@ -319,11 +325,15 @@ class RequestCache:
         with self._lock:
             if not self._release.alive:
                 raise ValueError("request cache is closed")
-            i = bisect_left(self._prefixes, prefix)
-            if i < len(self._prefixes) and self._prefixes[i] == prefix:
-                position = self._positions[i]
+            found = self._puts.get(prefix)
+            if found is None:
+                i = bisect_left(self._prefixes, prefix)
+                if i < len(self._prefixes) and self._prefixes[i] == prefix:
+                    found = self._positions[i] << 32 | self._lengths[i]
+            if found is not None:
+                position = found >> 32
                 try:
-                    line = self._line_at(position, self._lengths[i])
+                    line = self._line_at(position, found & 0xFFFF_FFFF)
                 except OSError as exc:
                     return self._corrupt(position, exc)
         if line is not None and line[:64] == key.encode("ascii"):
@@ -378,14 +388,7 @@ class RequestCache:
                 # The torn line reads as a miss; the next put starts a new segment.
                 path, self._own = self._paths[self._own], None
                 raise OSError(f"short write to cache segment {path}")
-            prefix = int(key[:16], 16)
-            i = bisect_left(self._prefixes, prefix)
-            if i < len(self._prefixes) and self._prefixes[i] == prefix:
-                self._positions[i], self._lengths[i] = position, written - 1
-            else:
-                self._prefixes.insert(i, prefix)
-                self._positions.insert(i, position)
-                self._lengths.insert(i, written - 1)
+            self._puts[int(key[:16], 16)] = position << 32 | written - 1
 
     def _line_at(self, position: int, length: int) -> bytes | None:
         """The line starting at ``position``, without its newline; None when

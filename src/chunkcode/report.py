@@ -158,12 +158,13 @@ def write_run(
 ) -> engine.RunResult:
     """Code ``corpus`` and write its run directory; nothing else writes one.
 
-    An invalid corpus creates nothing. Records stream to ``records.jsonl``
-    as cells complete, so an interrupted run leaves a prefix from which a
-    record-mode rerun into the same cache resumes. ``run_meta.json`` takes
-    the cache mode from ``client``, its only holder.
+    An invalid corpus creates nothing, nor does a chunk run whose chunk
+    indices would reach ``engine.CHUNK_INDEX_LIMIT``. Records stream to
+    ``records.jsonl`` as cells complete, so an interrupted run leaves a
+    prefix from which a record-mode rerun into the same cache resumes.
+    ``run_meta.json`` takes the cache mode from ``client``, its only holder.
     """
-    engine.validate_corpus(corpus)
+    engine.validate_corpus(corpus, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / RECORDS_NAME, "w", encoding="utf-8", newline="\n") as fh:

@@ -444,13 +444,19 @@ class TestRecordSerialization:
         )
         assert record_to_json(record) == sorted_json_dumps(record)
 
-    @pytest.mark.parametrize("chunk_index", [-1, "1"])
+    @pytest.mark.parametrize("chunk_index", [-1, "1", 2**63, engine.CHUNK_INDEX_LIMIT, True])
     def test_invalid_chunk_index_is_refused(self, chunk_index):
         record = cc.PromptRecord(
             "d", "x", 1, chunk_index, "m", "chunk", "No.", cc.BinaryCode(False, None), "ff00"
         )
         with pytest.raises(cc.IngestionError, match=f"chunk index {chunk_index!r}"):
             cc.iteration_results_from_records([record])
+
+    def test_chunk_index_below_the_limit_is_reduced(self):
+        record = cc.PromptRecord(
+            "d", "x", 1, engine.CHUNK_INDEX_LIMIT - 1, "m", "chunk", "Yes.", cc.BinaryCode(True, "yes"), "ff"
+        )
+        assert cc.iteration_results_from_records([record]) == [cc.IterationResult("d", "x", 1, True)]
 
     def test_iteration_results_from_records_match_run(self, codebook, tiny_corpus):
         def varied(request):

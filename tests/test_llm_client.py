@@ -3,7 +3,10 @@ import json
 import random
 import re
 import shutil
+import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -509,6 +512,77 @@ class TestCacheEntries:
         assert cache.get(make_request("absent").request_key) is None
         cache.close()
 
+    def test_put_cost_does_not_grow_with_the_index_the_open_built(self, tmp_path):
+        """2,000 puts cost about as much CPU into a cache opened over 51,000
+        entries as into an empty one: a put leaves the open's index alone."""
+        n, puts = 51_000, 2_000
+        full = tmp_path / "full"
+        full.mkdir()
+        with open(full / "segment-1-1-00", "wb") as fh:
+            for i in range(n):
+                fh.write(segment_entry(make_request(str(i)).request_key, f'["m","",{{"text":"answer {i}"}}]'))
+        request, response = make_request("put"), cc.LLMResponse("an answer")
+
+        def put_cpu(directory, run):
+            # Keys new to the directory each run: a put over an indexed key
+            # is no insert.
+            keys = [make_request(f"put {run} {i}").request_key for i in range(puts)]
+            cache = llm_client.RequestCache(directory, writable=True)
+            start = time.process_time()
+            for key in keys:
+                cache.put(key, request, response)
+            cpu = time.process_time() - start
+            cache.close()
+            return cpu
+
+        full_cpu, empty_cpu = [], []
+        for run in range(3):
+            full_cpu.append(put_cpu(full, run))
+            empty_cpu.append(put_cpu(tmp_path / f"empty-{run}", run))
+        assert min(full_cpu) <= 1.5 * min(empty_cpu)
+
+    def test_a_second_put_for_a_key_is_served_over_the_first(self, tmp_path):
+        req = make_request("p")
+        cache = llm_client.RequestCache(tmp_path, writable=True)
+        cache.put(req.request_key, req, cc.LLMResponse("first"))
+        cache.put(req.request_key, req, cc.LLMResponse("second"))
+        assert cache.get(req.request_key).text == "second"
+        cache.close()
+
+    def test_concurrent_puts_are_each_served(self, tmp_path):
+        reqs = [make_request(f"p{i}") for i in range(400)]
+        cache = llm_client.RequestCache(tmp_path, writable=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                puts = pool.map(lambda r: cache.put(r.request_key, r, cc.LLMResponse(r.prompt_text)), reqs, timeout=60)
+                assert list(puts) == [None] * len(reqs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [cache.get(r.request_key).text for r in reqs] == [r.prompt_text for r in reqs]
+        cache.close()
+        reopened = llm_client.RequestCache(tmp_path, writable=False)
+        assert [reopened.get(r.request_key).text for r in reqs] == [r.prompt_text for r in reqs]
+        reopened.close()
+
+    def test_a_put_shadows_an_older_segment_line_and_wins_after_a_reopen(self, tmp_path):
+        req, other = make_request("p"), make_request("other")
+        (tmp_path / "segment-1-1-00").write_bytes(
+            segment_entry(req.request_key, '["m","",{"text":"older"}]')
+            + segment_entry(other.request_key, '["m","",{"text":"untouched"}]')
+        )
+        cache = llm_client.RequestCache(tmp_path, writable=True)
+        assert cache.get(req.request_key).text == "older"
+        cache.put(req.request_key, req, cc.LLMResponse("newer"))
+        assert cache.get(req.request_key).text == "newer"
+        assert cache.get(other.request_key).text == "untouched"
+        cache.close()
+        reopened = llm_client.RequestCache(tmp_path, writable=False)
+        assert reopened.get(req.request_key).text == "newer"
+        assert reopened.get(other.request_key).text == "untouched"
+        reopened.close()
+
 
 class TestRetryBehaviour:
     def make_client(self, session, **kwargs):
@@ -598,3 +672,37 @@ class TestRetryBehaviour:
         client, _ = self.make_client(session)
         with pytest.raises(TransportError, match="malformed"):
             client.complete(make_request())
+
+
+def finished_payload(text, finish_reason):
+    payload = completion_payload(text)
+    if finish_reason is not None:
+        payload["choices"][0]["finish_reason"] = finish_reason
+    return payload
+
+
+class TestUnfinishedAnswers:
+    """An answer the model did not finish, or an empty one, is a failure:
+    never a completion that would code False."""
+
+    @pytest.mark.parametrize(
+        "finish_reason, text, message",
+        [
+            ("length", "", "chat completion failed: unfinished answer (finish_reason 'length')"),
+            ("length", "Yes, the parameter", "chat completion failed: unfinished answer (finish_reason 'length')"),
+            ("content_filter", "", "chat completion failed: unfinished answer (finish_reason 'content_filter')"),
+            ("stop", "", "chat completion failed: empty answer (finish_reason 'stop')"),
+            (None, " \n\t", "chat completion failed: empty answer (finish_reason None)"),
+        ],
+    )
+    def test_refused_after_one_post_and_not_cached(self, tmp_path, finish_reason, text, message):
+        session = FakeSession([FakeResponse(200, finished_payload(text, finish_reason))])
+        sleeps = []
+        options = dict(base_url="http://t/v1", cache_dir=tmp_path, session=session, sleep=sleeps.append)
+        with cc.LLMClient(mode="record", **options) as client:
+            with pytest.raises(TransportError) as refused:
+                client.complete(make_request())
+        assert str(refused.value) == message
+        assert len(session.calls) == 1
+        assert sleeps == []
+        assert list(tmp_path.iterdir()) == []  # no segment, so no line

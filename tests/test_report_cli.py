@@ -138,6 +138,17 @@ class TestRunCommand:
         assert "corpus is empty" in result.output
         assert not (fresh / report.RECORDS_NAME).exists()
 
+    def test_chunk_index_at_the_limit_is_refused_before_anything_is_created(self, workspace, monkeypatch):
+        # doc-a has 12 words: chunk indices 0-2 at chunk size 5, 0-1 at 6.
+        monkeypatch.setattr(engine, "CHUNK_INDEX_LIMIT", 2)
+        out = workspace / "out"
+        result = cli("run", *run_args(workspace, out))
+        assert result.exit_code == 1
+        assert "document 'doc-a' has 12 words: at chunk size 5 its chunk indices would reach 2" in result.output
+        assert not out.exists()
+        assert cli("run", *run_args(workspace, out, **{"--chunk-size": 6})).exit_code == 0
+        assert cli("run", *run_args(workspace, workspace / "whole", **{"--strategy": "whole"})).exit_code == 0
+
     def test_cold_replay_exits_one_with_cache_miss(self, workspace):
         out = workspace / "out"
         cache = workspace / "cache"
@@ -1105,6 +1116,86 @@ def test_golden_failure_outputs(tmp_path):
             data = (tmp_path / name / file).read_bytes()
             digests[f"{name}/{file}"] = hashlib.sha256(data).hexdigest()
     assert digests == GOLDEN_FAILURE_SHA256
+
+
+class FinishSession:
+    """A session that answers each prompt as its dimension names: ``ok``
+    finished, ``cut`` cut short, ``filtered`` withheld, ``blank`` empty. It
+    counts the posts per dimension. With ``stop`` set, the finished answers
+    carry ``finish_reason: "stop"`` as well. Safe to share between threads."""
+
+    FINISHES = {"ok": None, "cut": "length", "filtered": "content_filter", "blank": "stop"}
+
+    def __init__(self, stop=False):
+        self.stop = stop
+        self.posts = {dim: 0 for dim in self.FINISHES}
+        self.lock = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        prompt = json["messages"][0]["content"]
+        dim = prompt.split("parameter '", 1)[1].split("'", 1)[0]
+        with self.lock:
+            self.posts[dim] += 1
+        text = {
+            "ok": CauseSession.ANSWERS[hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 2],
+            "cut": "Yes, the parameter",
+            "filtered": "",
+            "blank": " \n",
+        }[dim]
+        choice = {"message": {"content": text}}
+        finish = self.FINISHES[dim] or ("stop" if self.stop else None)
+        if finish is not None:
+            choice["finish_reason"] = finish
+        return CauseSession.Response(200, payload={"choices": [choice]})
+
+
+def test_unfinished_answers_fail_their_cells_and_a_rerun_sends_them_again(tmp_path):
+    """Each answer cut short, withheld or empty fails its cell after one post,
+    with a message naming why, and writes no cache line; a record-mode rerun
+    sends only those prompts again. Whether finished answers carry
+    ``finish_reason: "stop"`` changes no output byte."""
+    cb = cc.Codebook(tuple(cc.Dimension(id=d, name=d, definition=f"{d}.") for d in FinishSession.FINISHES))
+    corpus = [
+        cc.DocumentText.from_raw("doc-a", " ".join(f"alpha{i}" for i in range(7))),
+        cc.DocumentText.from_raw("doc-b", "beta0 beta1"),
+    ]
+    cfg = cc.RunConfig(model="gpt-test", strategy="chunk", chunk_size=3, iterations=2)
+    problems = {
+        "cut": "unfinished answer (finish_reason 'length')",
+        "filtered": "unfinished answer (finish_reason 'content_filter')",
+        "blank": "empty answer (finish_reason 'stop')",
+    }
+
+    def record(name, session, cache):
+        with cc.LLMClient(
+            mode="record", cache_dir=cache, session=session, sleep=lambda s: None, max_inflight=4
+        ) as client:
+            return report.write_run(tmp_path / name, corpus, cb, cfg, client)
+
+    session = FinishSession()
+    for name in ("first", "rerun"):
+        result = record(name, session, tmp_path / "cache")
+        assert [f.error for f in result.failures] == [
+            f"prompt for doc={doc!r} dim={dim!r} iteration={iteration} chunk=0 failed:"
+            f" chat completion failed: {problem}"
+            for iteration in (1, 2)
+            for doc in ("doc-a", "doc-b")
+            for dim, problem in problems.items()
+        ]
+        # One post per refused answer a run meets: a cell stops at its
+        # first chunk. The finished answers of the first run serve the rerun.
+        runs = 1 if name == "first" else 2
+        assert session.posts == {"ok": (3 + 1) * 2, "cut": 4 * runs, "filtered": 4 * runs, "blank": 4 * runs}
+    lines = b"".join(path.read_bytes() for path in (tmp_path / "cache").iterdir()).splitlines()
+    assert len(lines) == (3 + 1) * 2
+    assert all(b'"doc-a/ok/' in line or b'"doc-b/ok/' in line for line in lines)
+    assert (tmp_path / "first" / report.RECORDS_NAME).read_bytes() == (
+        tmp_path / "rerun" / report.RECORDS_NAME
+    ).read_bytes()
+
+    record("stop", FinishSession(stop=True), tmp_path / "stop-cache")
+    for file in (report.RECORDS_NAME, report.FAILURES_NAME, report.ITERATION_RESULTS_NAME, report.CONSENSUS_NAME):
+        assert (tmp_path / "stop" / file).read_bytes() == (tmp_path / "first" / file).read_bytes()
 
 
 OFFLINE_CHILD = """
