@@ -159,18 +159,16 @@ def write_run(
     """Code ``corpus`` and write its run directory; nothing else writes one.
 
     An invalid corpus creates nothing, nor does a chunk run whose chunk
-    indices would reach ``engine.CHUNK_INDEX_LIMIT``. Records stream to
-    ``records.jsonl`` as cells complete, so an interrupted run leaves a
-    prefix from which a record-mode rerun into the same cache resumes.
+    indices would reach ``engine.CHUNK_INDEX_LIMIT``. This run's
+    ``run_meta.json`` is written, and the tables of an earlier run removed,
+    before the first record. Records stream to ``records.jsonl`` as cells
+    complete, so an interrupted run leaves its metadata and a prefix of its
+    records, from which a record-mode rerun into the same cache resumes.
     ``run_meta.json`` takes the cache mode from ``client``, its only holder.
     """
     engine.validate_corpus(corpus, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / RECORDS_NAME, "w", encoding="utf-8", newline="\n") as fh:
-        result = engine.run_iterations(
-            corpus, cb, cfg, client, record_sink=lambda r: fh.write(engine.record_to_json(r) + "\n")
-        )
     meta = {
         "model": cfg.model,
         "strategy": cfg.strategy,
@@ -183,21 +181,23 @@ def write_run(
         "dimension_ids": list(cb.ids),
         "doc_ids": [doc.doc_id for doc in corpus],
     }
+    (out / RUN_META_NAME).write_text(
+        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    for name in (ITERATION_RESULTS_NAME, CONSENSUS_NAME, FAILURES_NAME):
+        (out / name).unlink(missing_ok=True)
+    with open(out / RECORDS_NAME, "w", encoding="utf-8", newline="\n") as fh:
+        result = engine.run_iterations(
+            corpus, cb, cfg, client, record_sink=lambda r: fh.write(engine.record_to_json(r) + "\n")
+        )
     write_run_outputs(out, meta, result)
     return result
 
 
 def write_run_outputs(out: Path, meta: dict, result: engine.RunResult) -> None:
-    """Persist a run beside its records: metadata, iteration results,
-    consensus, and the failure manifest.
-
-    A failure manifest left by an earlier run is removed when this run has
-    no failures, so the directory describes one run only.
+    """Persist a finished run's tables beside its records and metadata:
+    iteration results, consensus, and the failure manifest when cells failed.
     """
-    (out / RUN_META_NAME).write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
     rows = [
         {
             "doc_id": r.doc_id,
@@ -220,11 +220,9 @@ def write_run_outputs(out: Path, meta: dict, result: engine.RunResult) -> None:
         meta["dimension_ids"],
     )
 
-    failures_path = out / FAILURES_NAME
-    failures_path.unlink(missing_ok=True)
     if result.failures:
         manifest = [asdict(f) for f in result.failures]
-        failures_path.write_text(
+        (out / FAILURES_NAME).write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
 

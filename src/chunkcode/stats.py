@@ -1,11 +1,14 @@
 """Nonparametric significance tests and their chi-square support function.
 
 Implements the Mann-Whitney U test, the Kruskal-Wallis rank test, and the
-one-sample Wilcoxon signed-rank test. Small, tie-free samples get exact
-p-values by full enumeration; everything else uses a tie-corrected normal
-approximation with continuity correction. Each result's ``method_note``
-records which route produced it, how ties were handled, and how many zero
-differences were dropped, so reported p-values stay auditable.
+one-sample Wilcoxon signed-rank test. One pass ranks the data and sums its
+tie term. Mann-Whitney and Wilcoxon then share one core: small, tie-free
+samples get exact p-values by enumerating the null distribution; everything
+else uses a tie-corrected normal approximation with continuity correction.
+Kruskal-Wallis refers its tie-corrected H to the chi-square tail. Each
+result's ``method_note`` records which route produced it, how ties were
+handled, and how many zero differences were dropped, so reported p-values
+stay auditable.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 SIDES = ("two", "less", "greater")
 METHODS = ("auto", "exact", "approx")
@@ -58,8 +61,15 @@ def midranks(values: Sequence[float]) -> list[float]:
 
     midranks([1, 2, 2, 3]) == [1.0, 2.5, 2.5, 4.0]
     """
+    return _ranked(values)[0]
+
+
+def _ranked(values: Sequence[float]) -> tuple[list[float], int]:
+    """Midranks of the values, and the tie term: the sum of t**3 - t over
+    their tie groups of size t, which is 0 exactly when no two values tie."""
     order = sorted(range(len(values)), key=lambda i: values[i])
     ranks = [0.0] * len(values)
+    tie_term = 0
     i = 0
     while i < len(order):
         j = i
@@ -68,16 +78,9 @@ def midranks(values: Sequence[float]) -> list[float]:
         rank = (i + j) / 2 + 1.0
         for k in range(i, j + 1):
             ranks[order[k]] = rank
+        tie_term += (j - i + 1) ** 3 - (j - i + 1)
         i = j + 1
-    return ranks
-
-
-def _tie_sizes(values: Sequence[float]) -> list[int]:
-    """Sizes of tie groups (size >= 2) among the values."""
-    counts: dict[float, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return [t for t in counts.values() if t >= 2]
+    return ranks, tie_term
 
 
 def _normal_sf(z: float) -> float:
@@ -100,6 +103,34 @@ def _check_sides_method(sides: str, method: str) -> None:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
 
+def _rank_test(
+    statistic: float, tie_term: int, n: int, sides: str, method: str, null: Iterable[float],
+    exact_note: str, mu: float, sigma2: float, ranked: str, note_suffix: str = "",
+) -> TestResult:
+    """Result of a rank statistic over ``n`` values, called ``ranked`` in the
+    refusal: exact over ``null``, a lazy iterable of the statistic under every
+    equally likely assignment, or normal with mean ``mu`` and variance
+    ``sigma2``, kept positive by the callers' earlier degenerate returns."""
+    if method == "exact" and tie_term:
+        raise ValueError(f"exact method requires tie-free {ranked}")
+    if method == "exact" or (method == "auto" and not tie_term and n <= EXACT_LIMIT):
+        total = count_le = count_ge = 0
+        for value in null:
+            total += 1
+            count_le += value <= statistic + 1e-9
+            count_ge += value >= statistic - 1e-9
+        p_less = count_le / total
+        p_greater = count_ge / total
+        note = exact_note
+    else:
+        sigma = math.sqrt(sigma2)
+        p_greater = _normal_sf((statistic - mu - 0.5) / sigma)
+        p_less = _normal_sf((mu - statistic - 0.5) / sigma)
+        ties = "tie-corrected variance, " if tie_term else ""
+        note = f"normal approximation with {ties}continuity correction"
+    return TestResult(statistic, _pick_side(p_less, p_greater, sides), note + note_suffix)
+
+
 # -- Mann-Whitney U ----------------------------------------------------------
 
 
@@ -119,46 +150,21 @@ def mann_whitney_u(
     n_a, n_b = len(a), len(b)
     pooled = a.values + b.values
     n = n_a + n_b
-    ranks = midranks(pooled)
-    u = sum(ranks[:n_a]) - n_a * (n_a + 1) / 2.0
+    ranks, tie_term = _ranked(pooled)
+    base = n_a * (n_a + 1) / 2.0
+    u = sum(ranks[:n_a]) - base
 
     if len(set(pooled)) == 1:
         return TestResult(u, 1.0, "degenerate: all pooled values identical")
 
-    ties = _tie_sizes(pooled)
-    if method == "exact" and ties:
-        raise ValueError("exact method requires tie-free data")
-    exact = method == "exact" or (method == "auto" and not ties and n <= EXACT_LIMIT)
-
-    if exact:
-        total = 0
-        count_le = 0
-        count_ge = 0
-        base = n_a * (n_a + 1) / 2.0
-        for combo in combinations(range(n), n_a):
-            u_perm = sum(ranks[i] for i in combo) - base
-            total += 1
-            if u_perm <= u + 1e-9:
-                count_le += 1
-            if u_perm >= u - 1e-9:
-                count_ge += 1
-        p_less = count_le / total
-        p_greater = count_ge / total
-        note = f"exact enumeration over C({n},{n_a}) rank assignments"
-    else:
-        mu = n_a * n_b / 2.0
-        tie_term = sum(t**3 - t for t in ties)
-        sigma2 = (n_a * n_b / 12.0) * ((n + 1) - tie_term / (n * (n - 1)))
-        if sigma2 <= 0:
-            return TestResult(u, 1.0, "degenerate: rank variance is zero")
-        sigma = math.sqrt(sigma2)
-        p_greater = _normal_sf((u - mu - 0.5) / sigma)
-        p_less = _normal_sf((mu - u - 0.5) / sigma)
-        corrections = "continuity correction"
-        if ties:
-            corrections = "tie-corrected variance, " + corrections
-        note = f"normal approximation with {corrections}"
-    return TestResult(u, _pick_side(p_less, p_greater, sides), note)
+    return _rank_test(
+        u, tie_term, n, sides, method,
+        null=(sum(c) - base for c in combinations(ranks, n_a)),
+        exact_note=f"exact enumeration over C({n},{n_a}) rank assignments",
+        mu=n_a * n_b / 2.0,
+        sigma2=(n_a * n_b / 12.0) * ((n + 1) - tie_term / (n * (n - 1))),
+        ranked="data",
+    )
 
 
 def pairwise_mann_whitney(
@@ -198,33 +204,27 @@ def kruskal_wallis(groups: Sequence[Sample]) -> TestResult:
     """
     if len(groups) < 2:
         raise ValueError("Kruskal-Wallis needs at least two groups")
-    pooled: list[float] = []
-    sizes: list[int] = []
-    for g in groups:
-        pooled.extend(g.values)
-        sizes.append(len(g))
+    pooled = [v for g in groups for v in g.values]
     n = len(pooled)
     if n < 3:
         raise ValueError("Kruskal-Wallis needs a total of at least three values")
     if len(set(pooled)) == 1:
         return TestResult(0.0, 1.0, "degenerate: all values identical")
 
-    ranks = midranks(pooled)
+    ranks, tie_term = _ranked(pooled)
     h = 0.0
     offset = 0
-    for size in sizes:
-        r_sum = sum(ranks[offset : offset + size])
-        h += r_sum * r_sum / size
-        offset += size
+    for g in groups:
+        r_sum = sum(ranks[offset : offset + len(g)])
+        h += r_sum * r_sum / len(g)
+        offset += len(g)
     h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
 
-    ties = _tie_sizes(pooled)
-    correction = 1.0 - sum(t**3 - t for t in ties) / (n**3 - n)
-    h_corrected = h / correction
+    h_corrected = h / (1.0 - tie_term / (n**3 - n))
     df = len(groups) - 1
     p = chi_square_sf(h_corrected, df)
     note = f"chi-square survival function, df={df}"
-    if ties:
+    if tie_term:
         note = "tie-corrected H; " + note
     return TestResult(h_corrected, p, note)
 
@@ -248,53 +248,25 @@ def wilcoxon_signed_rank_one_sample(
     _check_sides_method(sides, method)
     if not math.isfinite(target_median):
         raise ValueError("target median must be finite")
-    diffs = [v - target_median for v in s.values]
-    dropped = sum(1 for d in diffs if d == 0)
-    diffs = [d for d in diffs if d != 0]
+    diffs = [v - target_median for v in s.values if v != target_median]
+    dropped = len(s) - len(diffs)
     drop_note = f"; {dropped} zero difference(s) dropped" if dropped else ""
     if not diffs:
         return TestResult(0.0, 1.0, "degenerate: all differences zero" + drop_note)
 
     n = len(diffs)
-    abs_diffs = [abs(d) for d in diffs]
-    ranks = midranks(abs_diffs)
+    ranks, tie_term = _ranked([abs(d) for d in diffs])
     w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
 
-    ties = _tie_sizes(abs_diffs)
-    if method == "exact" and ties:
-        raise ValueError("exact method requires tie-free absolute differences")
-    exact = method == "exact" or (method == "auto" and not ties and n <= EXACT_LIMIT)
-
-    if exact:
-        total = 2**n
-        count_le = 0
-        count_ge = 0
-        for mask in range(total):
-            w_perm = 0.0
-            for i in range(n):
-                if mask >> i & 1:
-                    w_perm += ranks[i]
-            if w_perm <= w_plus + 1e-9:
-                count_le += 1
-            if w_perm >= w_plus - 1e-9:
-                count_ge += 1
-        p_less = count_le / total
-        p_greater = count_ge / total
-        note = f"exact enumeration over 2^{n} sign assignments" + drop_note
-    else:
-        mu = n * (n + 1) / 4.0
-        tie_term = sum(t**3 - t for t in ties)
-        sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
-        if sigma2 <= 0:
-            return TestResult(w_plus, 1.0, "degenerate: rank variance is zero" + drop_note)
-        sigma = math.sqrt(sigma2)
-        p_greater = _normal_sf((w_plus - mu - 0.5) / sigma)
-        p_less = _normal_sf((mu - w_plus - 0.5) / sigma)
-        corrections = "continuity correction"
-        if ties:
-            corrections = "tie-corrected variance, " + corrections
-        note = f"normal approximation with {corrections}" + drop_note
-    return TestResult(w_plus, _pick_side(p_less, p_greater, sides), note)
+    return _rank_test(
+        w_plus, tie_term, n, sides, method,
+        null=(sum(c) for k in range(n + 1) for c in combinations(ranks, k)),
+        exact_note=f"exact enumeration over 2^{n} sign assignments",
+        mu=n * (n + 1) / 4.0,
+        sigma2=n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0,
+        ranked="absolute differences",
+        note_suffix=drop_note,
+    )
 
 
 # -- chi-square survival function ---------------------------------------------
@@ -391,6 +363,8 @@ def read_samples_csv(path: str | Path) -> list[Sample]:
                 value = float(row[1])
             except ValueError:
                 raise ValueError(f"{p}:{lineno}: {row[1]!r} is not a number") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{p}:{lineno}: {row[1]!r} is not finite")
             grouped.setdefault(row[0], []).append(value)
     if not grouped:
         raise ValueError(f"{p}: no sample rows")

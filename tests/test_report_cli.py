@@ -403,7 +403,9 @@ class TestCrashAndResume:
             stopped = self.record(workspace, patch, session, "resumed", max_inflight)
         assert stopped.exit_code != 0
         out = workspace / "resumed"
-        assert not (out / report.RUN_META_NAME).exists()
+        meta = (out / report.RUN_META_NAME).read_bytes()
+        assert meta == (workspace / "full" / report.RUN_META_NAME).read_bytes()
+        assert not (out / report.CONSENSUS_NAME).exists()
         written = (out / report.RECORDS_NAME).read_bytes()
         assert written == (workspace / "full" / report.RECORDS_NAME).read_bytes()[: len(written)]
         cached = sum(
@@ -417,6 +419,40 @@ class TestCrashAndResume:
         for name in self.OUTPUTS:
             assert (out / name).read_bytes() == (workspace / "full" / name).read_bytes(), name
         assert not (out / report.FAILURES_NAME).exists()
+
+
+def test_interrupted_rerun_leaves_only_its_own_run(workspace, monkeypatch):
+    """A rerun into a run directory replaces the earlier run's metadata and
+    tables before its first record, so stopping it leaves an incomplete run
+    of the new model, not a mixture of two runs."""
+    out = workspace / "run"
+    assert cli("run", *run_args(workspace, out, **{"--model": "m1"})).exit_code == 0
+    # stands in for the failure manifest of an earlier run with failed cells
+    (out / report.FAILURES_NAME).write_text("[]\n", encoding="utf-8")
+
+    sunk = []
+
+    def interrupting(record, to_json=engine.record_to_json):
+        if len(sunk) == 5:
+            raise KeyboardInterrupt
+        sunk.append(record)
+        return to_json(record)
+
+    monkeypatch.setattr(engine, "record_to_json", interrupting)
+    rerun = cli("run", *run_args(workspace, out, **{"--model": "m2", "--strategy": "whole"}))
+    assert rerun.exit_code != 0
+    meta = json.loads((out / report.RUN_META_NAME).read_text(encoding="utf-8"))
+    assert (meta["model"], meta["strategy"]) == ("m2", "whole")
+    for name in (report.ITERATION_RESULTS_NAME, report.CONSENSUS_NAME, report.FAILURES_NAME):
+        assert not (out / name).exists(), name
+    assert len((out / report.RECORDS_NAME).read_text(encoding="utf-8").splitlines()) == 5
+
+    result = cli(
+        "evaluate", "--manual", workspace / "manual.csv", "--run", out,
+        "--out", workspace / "reports",
+    )
+    assert result.exit_code == 1
+    assert f"run {out} is incomplete" in result.output
 
 
 class TestConsensusCommand:
@@ -933,6 +969,81 @@ def test_write_table_csv_refuses_a_row_lacking_a_column(tmp_path):
         report.write_table_csv(tmp_path / "t.csv", ["a", "b"], [{"a": 1, "b": 2}, {"a": 3}])
 
 
+# Samples for each route of the stats command, as (groups, extra options),
+# and the sha256 of its stdout and of its --out CSV. Stdout rounds to three
+# decimals; the CSV keeps every digit of statistic and p-value, so a change
+# in any route's arithmetic or method note breaks the pin.
+STATS_ROUTES = {
+    "mw-exact": ({"a": [1.5, 2.25, 3.0], "b": [4.0, 0.5, 6.0, 7.0]}, ()),
+    "mw-approx": (
+        {"a": [0.3, 1.7, 2.2, 3.9, 4.4, 5.1, 6.8], "b": [2.6, 3.3, 4.1, 5.9, 7.2, 8.5, 9.0]},
+        ("--sides", "less"),
+    ),
+    "mw-approx-ties": ({"a": [1, 2, 2, 3, 5, 5, 8], "b": [2, 3, 4, 4, 5, 9, 9]}, ()),
+    "mw-degenerate": ({"a": [7, 7], "b": [7, 7, 7]}, ()),
+    "wilcoxon-exact-zeros": (
+        {"s": [10, 10.5, 12.25, 7, 10, 13.5]},
+        ("--target", "10", "--sides", "greater"),
+    ),
+    "wilcoxon-tied": ({"s": [8, 12, 14, 6, 10, 15, 9, 11]}, ("--target", "10")),
+    "wilcoxon-zeros": ({"s": [5, 5]}, ("--target", "5")),
+    "kw": ({"g1": [1.1, 2.3, 3.5], "g2": [4.2, 5.8, 0.9], "g3": [7.7, 8.1, 9.4]}, ()),
+    "kw-ties": ({"g1": [1, 1, 2], "g2": [2, 3, 3], "g3": [3, 4, 4]}, ()),
+    "pairwise-bonferroni": (
+        {"g1": [1, 2, 9], "g2": [3, 4, 5.5], "g3": [5, 6, 0.25]},
+        ("--bonferroni",),
+    ),
+}
+STATS_TESTS = {
+    "mw": "mann-whitney",
+    "wilcoxon": "wilcoxon",
+    "kw": "kruskal-wallis",
+    "pairwise": "pairwise-mann-whitney",
+}
+GOLDEN_STATS_SHA256 = {
+    "kw": (
+        "3e1ff3adc0b6b59e8b56fde247cd6b63ba2d2aa7449f51506f3a81230911d651",
+        "cd54ad075a67800e8d2b3b2c1edaea1d7c20be28e4162eeca1a2079550ad9a3f",
+    ),
+    "kw-ties": (
+        "3f92ee383b27d6203b78102e594b93c47bfc695afb187160159fc4cc4a317a46",
+        "47c27c76dca060a84222771c44442ca8ddcc1e296b8dab76394fc3e8b5f6c7ff",
+    ),
+    "mw-approx": (
+        "c15b4b02f1df690d94d8d660981df0cc3e2acb33ad09cc410bc19aca96391f72",
+        "d94d5c4777bfad553a4fa75f0462ae1aacad7eea117f2a885b4c4192b5a97b38",
+    ),
+    "mw-approx-ties": (
+        "a33f615c755c7f03b6208107940cba3252b952f5830ce8d164ca5ba847990a5d",
+        "7e30b9972b531a2a8c83209f00936a3f3a48b536adc48b1524c79fc9bf139412",
+    ),
+    "mw-degenerate": (
+        "c32ef5c6d6f6216ddc88c4b428ac0b1475ece7b560a78d1fc922a081645dcff6",
+        "5e8c197f16f54b707e8d5548c96a80f08e436b5020ea096cc01d6427a0b8f4a0",
+    ),
+    "mw-exact": (
+        "16af2801e14216658c827d66139300d0c292602188204e010eeb6cf3e5011f06",
+        "3c34c31b79a5027f653c1ef73617d4b9f17f4010022113170c509737b80f0508",
+    ),
+    "pairwise-bonferroni": (
+        "9b4228edd8b222b9e01600f9e3b801ead0de2582dc5b37d840421e12e2041de4",
+        "598384101a027a0327bbcc3b75f63a727ccd2dfcf2e142ea73989b980bc577bb",
+    ),
+    "wilcoxon-exact-zeros": (
+        "4407554390282728e835fbd4fa70dd7aba4932d15fe656f34a0dd0c3292abff5",
+        "d4634e04e08e060abe999051070df1494027fb1cc3431591921efa8f70a36365",
+    ),
+    "wilcoxon-tied": (
+        "0e55b76c06cb0baf6ebe42d8d522da03b932ee8bf40d197af376a3673ec907c9",
+        "ab5a245cf996c8bb69f1d675989e9442b151bed26e470539333707d17cf5ad06",
+    ),
+    "wilcoxon-zeros": (
+        "7214ba1114abc41d13e77386484fca93d330b6199b12a3e0772c22a64e57d9cd",
+        "bb11641a35702d6e7638f0c63566170f2e31acb7912681e340dff0b29f9946c2",
+    ),
+}
+
+
 class TestStatsCommand:
     def write_samples(self, path, groups):
         lines = ["group,value"]
@@ -1008,6 +1119,20 @@ class TestStatsCommand:
             row = next(csv.DictReader(fh))
         assert row["comparison"] == "a vs b"
         assert 0.0 <= float(row["p_value"]) <= 1.0
+
+    @pytest.mark.parametrize("route", sorted(STATS_ROUTES))
+    def test_golden_output(self, tmp_path, route):
+        groups, options = STATS_ROUTES[route]
+        samples, out = tmp_path / "samples.csv", tmp_path / "result.csv"
+        self.write_samples(samples, groups)
+        test_name = STATS_TESTS[route.split("-")[0]]
+        result = cli("stats", "--samples", samples, "--test", test_name, *options, "--out", out)
+        assert result.exit_code == 0, result.output
+        digests = (
+            hashlib.sha256(result.output.encode("utf-8")).hexdigest(),
+            hashlib.sha256(out.read_bytes()).hexdigest(),
+        )
+        assert digests == GOLDEN_STATS_SHA256[route]
 
 
 class TestValidateCodebook:

@@ -254,6 +254,48 @@ class TestWilcoxon:
             cs.wilcoxon_signed_rank_one_sample(sample("s", [1.0]), 0.5, "sideways")
 
 
+TIED = sample("t", [8, 12])
+SIDES_MESSAGE = "sides must be one of ('two', 'less', 'greater'), got 'sideways'"
+METHOD_MESSAGE = "method must be one of ('auto', 'exact', 'approx'), got 'fast'"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: cs.mann_whitney_u(TIED, TIED, method="exact"), "exact method requires tie-free data"),
+        (
+            lambda: cs.wilcoxon_signed_rank_one_sample(TIED, 10.0, method="exact"),
+            "exact method requires tie-free absolute differences",
+        ),
+        (lambda: cs.mann_whitney_u(TIED, TIED, "sideways", method="fast"), SIDES_MESSAGE),
+        (lambda: cs.mann_whitney_u(TIED, TIED, method="fast"), METHOD_MESSAGE),
+        (
+            lambda: cs.wilcoxon_signed_rank_one_sample(TIED, math.nan, "sideways", method="fast"),
+            SIDES_MESSAGE,
+        ),
+        (lambda: cs.wilcoxon_signed_rank_one_sample(TIED, math.inf, method="fast"), METHOD_MESSAGE),
+        (
+            lambda: cs.wilcoxon_signed_rank_one_sample(TIED, math.nan, method="exact"),
+            "target median must be finite",
+        ),
+    ],
+)
+def test_refusal_messages_and_their_order(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message
+
+
+def test_degenerate_data_is_not_refused_by_an_exact_request():
+    constant = cs.mann_whitney_u(sample("a", [7, 7]), sample("b", [7, 7, 7]), method="exact")
+    assert constant == cs.TestResult(3.0, 1.0, "degenerate: all pooled values identical")
+    zeros = cs.wilcoxon_signed_rank_one_sample(sample("s", [5, 5]), 5.0, method="exact")
+    assert zeros == cs.TestResult(
+        0.0, 1.0, "degenerate: all differences zero; 2 zero difference(s) dropped"
+    )
+
+
 class TestChiSquareSF:
     def test_at_zero(self):
         for df in (1, 2, 5):
@@ -304,6 +346,14 @@ class TestSamplesCSV:
         path.write_text("group,value\na,not-a-number\n", encoding="utf-8")
         with pytest.raises(ValueError, match="not-a-number"):
             cs.read_samples_csv(path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e309"])
+    def test_non_finite_value_named_by_line(self, tmp_path, text):
+        path = tmp_path / "samples.csv"
+        path.write_text(f"group,value\na,1\na,{text}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            cs.read_samples_csv(path)
+        assert str(raised.value) == f"{path}:3: {text!r} is not finite"
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "samples.csv"
