@@ -8,21 +8,24 @@ call order and safe to issue from concurrent workers.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
 import os
 import random
 import re
+import sys
 import threading
 import time
 import weakref
+import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
 
 from .codebook import Dimension
 from .errors import CacheMissError, ConfigError, TransportError
@@ -225,12 +228,39 @@ _FLAT_NAME = re.compile(r"[0-9a-f]{64}")
 # Open segment descriptors a cache holds at most, its own segment included.
 MAX_OPEN_SEGMENTS = 16
 _LOW64 = (1 << 64) - 1
+# The saved index, its format number and the type codes of its three arrays.
+INDEX_NAME = "index"
+_INDEX_FORMAT = 1
+_INDEX_TYPES = ("Q", "Q", "I")
 
 
 def _close_descriptors(fds: dict[int, int]) -> None:
     for fd in fds.values():
         os.close(fd)
     fds.clear()
+
+
+def _crc32(arrays: Iterable[array]) -> int:
+    """The CRC-32 of the arrays' bytes laid end to end."""
+    crc = 0
+    for a in arrays:
+        crc = zlib.crc32(a, crc)
+    return crc
+
+
+def _latest_arrays(entries: list[int]) -> tuple[array, array, array]:
+    """The index arrays of packed entries, ``prefix << 96 | position << 32 |
+    length``: key prefixes in order, each with its line at the highest
+    position, and that line's position and length."""
+    entries.sort()
+    # Sorted, a key's lines run in written order: keep each key's last.
+    latest = [entry for entry, after in zip(entries, entries[1:]) if entry >> 96 != after >> 96]
+    latest += entries[-1:]
+    return (
+        array("Q", (entry >> 96 for entry in latest)),
+        array("Q", (entry >> 32 & _LOW64 for entry in latest)),
+        array("I", (entry & 0xFFFF_FFFF for entry in latest)),
+    )
 
 
 class RequestCache:
@@ -251,6 +281,13 @@ class RequestCache:
     entry), read first, so a put's cost does not grow with the cache. A read
     checks the whole key, so a key sharing another's prefix reads as a miss
     rather than as the other's response.
+
+    ``close`` on a cache that appended saves the index, with its puts merged
+    in, to ``index``: a JSON header line naming each segment and its size,
+    then the three arrays. The next open loads it in place of the scan when
+    it names exactly the segments in the directory at their present sizes
+    and its byte order, item sizes, entry count and checksum hold; any other
+    index is ignored.
 
     A key not in the index falls back to a flat file named by the key, the
     layout of caches recorded before segments; flat files are never
@@ -285,10 +322,17 @@ class RequestCache:
             (int(m.group(1)), name) for name in names if (m := _SEGMENT_NAME.fullmatch(name))
         )
         self._generation = segments[-1][0] + 1 if segments else 1
+        in_order = [name for _, name in segments]
+        if not self._load_index(in_order):
+            self._scan(in_order)
+        self._puts: dict[int, int] = {}  # prefix -> position << 32 | length
+
+    def _scan(self, names: list[str]) -> None:
+        """Index the segments ``names``, in this order, line by line."""
         # prefix << 96 | position << 32 | length, in the order lines were
         # written, so that sorting puts a key's later lines after its earlier.
         entries = []
-        for _, name in segments:
+        for name in names:
             path = self.directory / name
             offset = 0
             with open(path, "rb") as fh:
@@ -302,21 +346,83 @@ class RequestCache:
                         position = self._end + offset
                         entries.append(int(line[:16], 16) << 96 | position << 32 | len(line) - 1)
                     offset += len(line)
-            self._paths.append(path)
-            self._bases.append(self._end)
-            self._end += offset
-        entries.sort()
-        # Sorted, a key's lines run in written order: keep each key's last.
-        latest = [entry for entry, after in zip(entries, entries[1:]) if entry >> 96 != after >> 96]
-        latest += entries[-1:]
-        self._prefixes = array("Q", (entry >> 96 for entry in latest))
-        self._positions = array("Q", (entry >> 32 & _LOW64 for entry in latest))
-        self._lengths = array("I", (entry & 0xFFFF_FFFF for entry in latest))
-        self._puts: dict[int, int] = {}  # prefix -> position << 32 | length
+            self._add_segment(path, offset)
+        self._prefixes, self._positions, self._lengths = _latest_arrays(entries)
+
+    def _load_index(self, names: list[str]) -> bool:
+        """Take the index from ``index`` when it describes the segments
+        ``names`` at their present sizes; False, with nothing taken, when
+        there is none or it does not hold."""
+        arrays = [array(code) for code in _INDEX_TYPES]
+        itemsizes = [a.itemsize for a in arrays]
+        try:
+            sizes = [os.stat(self.directory / name).st_size for name in names]
+            with open(self.directory / INDEX_NAME, "rb") as fh:
+                header = json.loads(fh.readline())
+                count = header.get("entries") if isinstance(header, dict) else None
+                # Checked before the body is read: a foreign header cannot ask for a huge read.
+                if not (
+                    type(count) is int
+                    and header.get("format") == _INDEX_FORMAT
+                    and header.get("byteorder") == sys.byteorder
+                    and header.get("itemsizes") == itemsizes
+                    and header.get("segments") == [[name, size] for name, size in zip(names, sizes)]
+                    and os.fstat(fh.fileno()).st_size - fh.tell() == count * sum(itemsizes)
+                ):
+                    return False
+                for a in arrays:
+                    a.fromfile(fh, count)
+        except (OSError, ValueError, EOFError, RecursionError):  # a foreign file: deep JSON, short body
+            return False
+        if header.get("crc32") != _crc32(arrays):
+            return False
+        self._prefixes, self._positions, self._lengths = arrays
+        for name, size in zip(names, sizes):
+            self._add_segment(self.directory / name, size)
+        return True
+
+    def _add_segment(self, path: Path, size: int) -> None:
+        self._paths.append(path)
+        self._bases.append(self._end)
+        self._end += size
+
+    def _save_index(self) -> None:
+        """Write the index, with this cache's puts merged in, to ``index``
+        through a temp file; a failed write leaves neither."""
+        entries = [
+            prefix << 96 | position << 32 | length
+            for prefix, position, length in zip(self._prefixes, self._positions, self._lengths)
+        ]
+        # A put's line lies after every line indexed at the open, so it wins.
+        entries += [prefix << 96 | found for prefix, found in self._puts.items()]
+        arrays = _latest_arrays(entries)
+        ends = [*self._bases[1:], self._end]
+        header = {
+            "format": _INDEX_FORMAT,
+            "byteorder": sys.byteorder,
+            "itemsizes": [a.itemsize for a in arrays],
+            "segments": [[path.name, end - base] for path, base, end in zip(self._paths, self._bases, ends)],
+            "entries": len(arrays[0]),
+            "crc32": _crc32(arrays),
+        }
+        temp = self.directory / f"{INDEX_NAME}.{os.getpid()}-{os.urandom(8).hex()}"
+        try:
+            with open(temp, "xb") as fh:
+                fh.write(json.dumps(header).encode("ascii") + b"\n")
+                for a in arrays:
+                    a.tofile(fh)
+            os.replace(temp, self.directory / INDEX_NAME)
+        except OSError:
+            with contextlib.suppress(OSError):
+                temp.unlink()
 
     def close(self) -> None:
-        """Release the open descriptors; the cache is not used after this."""
-        self._release()
+        """Save the index if this cache appended, then release the open
+        descriptors; the cache is not used after this."""
+        with self._lock:
+            if self._release.alive and self._puts:
+                self._save_index()
+            self._release()
 
     def get(self, key: str) -> LLMResponse | None:
         """The cached response for ``key``, or None on a miss."""
@@ -379,8 +485,7 @@ class RequestCache:
                 flags = os.O_RDWR | os.O_CREAT | os.O_EXCL | os.O_APPEND
                 self._fds[len(self._paths)] = os.open(path, flags, 0o644)
                 self._own = len(self._paths)
-                self._paths.append(path)
-                self._bases.append(self._end)
+                self._add_segment(path, 0)
             written = os.write(self._fds[self._own], line)
             position = self._end
             self._end += written

@@ -56,14 +56,15 @@ def load_run(run_dir: str | Path) -> RunData:
     The records file is the source of truth; iteration results and
     consensus are rebuilt from it, one line at a time. A run whose metadata
     is malformed, or holding a record of another model or strategy, a
-    record its metadata does not list, a prompt recorded twice, or a cell
-    lacking some of its iterations is refused, so every table scores the
-    run its metadata describes.
+    record its metadata does not list, a prompt recorded twice, or a listed
+    cell lacking some or all of its iterations is refused, so every table
+    scores the run its metadata describes.
     """
     run_dir = Path(run_dir)
     source = f"run {run_dir}"
-    model, strategy, iterations, docs, dims = _read_run_meta(run_dir / RUN_META_NAME)
+    model, strategy, iterations, doc_ids, dim_ids = _read_run_meta(run_dir / RUN_META_NAME)
     listed = range(1, iterations + 1)
+    docs, dims = frozenset(doc_ids), frozenset(dim_ids)
 
     def within_meta(records: Iterable[engine.PromptRecord]):
         for r in records:
@@ -82,7 +83,9 @@ def load_run(run_dir: str | Path) -> RunData:
 
     records = engine.read_records_jsonl(run_dir / RECORDS_NAME)
     iteration_results = engine.iteration_results_from_records(within_meta(records))
-    check_complete(source, set(listed), iteration_results)
+    check_complete(
+        source, set(listed), iteration_results, [(d, m) for d in doc_ids for m in dim_ids]
+    )
     table = engine.consensus_table(iteration_results)
     return RunData(
         model=model,
@@ -93,7 +96,7 @@ def load_run(run_dir: str | Path) -> RunData:
     )
 
 
-def _read_run_meta(path: Path) -> tuple[str, str, int, frozenset[str], frozenset[str]]:
+def _read_run_meta(path: Path) -> tuple[str, str, int, list[str], list[str]]:
     """Model, strategy, iteration count, doc ids and dimension ids of a
     run's metadata; a malformed file raises an IngestionError naming it."""
     try:
@@ -117,20 +120,24 @@ def _read_run_meta(path: Path) -> tuple[str, str, int, frozenset[str], frozenset
         field("model", "a string", lambda v: isinstance(v, str)),
         field("strategy", "a string", lambda v: isinstance(v, str)),
         field("iterations", "a positive integer", lambda v: type(v) is int and v > 0),
-        frozenset(field("doc_ids", "a list of strings", ids)),
-        frozenset(field("dimension_ids", "a list of strings", ids)),
+        field("doc_ids", "a list of strings", ids),
+        field("dimension_ids", "a list of strings", ids),
     )
 
 
 def check_complete(
-    source: str, expected: set[int], results: Sequence[engine.IterationResult]
+    source: str,
+    expected: set[int],
+    results: Sequence[engine.IterationResult],
+    cells: Iterable[Subject] = (),
 ) -> None:
-    """Refuse results in which a cell present in them lacks an expected iteration.
+    """Refuse results in which a cell of ``cells``, or one present in them,
+    lacks an expected iteration; a listed cell may have none at all.
 
     Raises IngestionError naming ``source``, the count of incomplete cells
     and up to 20 of them with their missing iterations.
     """
-    done: dict[Subject, set[int]] = defaultdict(set)
+    done: dict[Subject, set[int]] = defaultdict(set, ((cell, set()) for cell in cells))
     for r in results:
         done[(r.doc_id, r.dimension_id)].add(r.iteration)
     incomplete = [

@@ -638,6 +638,16 @@ def cached_run(codebook, corpus, cache, out, mode, endpoint=None):
     return result, (out / report.RECORDS_NAME).read_bytes()
 
 
+def recorded_segments(cache):
+    """The cache's segments, in name order, after asserting that the only
+    other file in it is the index a recording close saved."""
+    segments = sorted(cache.glob("segment-*"))
+    assert sorted({path.name for path in cache.iterdir()} - {s.name for s in segments}) == [
+        llm_client.INDEX_NAME
+    ]
+    return segments
+
+
 def test_cache_mixing_entry_shapes_replays_the_recorded_bytes(
     codebook, tiny_corpus, old_cache_entry, tmp_path
 ):
@@ -647,7 +657,7 @@ def test_cache_mixing_entry_shapes_replays_the_recorded_bytes(
     cache = tmp_path / "cache"
     run = functools.partial(cached_run, codebook, tiny_corpus, cache)
     _, recorded = run(tmp_path / "record", "record")
-    (segment,) = cache.iterdir()
+    (segment,) = recorded_segments(cache)
     lines = {line[:64].decode(): line for line in segment.read_bytes().splitlines(keepends=True)}
     # Every other entry moves to a flat file; every other of those also gets
     # its prompt back, re-rendered from the corpus and the codebook and
@@ -683,7 +693,7 @@ def test_segment_cut_mid_line_reads_that_key_as_a_miss(codebook, tiny_corpus, tm
     cache = tmp_path / "cache"
     run = functools.partial(cached_run, codebook, tiny_corpus, cache)
     _, recorded = run(tmp_path / "record", "record")
-    (segment,) = cache.iterdir()
+    (segment,) = recorded_segments(cache)
     data = segment.read_bytes()
     last = data.rindex(b"\n", 0, len(data) - 1) + 1
     key = data[last : last + 64].decode()
@@ -695,7 +705,7 @@ def test_segment_cut_mid_line_reads_that_key_as_a_miss(codebook, tiny_corpus, tm
     endpoint = FakeEndpoint()
     assert run(tmp_path / "rerun", "record", endpoint)[1] == recorded
     assert endpoint.calls == 1
-    assert len(list(cache.iterdir())) == 2
+    assert len(recorded_segments(cache)) == 2
     assert run(tmp_path / "replay2", "replay")[1] == recorded
 
 
@@ -758,7 +768,7 @@ def test_two_processes_recording_into_one_cache_at_once(codebook, tiny_corpus, t
     assert [proc.returncode for proc in procs] == [0, 0]
     recorded = (tmp_path / "out0" / report.RECORDS_NAME).read_bytes()
     assert (tmp_path / "out1" / report.RECORDS_NAME).read_bytes() == recorded
-    segments = list(cache.iterdir())
+    segments = recorded_segments(cache)
     assert len(segments) == 2
     for segment in segments:
         assert segment.read_bytes().count(b"\n") == recorded.count(b"\n")
@@ -771,7 +781,7 @@ def test_more_segments_than_open_descriptors_replay(codebook, tiny_corpus, tmp_p
     cache = tmp_path / "cache"
     run = functools.partial(cached_run, codebook, tiny_corpus, cache)
     _, recorded = run(tmp_path / "record", "record")
-    (segment,) = cache.iterdir()
+    (segment,) = recorded_segments(cache)
     lines = segment.read_bytes().splitlines(keepends=True)
     segment.unlink()
     count = llm_client.MAX_OPEN_SEGMENTS + 3

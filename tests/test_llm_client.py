@@ -4,13 +4,18 @@ import random
 import re
 import shutil
 import sys
+import tempfile
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chunkcode as cc
 from chunkcode import llm_client
@@ -706,3 +711,202 @@ class TestUnfinishedAnswers:
         assert len(session.calls) == 1
         assert sleeps == []
         assert list(tmp_path.iterdir()) == []  # no segment, so no line
+
+
+def open_read_only(directory):
+    """A read-only cache of ``directory``, and whether its open scanned the
+    segments rather than loading the saved index."""
+    scans = []
+    scan = llm_client.RequestCache._scan
+
+    def counted(self, names):
+        scans.append(names)
+        scan(self, names)
+
+    with mock.patch.object(llm_client.RequestCache, "_scan", counted):
+        cache = llm_client.RequestCache(directory, writable=False)
+    return cache, bool(scans)
+
+
+def cache_state(cache, keys):
+    """What an open built, and what ``get`` gives for each of ``keys``: the
+    response, None, or the message of the CacheMissError it raises."""
+    answers = []
+    for key in keys:
+        try:
+            answers.append(cache.get(key))
+        except CacheMissError as exc:
+            answers.append(str(exc))
+    built = (cache._paths, cache._bases, cache._end, cache._prefixes, cache._positions, cache._lengths)
+    cache.close()
+    return built, answers
+
+
+def scanned_state(directory, keys):
+    """``cache_state`` of ``directory`` opened by a scan, its index removed."""
+    (directory / llm_client.INDEX_NAME).unlink(missing_ok=True)
+    cache, scanned = open_read_only(directory)
+    assert scanned
+    return cache_state(cache, keys)
+
+
+def index_keys():
+    """Request keys, the last three sharing the index prefix of the first three."""
+    keys = [make_request(f"key {i}").request_key for i in range(3)]
+    return keys + [key[:16] + ("0" if key[16] != "0" else "1") + key[17:] for key in keys]
+
+
+# A segment line: ``entry`` (a key and an answer), ``headless`` (a line with
+# no key head) or ``corrupt`` (a key and a JSON value cut short).
+LINE = st.tuples(st.sampled_from(["entry", "entry", "headless", "corrupt"]), st.integers(0, 5), st.integers(0, 3))
+
+
+def segment_line(kind, key, answer):
+    if kind == "headless":
+        return f'no key here {answer}\n'.encode()
+    if kind == "corrupt":
+        return segment_entry(key, '["m","",{"text":"cu')
+    return segment_entry(key, f'["m","",{{"text":"answer {answer}"}}]')
+
+
+def flip_byte(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def other_byte_order(index):
+    other = "big" if sys.byteorder == "little" else "little"
+    ours = f'"byteorder": "{sys.byteorder}"'.encode()
+    index.write_bytes(index.read_bytes().replace(ours, f'"byteorder": "{other}"'.encode()))
+
+
+# Changes after which a saved index no longer describes the cache, each
+# given the cache directory, its first segment and its index.
+INDEX_INVALIDATIONS = {
+    "segment appended": lambda d, s, i: s.write_bytes(
+        s.read_bytes() + segment_entry(make_request("new").request_key, '["m","",{"text":"new"}]')
+    ),
+    "segment added": lambda d, s, i: (d / "segment-9-1-00").write_bytes(
+        segment_entry(make_request("p0").request_key, '["m","",{"text":"added"}]')
+    ),
+    "segment truncated": lambda d, s, i: s.write_bytes(s.read_bytes()[:-30]),
+    "body byte flipped": lambda d, s, i: flip_byte(i, i.read_bytes().index(b"\n") + 5),
+    "header truncated": lambda d, s, i: i.write_bytes(i.read_bytes()[:40]),
+    "byte order changed": lambda d, s, i: other_byte_order(i),
+    "entry count changed": lambda d, s, i: i.write_bytes(i.read_bytes().replace(b'"entries": 6', b'"entries": 5')),
+    "foreign file": lambda d, s, i: i.write_bytes(b"\x00\xff not an index\n[1, 2]"),
+}
+
+
+class TestSavedIndex:
+    @given(
+        segments=st.lists(st.lists(LINE, max_size=8), min_size=1, max_size=3),
+        put=st.integers(0, 6),
+    )
+    @settings(max_examples=60)
+    def test_reopening_from_the_index_builds_what_a_scan_builds(self, segments, put):
+        """Over segments holding keys that share a prefix, a key repeated
+        within and across segments, a torn tail, a headless and a corrupt
+        line, a recording session's close saves an index that the next open
+        loads, building what a scan builds and serving the same answers."""
+        keys = index_keys()
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            for n, lines in enumerate(segments):
+                data = b"".join(segment_line(kind, keys[k], a) for kind, k, a in lines)
+                data += segment_entry(keys[0], f'["m","",{{"text":"segment {n}"}}]')
+                (directory / f"segment-{n + 1}-1-{n:02x}").write_bytes(data)
+            first = directory / "segment-1-1-00"
+            first.write_bytes(
+                first.read_bytes()
+                + b"no key here\n"
+                + segment_entry(keys[1], '["m","",{"te')
+                + segment_entry(keys[2], '["m","",{"text":"torn"}]')[:-1]
+            )
+            put_key = keys[put] if put < len(keys) else make_request("new").request_key
+            cache = llm_client.RequestCache(directory, writable=True)
+            cache.put(put_key, make_request("put"), cc.LLMResponse("put answer"))
+            cache.close()
+            assert (directory / llm_client.INDEX_NAME).is_file()
+
+            every_key = [*keys, put_key, make_request("absent").request_key]
+            reopened, scanned = open_read_only(directory)
+            assert not scanned
+            from_index = cache_state(reopened, every_key)
+            assert from_index == scanned_state(directory, every_key)
+            assert from_index[1][every_key.index(put_key)].text == "put answer"
+
+    @pytest.fixture
+    def recorded(self, tmp_path):
+        """A cache of two segments and the index their recording sessions saved."""
+        keys = [make_request(f"p{i}").request_key for i in range(6)]
+        for session, batch in enumerate((keys[:4], keys[2:])):
+            cache = llm_client.RequestCache(tmp_path, writable=True)
+            for key in batch:
+                cache.put(key, make_request("x"), cc.LLMResponse(f"answer {key[:8]} {session}"))
+            cache.close()
+        return tmp_path, keys
+
+    @pytest.mark.parametrize("change", INDEX_INVALIDATIONS)
+    def test_an_index_that_no_longer_holds_is_ignored(self, recorded, change):
+        directory, keys = recorded
+        every_key = [*keys, make_request("new").request_key, make_request("absent").request_key]
+        index = directory / llm_client.INDEX_NAME
+        before = index.read_bytes()
+        reopened, scanned = open_read_only(directory)
+        assert not scanned
+        reopened.close()
+
+        INDEX_INVALIDATIONS[change](directory, sorted(directory.glob("segment-*"))[0], index)
+        assert index.read_bytes() != before or change.startswith("segment")
+        cache, scanned = open_read_only(directory)
+        assert scanned
+        assert cache_state(cache, every_key) == scanned_state(directory, every_key)
+
+    def test_index_open_costs_a_tenth_of_a_scan(self, tmp_path):
+        """At 51,000 entries, loading the saved index costs at most a tenth of
+        the CPU of scanning the segment (best of 3 opens each)."""
+        with open(tmp_path / "segment-1-1-00", "wb") as fh:
+            for i in range(51_000):
+                fh.write(segment_entry(make_request(str(i)).request_key, f'["m","",{{"text":"answer {i}"}}]'))
+        cache = llm_client.RequestCache(tmp_path, writable=True)
+        cache.put(make_request("put").request_key, make_request("put"), cc.LLMResponse("put"))
+        cache.close()
+
+        def open_cpu(scan):
+            start = time.process_time()
+            cache, scanned = open_read_only(tmp_path)
+            cpu = time.process_time() - start
+            assert scanned == scan
+            cache.close()
+            return cpu
+
+        from_index = min(open_cpu(False) for _ in range(3))
+        (tmp_path / llm_client.INDEX_NAME).unlink()
+        by_scan = min(open_cpu(True) for _ in range(3))
+        assert from_index <= 0.1 * by_scan
+
+    def test_a_failed_index_write_leaves_no_file_and_the_same_answers(self, tmp_path, monkeypatch):
+        req = make_request("p")
+        session = FakeSession([FakeResponse(200, completion_payload("the answer"))])
+
+        def refused(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(llm_client.os, "replace", refused)
+        with record_client(tmp_path, session) as client:
+            assert client.complete(req).text == "the answer"
+        monkeypatch.undo()
+        (segment,) = tmp_path.iterdir()
+        assert segment.name.startswith("segment-")
+        assert cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req).text == "the answer"
+
+    def test_only_a_session_that_appended_writes_the_index(self, recorded):
+        directory, keys = recorded
+        listing = {p.name: (p.stat().st_size, p.stat().st_mtime_ns) for p in directory.iterdir()}
+        for writable in (False, True):
+            cache = llm_client.RequestCache(directory, writable=writable)
+            assert cache.get(keys[0]).text.startswith("answer")
+            cache.close()
+        assert {p.name: (p.stat().st_size, p.stat().st_mtime_ns) for p in directory.iterdir()} == listing

@@ -12,7 +12,7 @@ import requests
 from click.testing import CliRunner
 
 import chunkcode as cc
-from chunkcode import agreement, engine, report
+from chunkcode import agreement, engine, llm_client, report
 from chunkcode.cli import main
 
 CODEBOOK_ENTRIES = [
@@ -408,9 +408,9 @@ class TestCrashAndResume:
         assert not (out / report.CONSENSUS_NAME).exists()
         written = (out / report.RECORDS_NAME).read_bytes()
         assert written == (workspace / "full" / report.RECORDS_NAME).read_bytes()[: len(written)]
-        cached = sum(
-            segment.read_bytes().count(b"\n") for segment in (workspace / "cache_resumed").iterdir()
-        )
+        cache = workspace / "cache_resumed"
+        assert [path.name for path in cache.iterdir() if not path.name.startswith("segment-")] == [llm_client.INDEX_NAME]
+        cached = sum(segment.read_bytes().count(b"\n") for segment in cache.glob("segment-*"))
         assert 0 < cached < full.calls
 
         resumed = HashSession()
@@ -453,6 +453,44 @@ def test_interrupted_rerun_leaves_only_its_own_run(workspace, monkeypatch):
     )
     assert result.exit_code == 1
     assert f"run {out} is incomplete" in result.output
+
+
+@pytest.mark.parametrize("cause", ["stopped before its first record", "one pair failed every iteration"])
+def test_listed_cells_without_records_make_a_run_incomplete(workspace, monkeypatch, cause):
+    """Cells that ``run_meta.json`` lists and no record holds are refused
+    as an incomplete run, as a cell lacking some iterations is, before the
+    subject sets are compared."""
+    out = workspace / "run"
+    if cause == "stopped before its first record":
+        def interrupting(record):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine, "record_to_json", interrupting)
+        assert cli("run", *run_args(workspace, out, **{"--strategy": "whole"})).exit_code != 0
+        assert (out / report.RECORDS_NAME).read_bytes() == b""
+        missing = [(doc, dim) for doc in ("doc-a", "doc-b") for dim in ("fidelity", "use-cases", "state")]
+    else:
+        def answer(request):
+            if request.tag.startswith("doc-b/state/"):
+                raise cc.TransportError("refused")
+            return "Yes, the parameter is mentioned."
+
+        cfg = cc.RunConfig(model="mock-model", strategy="whole", iterations=5)
+        corpus = cc.load_manifest(workspace / "manifest.json")
+        cb = cc.load_codebook(workspace / "codebook.json")
+        result = report.write_run(out, corpus, cb, cfg, cc.LLMClient(mode="mock", mock=answer))
+        assert {(f.doc_id, f.dimension_id) for f in result.failures} == {("doc-b", "state")}
+        assert (out / report.FAILURES_NAME).is_file()
+        missing = [("doc-b", "state")]
+
+    result = cli("evaluate", "--manual", workspace / "manual.csv", "--run", out, "--out", workspace / "reports")
+    assert result.exit_code == 1
+    assert result.output == (
+        f"error: run {out} is incomplete: {len(missing)} cell(s) lack iterations; rerunning it in"
+        " record mode into the same cache completes them\n"
+        + "".join(f"cell {cell} lacks iteration(s) [1, 2, 3, 4, 5]\n" for cell in missing)
+    )
+    assert not (workspace / "reports").exists()
 
 
 class TestConsensusCommand:
@@ -1311,7 +1349,9 @@ def test_unfinished_answers_fail_their_cells_and_a_rerun_sends_them_again(tmp_pa
         # first chunk. The finished answers of the first run serve the rerun.
         runs = 1 if name == "first" else 2
         assert session.posts == {"ok": (3 + 1) * 2, "cut": 4 * runs, "filtered": 4 * runs, "blank": 4 * runs}
-    lines = b"".join(path.read_bytes() for path in (tmp_path / "cache").iterdir()).splitlines()
+    cache = tmp_path / "cache"
+    assert [path.name for path in cache.iterdir() if not path.name.startswith("segment-")] == [llm_client.INDEX_NAME]
+    lines = b"".join(path.read_bytes() for path in cache.glob("segment-*")).splitlines()
     assert len(lines) == (3 + 1) * 2
     assert all(b'"doc-a/ok/' in line or b'"doc-b/ok/' in line for line in lines)
     assert (tmp_path / "first" / report.RECORDS_NAME).read_bytes() == (

@@ -255,6 +255,9 @@ class TestWilcoxon:
 
 
 TIED = sample("t", [8, 12])
+FORTY = [sample(label, [v + 0.5 * k for v in range(40)]) for k, label in enumerate("ab")]
+TIED_FORTY = [sample(label, range(40)) for label in "ab"]
+TWENTY_ONE = sample("s", [v + 0.25 for v in range(21)])
 SIDES_MESSAGE = "sides must be one of ('two', 'less', 'greater'), got 'sideways'"
 METHOD_MESSAGE = "method must be one of ('auto', 'exact', 'approx'), got 'fast'"
 
@@ -278,6 +281,21 @@ METHOD_MESSAGE = "method must be one of ('auto', 'exact', 'approx'), got 'fast'"
             lambda: cs.wilcoxon_signed_rank_one_sample(TIED, math.nan, method="exact"),
             "target median must be finite",
         ),
+        (
+            lambda: cs.mann_whitney_u(*FORTY, method="exact"),
+            "exact method would enumerate 107507208733336176461620 assignments, more than"
+            " EXACT_MAX_ASSIGNMENTS (1048576)",
+        ),
+        (
+            lambda: cs.wilcoxon_signed_rank_one_sample(TWENTY_ONE, 0.0, method="exact"),
+            "exact method would enumerate 2097152 assignments, more than EXACT_MAX_ASSIGNMENTS (1048576)",
+        ),
+        (lambda: cs.mann_whitney_u(*TIED_FORTY, method="exact"), "exact method requires tie-free data"),
+        (lambda: cs.mann_whitney_u(*FORTY, "sideways", method="exact"), SIDES_MESSAGE),
+        (
+            lambda: cs.wilcoxon_signed_rank_one_sample(TWENTY_ONE, math.inf, method="exact"),
+            "target median must be finite",
+        ),
     ],
 )
 def test_refusal_messages_and_their_order(call, message):
@@ -285,6 +303,26 @@ def test_refusal_messages_and_their_order(call, message):
         call()
     assert type(raised.value) is ValueError
     assert str(raised.value) == message
+
+
+def test_exact_requests_up_to_the_assignment_limit_are_enumerated(monkeypatch):
+    """The limit is inclusive and binds only an explicit exact request:
+    ``auto`` picks its route by ``EXACT_LIMIT`` alone."""
+    monkeypatch.setattr(cs, "EXACT_MAX_ASSIGNMENTS", 16)
+    four, five = sample("s", [1.5, 2.5, 3.5, 4.5]), sample("s", [1.5, 2.5, 3.5, 4.5, 5.5])
+    assert cs.wilcoxon_signed_rank_one_sample(four, 0.0, method="exact").method_note == (
+        "exact enumeration over 2^4 sign assignments"
+    )
+    with pytest.raises(ValueError, match="would enumerate 32 assignments"):
+        cs.wilcoxon_signed_rank_one_sample(five, 0.0, method="exact")
+    pair = sample("a", [1, 2])
+    four_b, five_b = sample("b", [3.5, 4.5, 5.5, 6.5]), sample("b", [3.5, 4.5, 5.5, 6.5, 7.5])
+    assert cs.mann_whitney_u(pair, four_b, method="exact").method_note == (
+        "exact enumeration over C(6,2) rank assignments"
+    )
+    with pytest.raises(ValueError, match="would enumerate 21 assignments"):
+        cs.mann_whitney_u(pair, five_b, method="exact")
+    assert cs.mann_whitney_u(pair, five_b).method_note == "exact enumeration over C(7,2) rank assignments"
 
 
 def test_degenerate_data_is_not_refused_by_an_exact_request():
