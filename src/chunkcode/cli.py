@@ -72,7 +72,8 @@ def run(manifest_path, codebook_path, model, strategy, chunk_size, iterations,
     """Code a corpus and write records, iteration results, and consensus.
 
     Exits 0 on full success, 2 when some cells failed (a failure manifest is
-    written next to the results), 1 on configuration errors.
+    written next to the results), 1 on configuration errors and on a file
+    that cannot be read or written.
     """
     try:
         cfg = engine.RunConfig(
@@ -89,7 +90,7 @@ def run(manifest_path, codebook_path, model, strategy, chunk_size, iterations,
         corpus = load_manifest(manifest_path)
         with _build_client(cache_mode, cache_dir, seed, flip_probability, max_inflight) as client:
             result = report.write_run(out_dir, corpus, cb, cfg, client)
-    except ChunkCodeError as exc:
+    except (ChunkCodeError, OSError) as exc:
         _fail(str(exc))
     if result.failures and not result.results:
         # Nothing succeeded: a setup-level problem (e.g. replaying a cold
@@ -140,7 +141,7 @@ def consensus(records_path, out_dir):
             ["scope", "doc_id", "internal_agreement"],
             agreement_rows,
         )
-    except ChunkCodeError as exc:
+    except (ChunkCodeError, OSError) as exc:
         _fail(str(exc))
     click.echo(f"wrote consensus for {len(doc_ids)} document(s) to {out_dir}")
 

@@ -462,7 +462,8 @@ def record_from_json(line: str) -> PromptRecord:
 
     Raises JSONDecodeError for invalid JSON, TypeError for a line that is
     not an object, KeyError for a missing field, and ValueError for a field
-    of the wrong type or an invalid code.
+    of the wrong type, an invalid code, or a chunk index at or above
+    ``CHUNK_INDEX_LIMIT``.
     """
     data = decode_json(line)
     for name in _RECORD_STRING_FIELDS:
@@ -479,6 +480,8 @@ def record_from_json(line: str) -> PromptRecord:
     if phrase is not None and not isinstance(phrase, str):
         raise _field_error(data, "matched_phrase", "null or a string")
     code = NO_MATCH if value is False and phrase is None else BinaryCode(value, phrase)
+    if chunk is not None and chunk >= CHUNK_INDEX_LIMIT:
+        raise _field_error(data, "chunk_index", f"below {CHUNK_INDEX_LIMIT}")
     return PromptRecord(
         data["doc_id"], data["dimension_id"], iteration, chunk, data["model"],
         data["strategy"], data["raw_response"], code, data["request_key"],
@@ -503,11 +506,6 @@ def read_records_jsonl(path: str | Path) -> Iterator[PromptRecord]:
                 continue
             try:
                 record = record_from_json(line)
-                chunk = record.chunk_index
-                if chunk is not None and chunk >= CHUNK_INDEX_LIMIT:
-                    raise ValueError(
-                        f"field 'chunk_index' must be below {CHUNK_INDEX_LIMIT}, not {chunk}"
-                    )
             except json.JSONDecodeError as exc:
                 problem = f"invalid JSON (column {exc.colno}: {exc.msg})"
             except KeyError as exc:

@@ -248,19 +248,102 @@ def _crc32(arrays: Iterable[array]) -> int:
     return crc
 
 
-def _latest_arrays(entries: list[int]) -> tuple[array, array, array]:
-    """The index arrays of packed entries, ``prefix << 96 | position << 32 |
-    length``: key prefixes in order, each with its line at the highest
-    position, and that line's position and length."""
+def _segment_names(names: Iterable[str]) -> list[str]:
+    """The segment names among ``names``, by generation and then name: the
+    order in which they are indexed."""
+    segments = sorted((int(m.group(1)), name) for name in names if (m := _SEGMENT_NAME.fullmatch(name)))
+    return [name for _, name in segments]
+
+
+def _scan(directory: Path, names: list[str]) -> tuple[list[int], tuple[array, array, array]]:
+    """Index the segments ``names``, in this order, line by line: each
+    segment's size, and the index arrays (key prefixes in order, each with
+    its line at the highest position, and that line's position and length)."""
+    # prefix << 96 | position << 32 | length, in the order lines were
+    # written, so that sorting puts a key's later lines after its earlier.
+    entries = []
+    sizes = []
+    end = 0
+    for name in names:
+        offset = 0
+        with open(directory / name, "rb") as fh:
+            for line in fh:
+                # The head is 64 lowercase hex digits and a tab.
+                if (
+                    line[-1:] == b"\n"
+                    and line[64:65] == b"\t"
+                    and not line[:64].strip(b"0123456789abcdef")
+                ):
+                    position = end + offset
+                    entries.append(int(line[:16], 16) << 96 | position << 32 | len(line) - 1)
+                offset += len(line)
+        sizes.append(offset)
+        end += offset
     entries.sort()
     # Sorted, a key's lines run in written order: keep each key's last.
     latest = [entry for entry, after in zip(entries, entries[1:]) if entry >> 96 != after >> 96]
     latest += entries[-1:]
-    return (
+    return sizes, (
         array("Q", (entry >> 96 for entry in latest)),
         array("Q", (entry >> 32 & _LOW64 for entry in latest)),
         array("I", (entry & 0xFFFF_FFFF for entry in latest)),
     )
+
+
+def _load_index(directory: Path, names: list[str]) -> tuple[list[int], tuple[array, array, array]] | None:
+    """What ``_scan`` gives for the segments ``names``, read from ``index``
+    when it describes them at their present sizes; None when there is none
+    or it does not hold."""
+    arrays = [array(code) for code in _INDEX_TYPES]
+    itemsizes = [a.itemsize for a in arrays]
+    try:
+        sizes = [os.stat(directory / name).st_size for name in names]
+        with open(directory / INDEX_NAME, "rb") as fh:
+            header = json.loads(fh.readline())
+            count = header.get("entries") if isinstance(header, dict) else None
+            # Checked before the body is read: a foreign header cannot ask for a huge read.
+            if not (
+                type(count) is int
+                and header.get("format") == _INDEX_FORMAT
+                and header.get("byteorder") == sys.byteorder
+                and header.get("itemsizes") == itemsizes
+                and header.get("segments") == [[name, size] for name, size in zip(names, sizes)]
+                and os.fstat(fh.fileno()).st_size - fh.tell() == count * sum(itemsizes)
+            ):
+                return None
+            for a in arrays:
+                a.fromfile(fh, count)
+    except (OSError, ValueError, EOFError, RecursionError):  # a foreign file: deep JSON, short body
+        return None
+    if header.get("crc32") != _crc32(arrays):
+        return None
+    return sizes, tuple(arrays)
+
+
+def _save_index(directory: Path) -> None:
+    """Scan the segments in ``directory`` as they are now and write that
+    index to ``index`` through a temp file; a failed listing, scan or write
+    leaves neither."""
+    temp = directory / f"{INDEX_NAME}.{os.getpid()}-{os.urandom(8).hex()}"
+    try:
+        names = _segment_names(os.listdir(directory))
+        sizes, arrays = _scan(directory, names)
+        header = {
+            "format": _INDEX_FORMAT,
+            "byteorder": sys.byteorder,
+            "itemsizes": [a.itemsize for a in arrays],
+            "segments": [[name, size] for name, size in zip(names, sizes)],
+            "entries": len(arrays[0]),
+            "crc32": _crc32(arrays),
+        }
+        with open(temp, "xb") as fh:
+            fh.write(json.dumps(header).encode("ascii") + b"\n")
+            for a in arrays:
+                a.tofile(fh)
+        os.replace(temp, directory / INDEX_NAME)
+    except OSError:
+        with contextlib.suppress(OSError):
+            temp.unlink()
 
 
 class RequestCache:
@@ -282,12 +365,13 @@ class RequestCache:
     checks the whole key, so a key sharing another's prefix reads as a miss
     rather than as the other's response.
 
-    ``close`` on a cache that appended saves the index, with its puts merged
-    in, to ``index``: a JSON header line naming each segment and its size,
-    then the three arrays. The next open loads it in place of the scan when
-    it names exactly the segments in the directory at their present sizes
-    and its byte order, item sizes, entry count and checksum hold; any other
-    index is ignored.
+    ``close`` on a cache that appended scans the directory again and saves
+    that index to ``index``: a JSON header line naming each segment and its
+    size, then the three arrays. So whichever of several recording caches
+    closes last indexes every segment. The next open loads it in place of
+    the scan when it names exactly the segments in the directory at their
+    present sizes and its byte order, item sizes, entry count and checksum
+    hold; any other index is ignored.
 
     A key not in the index falls back to a flat file named by the key, the
     layout of caches recorded before segments; flat files are never
@@ -305,9 +389,6 @@ class RequestCache:
         self.directory = Path(directory)
         self.writable = writable
         self._lock = threading.Lock()
-        self._paths: list[Path] = []
-        self._bases: list[int] = []  # where each segment starts, end to end
-        self._end = 0
         self._own: int | None = None  # this cache's segment, once it has one
         self._fds: dict[int, int] = {}  # segment -> descriptor, oldest first
         self._release = weakref.finalize(self, _close_descriptors, self._fds)
@@ -318,110 +399,22 @@ class RequestCache:
         except FileNotFoundError:
             names = []
         self._has_flat = any(_FLAT_NAME.fullmatch(name) for name in names)
-        segments = sorted(
-            (int(m.group(1)), name) for name in names if (m := _SEGMENT_NAME.fullmatch(name))
+        in_order = _segment_names(names)
+        self._generation = int(_SEGMENT_NAME.fullmatch(in_order[-1]).group(1)) + 1 if in_order else 1
+        sizes, (self._prefixes, self._positions, self._lengths) = (
+            _load_index(self.directory, in_order) or _scan(self.directory, in_order)
         )
-        self._generation = segments[-1][0] + 1 if segments else 1
-        in_order = [name for _, name in segments]
-        if not self._load_index(in_order):
-            self._scan(in_order)
+        self._paths = [self.directory / name for name in in_order]
+        self._bases = [0, *itertools.accumulate(sizes)]  # where each segment starts, end to end
+        self._end = self._bases.pop()
         self._puts: dict[int, int] = {}  # prefix -> position << 32 | length
-
-    def _scan(self, names: list[str]) -> None:
-        """Index the segments ``names``, in this order, line by line."""
-        # prefix << 96 | position << 32 | length, in the order lines were
-        # written, so that sorting puts a key's later lines after its earlier.
-        entries = []
-        for name in names:
-            path = self.directory / name
-            offset = 0
-            with open(path, "rb") as fh:
-                for line in fh:
-                    # The head is 64 lowercase hex digits and a tab.
-                    if (
-                        line[-1:] == b"\n"
-                        and line[64:65] == b"\t"
-                        and not line[:64].strip(b"0123456789abcdef")
-                    ):
-                        position = self._end + offset
-                        entries.append(int(line[:16], 16) << 96 | position << 32 | len(line) - 1)
-                    offset += len(line)
-            self._add_segment(path, offset)
-        self._prefixes, self._positions, self._lengths = _latest_arrays(entries)
-
-    def _load_index(self, names: list[str]) -> bool:
-        """Take the index from ``index`` when it describes the segments
-        ``names`` at their present sizes; False, with nothing taken, when
-        there is none or it does not hold."""
-        arrays = [array(code) for code in _INDEX_TYPES]
-        itemsizes = [a.itemsize for a in arrays]
-        try:
-            sizes = [os.stat(self.directory / name).st_size for name in names]
-            with open(self.directory / INDEX_NAME, "rb") as fh:
-                header = json.loads(fh.readline())
-                count = header.get("entries") if isinstance(header, dict) else None
-                # Checked before the body is read: a foreign header cannot ask for a huge read.
-                if not (
-                    type(count) is int
-                    and header.get("format") == _INDEX_FORMAT
-                    and header.get("byteorder") == sys.byteorder
-                    and header.get("itemsizes") == itemsizes
-                    and header.get("segments") == [[name, size] for name, size in zip(names, sizes)]
-                    and os.fstat(fh.fileno()).st_size - fh.tell() == count * sum(itemsizes)
-                ):
-                    return False
-                for a in arrays:
-                    a.fromfile(fh, count)
-        except (OSError, ValueError, EOFError, RecursionError):  # a foreign file: deep JSON, short body
-            return False
-        if header.get("crc32") != _crc32(arrays):
-            return False
-        self._prefixes, self._positions, self._lengths = arrays
-        for name, size in zip(names, sizes):
-            self._add_segment(self.directory / name, size)
-        return True
-
-    def _add_segment(self, path: Path, size: int) -> None:
-        self._paths.append(path)
-        self._bases.append(self._end)
-        self._end += size
-
-    def _save_index(self) -> None:
-        """Write the index, with this cache's puts merged in, to ``index``
-        through a temp file; a failed write leaves neither."""
-        entries = [
-            prefix << 96 | position << 32 | length
-            for prefix, position, length in zip(self._prefixes, self._positions, self._lengths)
-        ]
-        # A put's line lies after every line indexed at the open, so it wins.
-        entries += [prefix << 96 | found for prefix, found in self._puts.items()]
-        arrays = _latest_arrays(entries)
-        ends = [*self._bases[1:], self._end]
-        header = {
-            "format": _INDEX_FORMAT,
-            "byteorder": sys.byteorder,
-            "itemsizes": [a.itemsize for a in arrays],
-            "segments": [[path.name, end - base] for path, base, end in zip(self._paths, self._bases, ends)],
-            "entries": len(arrays[0]),
-            "crc32": _crc32(arrays),
-        }
-        temp = self.directory / f"{INDEX_NAME}.{os.getpid()}-{os.urandom(8).hex()}"
-        try:
-            with open(temp, "xb") as fh:
-                fh.write(json.dumps(header).encode("ascii") + b"\n")
-                for a in arrays:
-                    a.tofile(fh)
-            os.replace(temp, self.directory / INDEX_NAME)
-        except OSError:
-            with contextlib.suppress(OSError):
-                temp.unlink()
 
     def close(self) -> None:
         """Save the index if this cache appended, then release the open
         descriptors; the cache is not used after this."""
         with self._lock:
             if self._release.alive and self._puts:
-                self._save_index()
+                _save_index(self.directory)
             self._release()
 
     def get(self, key: str) -> LLMResponse | None:
@@ -485,7 +478,8 @@ class RequestCache:
                 flags = os.O_RDWR | os.O_CREAT | os.O_EXCL | os.O_APPEND
                 self._fds[len(self._paths)] = os.open(path, flags, 0o644)
                 self._own = len(self._paths)
-                self._add_segment(path, 0)
+                self._paths.append(path)
+                self._bases.append(self._end)
             written = os.write(self._fds[self._own], line)
             position = self._end
             self._end += written

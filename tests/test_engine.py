@@ -4,6 +4,7 @@ import functools
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -433,7 +434,11 @@ class TestRecordSerialization:
         )
         line = record_to_json(record)
         assert line == sorted_json_dumps(record)
-        assert record_from_json(line) == record
+        if chunk_index is not None and chunk_index >= engine.CHUNK_INDEX_LIMIT:
+            with pytest.raises(ValueError, match=f"must be below {engine.CHUNK_INDEX_LIMIT}, not {chunk_index}$"):
+                record_from_json(line)
+        else:
+            assert record_from_json(line) == record
 
     def test_template_with_the_pure_python_escape(self, monkeypatch):
         """The escape interpreters built without ``_json`` use gives the same line."""
@@ -451,6 +456,21 @@ class TestRecordSerialization:
         )
         with pytest.raises(cc.IngestionError, match=f"chunk index {chunk_index!r}"):
             cc.iteration_results_from_records([record])
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ({"code": 1}, "field 'code' must be true or false, not 1"),
+            ({"code": True}, "a True code must record its matched phrase"),
+            ({}, f"field 'chunk_index' must be below {engine.CHUNK_INDEX_LIMIT}, not {2**63}"),
+        ],
+        ids=["code a number", "true without phrase", "chunk index alone"],
+    )
+    def test_chunk_index_limit_is_checked_after_the_other_fields(self, fault, message):
+        record = cc.PromptRecord("d", "x", 1, 2**63, "m", "chunk", "No.", cc.BinaryCode(False, None), "ff")
+        line = json.dumps({**json.loads(record_to_json(record)), **fault})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            record_from_json(line)
 
     def test_chunk_index_below_the_limit_is_reduced(self):
         record = cc.PromptRecord(
@@ -772,6 +792,9 @@ def test_two_processes_recording_into_one_cache_at_once(codebook, tiny_corpus, t
     assert len(segments) == 2
     for segment in segments:
         assert segment.read_bytes().count(b"\n") == recorded.count(b"\n")
+    with open(cache / llm_client.INDEX_NAME, "rb") as fh:
+        header = json.loads(fh.readline())
+    assert header["segments"] == [[segment.name, segment.stat().st_size] for segment in segments]
     endpoint = FakeEndpoint()
     assert run(tmp_path / "replay", "replay", endpoint)[1] == recorded
     assert endpoint.calls == 0

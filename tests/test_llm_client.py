@@ -717,13 +717,13 @@ def open_read_only(directory):
     """A read-only cache of ``directory``, and whether its open scanned the
     segments rather than loading the saved index."""
     scans = []
-    scan = llm_client.RequestCache._scan
+    scan = llm_client._scan
 
-    def counted(self, names):
+    def counted(directory, names):
         scans.append(names)
-        scan(self, names)
+        return scan(directory, names)
 
-    with mock.patch.object(llm_client.RequestCache, "_scan", counted):
+    with mock.patch.object(llm_client, "_scan", counted):
         cache = llm_client.RequestCache(directory, writable=False)
     return cache, bool(scans)
 
@@ -901,6 +901,46 @@ class TestSavedIndex:
         (segment,) = tmp_path.iterdir()
         assert segment.name.startswith("segment-")
         assert cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req).text == "the answer"
+
+    def assert_index_serves_a_scan(self, directory, keys):
+        """A read-only open loads ``index`` and builds and serves what a scan does."""
+        reopened, scanned = open_read_only(directory)
+        assert not scanned
+        assert cache_state(reopened, keys) == scanned_state(directory, keys)
+
+    @pytest.mark.parametrize("first_closed", [0, 1])
+    def test_two_caches_recording_at_once_leave_an_index(self, tmp_path, first_closed):
+        """Two recording caches open on one empty directory, put one entry
+        each and close in either order: the last close indexes both segments."""
+        keys = [make_request(f"p{i}").request_key for i in range(2)]
+        caches = [llm_client.RequestCache(tmp_path, writable=True) for _ in keys]
+        for cache, key in zip(caches, keys):
+            cache.put(key, make_request("x"), cc.LLMResponse(f"answer {key[:8]}"))
+        caches[first_closed].close()
+        caches[1 - first_closed].close()
+        every_key = [*keys, make_request("absent").request_key]
+        self.assert_index_serves_a_scan(tmp_path, every_key)
+        reopened = llm_client.RequestCache(tmp_path, writable=False)
+        assert [reopened.get(key).text for key in keys] == [f"answer {key[:8]}" for key in keys]
+        reopened.close()
+
+    def test_overlapping_sessions_leave_an_index(self, tmp_path):
+        """B opens after A's first put, A puts again and closes first, then B
+        puts A's second key and closes: B's line, in the later generation, wins."""
+        keys = [make_request(f"p{i}").request_key for i in range(3)]
+        a = llm_client.RequestCache(tmp_path, writable=True)
+        a.put(keys[0], make_request("x"), cc.LLMResponse("a first"))
+        b = llm_client.RequestCache(tmp_path, writable=True)
+        a.put(keys[1], make_request("x"), cc.LLMResponse("a second"))
+        b.put(keys[1], make_request("x"), cc.LLMResponse("b"))
+        b.put(keys[2], make_request("x"), cc.LLMResponse("b"))
+        a.close()
+        b.close()
+        every_key = [*keys, make_request("absent").request_key]
+        self.assert_index_serves_a_scan(tmp_path, every_key)
+        reopened = llm_client.RequestCache(tmp_path, writable=False)
+        assert [reopened.get(key).text for key in keys] == ["a first", "b", "b"]
+        reopened.close()
 
     def test_only_a_session_that_appended_writes_the_index(self, recorded):
         directory, keys = recorded

@@ -201,6 +201,17 @@ class TestRunCommand:
         assert "max_inflight must be >= 1" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["--out", "--cache-dir"])
+    def test_a_directory_under_a_file_exits_one(self, workspace, option):
+        """An output or cache directory that cannot be made is reported, not a traceback."""
+        (workspace / "afile").write_text("", encoding="utf-8")
+        blocked = workspace / "afile" / "sub"
+        options = {option: blocked, "--cache-mode": "mock" if option == "--out" else "record"}
+        result = cli("run", *run_args(workspace, workspace / "out", **options))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: " in result.output and str(blocked) in result.output
+
     def test_record_mode_resumes_from_cache(self, workspace, monkeypatch):
         """A rerun in record mode is served by the cache: no new transport calls."""
         calls = {"n": 0}
@@ -511,6 +522,16 @@ class TestConsensusCommand:
         assert float(model_row["internal_agreement"]) == pytest.approx(
             engine.internal_agreement(engine.consensus_table(results)).model, abs=1e-12
         )
+
+    def test_an_out_directory_under_a_file_exits_one(self, workspace):
+        out = workspace / "out"
+        cli("run", *run_args(workspace, out))
+        (workspace / "afile").write_text("", encoding="utf-8")
+        blocked = workspace / "afile" / "c"
+        result = cli("consensus", "--records", out / report.RECORDS_NAME, "--out", blocked)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error: " in result.output and str(blocked) in result.output
 
     def test_uneven_iterations_are_refused_before_writing(self, workspace):
         out = workspace / "out"
