@@ -9,6 +9,7 @@ call order and safe to issue from concurrent workers.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -25,13 +26,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, Iterable, Mapping, NamedTuple, Protocol
 
 from .codebook import Dimension
 from .errors import CacheMissError, ConfigError, TransportError
-
-if TYPE_CHECKING:
-    import requests
 
 API_KEY_ENV = "CHUNKCODE_API_KEY"
 BASE_URL_ENV = "CHUNKCODE_BASE_URL"
@@ -138,7 +136,7 @@ def _retry_after_s(value: str | None) -> float | None:
     return min(float(value), RETRY_CAP_S)
 
 
-def _completion(resp: requests.Response, latency: float) -> LLMResponse:
+def _completion(resp: _Response, latency: float) -> LLMResponse:
     """The completion a 200 answer carries. A malformed payload, an answer cut
     short or withheld, and an empty answer are refused and not retried."""
     try:
@@ -573,30 +571,143 @@ class StochasticMock:
         return self.positive_text if value else self.negative_text
 
 
-def _own_session(base_url: str, max_inflight: int) -> requests.Session:
-    """A session for a client that posts, with its environment read once.
+class _Session(Protocol):
+    """What ``LLMClient`` posts through: its own ``_Transport``, or a caller's
+    ``requests.Session`` or fake. Failures raise ``OSError`` (as
+    ``requests``' exceptions do) or ``http.client.HTTPException``."""
 
-    The HTTP stack is imported here, not at module level: replay, mock and
-    the analysis commands never post, and loading ``requests`` would double
-    their start-up.
+    def post(self, url: str, *, json: object, headers: Mapping[str, str], timeout: float): ...
+
+
+class _Response(NamedTuple):
+    """An HTTP answer, with what ``_post`` reads of a ``requests.Response``."""
+
+    status_code: int
+    headers: Mapping[str, str]  # an http.client.HTTPMessage: ``get`` ignores case
+    content: bytes
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8", "replace")
+
+    def json(self):
+        return json.loads(self.content)
+
+
+# ``_Transport.post`` takes a ``json`` argument, as requests does, which hides the module.
+_json_dumps = json.dumps
+
+
+class _Transport:
+    """Posts JSON to one origin over keep-alive HTTP/1.1 connections, one per
+    post in flight.
+
+    The environment is read once, here. A proxy comes from ``HTTP_PROXY`` or
+    ``HTTPS_PROXY`` unless ``NO_PROXY`` covers the host: HTTPS tunnels
+    through it with CONNECT, plain HTTP sends it the absolute URI, and
+    userinfo in its URL becomes ``Proxy-Authorization``. HTTPS trusts the CA
+    bundle that ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE`` names, else the
+    system store (``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` apply). ``~/.netrc``
+    is not read: its Basic credentials would replace the API key's Bearer.
+
+    A post takes an idle connection, or opens one, and gives it back after,
+    so the transport holds no more connections than it once had posts in
+    flight; each keeps the timeout of the post that opened it. When a
+    reused connection fails before a status line (the server closed it
+    while idle), the post is sent again at once on a new one; any other
+    failure closes the connection and propagates. The modules load only
+    when a transport is built: replay, mock and the analysis commands never
+    post. Safe to call from several threads.
     """
-    import requests
-    from requests.adapters import HTTPAdapter
 
-    # urllib3 keeps 10 connections per host by default; a larger
-    # bound would open and discard a connection per request.
-    session = requests.Session()
-    adapter = HTTPAdapter(pool_maxsize=max_inflight)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    # Read proxies, CA bundle and netrc credentials once. Left to
-    # requests, every request rescans the environment and stats the
-    # netrc paths: CPU that competes with the requests in flight.
-    env = session.merge_environment_settings(base_url, {}, None, None, None)
-    session.proxies, session.verify = env["proxies"], env["verify"]
-    session.auth = requests.utils.get_netrc_auth(base_url)
-    session.trust_env = False
-    return session
+    def __init__(self, base_url: str):
+        import http.client
+        import urllib.parse
+        import urllib.request
+
+        parts = urllib.parse.urlsplit(base_url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ConfigError(f"base URL {base_url!r} is not an http:// or https:// URL")
+        self._origin = f"{parts.scheme}://{parts.netloc}"
+        self._headers = {"Content-Type": "application/json", "User-Agent": "chunkcode"}
+        self._absolute = False  # whether the request line names the whole URL, for a proxy
+        self._tunnel = None
+        host, port = parts.hostname, parts.port
+        proxies = urllib.request.getproxies_environment()
+        proxy = proxies.get(parts.scheme)
+        if proxy and not urllib.request.proxy_bypass_environment(parts.netloc, proxies):
+            import base64
+
+            via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            if via.scheme != "http" or not via.hostname:
+                raise ConfigError(f"proxy {proxy!r} is not an http:// URL")
+            auth = {}
+            if via.username is not None:
+                userinfo = f"{via.username}:{via.password or ''}"
+                credentials = base64.b64encode(urllib.parse.unquote(userinfo).encode("utf-8"))
+                auth["Proxy-Authorization"] = "Basic " + credentials.decode("ascii")
+            if parts.scheme == "https":
+                self._tunnel = (host, port, auth)
+            else:
+                self._absolute = True
+                self._headers.update(auth)
+            host, port = via.hostname, via.port or 80
+        if parts.scheme == "https":
+            import ssl
+
+            ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+            where = {"capath": ca} if ca and os.path.isdir(ca) else {"cafile": ca}
+            context = ssl.create_default_context(**where)
+            self._connection = functools.partial(http.client.HTTPSConnection, host, port, context=context)
+        else:
+            self._connection = functools.partial(http.client.HTTPConnection, host, port)
+        self._lock = threading.Lock()
+        self._idle: list[http.client.HTTPConnection] = []
+        self._closed = False
+
+    def post(self, url: str, *, json: object, headers: Mapping[str, str], timeout: float) -> _Response:
+        """POST ``json`` to ``url``, which lies under the base URL."""
+        body = _json_dumps(json, allow_nan=False).encode("utf-8")
+        headers = {**self._headers, **headers}
+        target = url if self._absolute else url[len(self._origin):]
+        with self._lock:
+            if self._closed:
+                raise ValueError("HTTP transport is closed")
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = self._connection(timeout=timeout)  # connects on its first request
+            if self._tunnel is not None:
+                conn.set_tunnel(*self._tunnel)
+        try:
+            reused = conn.sock is not None
+            try:
+                conn.request("POST", target, body, headers)
+                response = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected among them
+                if not reused:
+                    raise
+                conn.close()  # the next request opens a new socket
+                conn.request("POST", target, body, headers)
+                response = conn.getresponse()
+            content = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        with self._lock:
+            if not self._closed:
+                self._idle.append(conn)
+                conn = None
+        if conn is not None:
+            conn.close()
+        return _Response(response.status, response.headers, content)
+
+    def close(self) -> None:
+        """Close every connection; one in flight closes when its post ends."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
 
 class LLMClient:
@@ -613,9 +724,10 @@ class LLMClient:
     ``cache_dir``; live and mock ignore it. ``complete`` is safe to call
     from several threads. ``max_inflight`` is the number of concurrent
     requests the caller may issue (``run_iterations`` sizes its pool by it);
-    the client sizes its own HTTP connection pool to match but does not
-    enforce it. ``close`` (or leaving a ``with`` block) releases the
-    cache's open files.
+    the client does not enforce it. Live and record clients post through a
+    ``_Transport`` of their own unless given a ``session``. ``close`` (or
+    leaving a ``with`` block) closes the transport's connections and
+    releases the cache's open files; a caller's session is left open.
     """
 
     def __init__(
@@ -629,7 +741,7 @@ class LLMClient:
         max_attempts: int = 5,
         timeout: float = 60.0,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        session: requests.Session | None = None,
+        session: _Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
     ):
@@ -648,9 +760,8 @@ class LLMClient:
         self.max_attempts = max_attempts
         self.timeout = timeout
         self.max_inflight = max_inflight
-        if session is None and mode in NETWORK_MODES:
-            session = _own_session(self.base_url, max_inflight)
-        self._session = session
+        self._transport = _Transport(self.base_url) if session is None and mode in NETWORK_MODES else None
+        self._session = self._transport if session is None else session
         self._sleep = sleep
         self._rng = rng
         self._cache = (
@@ -660,7 +771,10 @@ class LLMClient:
         )
 
     def close(self) -> None:
-        """Release the request cache's open files."""
+        """Close the own transport's connections and release the request
+        cache's open files."""
+        if self._transport is not None:
+            self._transport.close()
         if self._cache is not None:
             self._cache.close()
 
@@ -694,7 +808,7 @@ class LLMClient:
     # -- transport ---------------------------------------------------------
 
     def _post(self, request: PromptRequest) -> LLMResponse:
-        import requests  # for RequestException; loaded already with an own session
+        from http.client import HTTPException
 
         url = f"{self.base_url}/chat/completions"
         body = {
@@ -707,7 +821,7 @@ class LLMClient:
             start = time.monotonic()
             try:
                 resp = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
+            except (OSError, HTTPException) as exc:
                 failure = f"{type(exc).__name__}: {exc}"
             else:
                 if resp.status_code == 200:

@@ -1,8 +1,12 @@
+import base64
 import collections.abc
 import json
+import os
 import random
 import re
 import shutil
+import socket
+import ssl
 import sys
 import tempfile
 import time
@@ -21,6 +25,7 @@ import chunkcode as cc
 from chunkcode import llm_client
 from chunkcode.errors import CacheMissError, ConfigError, TransportError
 from chunkcode.llm_client import retry_delay
+from local_endpoint import ANSWERS, LocalEndpoint
 
 
 class FakeResponse:
@@ -258,27 +263,6 @@ class TestClientModes:
         assert re.fullmatch(r"segment-1-\d+-[0-9a-f]{16}", segment.name)
         assert segment.read_bytes().startswith(f"{req.request_key}\t".encode())
 
-    def test_own_session_pools_max_inflight_connections(self):
-        client = cc.LLMClient(mode="live", max_inflight=16)
-        for url in ("http://t/v1", "https://t/v1"):
-            adapter = client._session.get_adapter(url)
-            assert adapter.poolmanager.connection_pool_kw["maxsize"] == 16
-
-    def test_own_session_reads_network_environment_once(self, monkeypatch, tmp_path):
-        netrc = tmp_path / "netrc"
-        netrc.write_text("machine api.example login user password secret\n")
-        monkeypatch.setenv("NETRC", str(netrc))
-        monkeypatch.setenv("HTTPS_PROXY", "http://proxy.example:3128")
-        monkeypatch.setenv("NO_PROXY", "internal.example")
-        monkeypatch.setenv("REQUESTS_CA_BUNDLE", "/etc/ssl/custom.pem")
-        client = cc.LLMClient(mode="live", base_url="https://api.example/v1")
-        assert client._session.trust_env is False
-        assert client._session.proxies["https"] == "http://proxy.example:3128"
-        assert client._session.verify == "/etc/ssl/custom.pem"
-        assert client._session.auth == ("user", "secret")
-        bypassed = cc.LLMClient(mode="live", base_url="https://internal.example/v1")
-        assert "https" not in bypassed._session.proxies
-
     @pytest.mark.parametrize("mode", llm_client.CACHE_MODES)
     def test_caller_session_is_left_as_is(self, tmp_path, mode):
         session = requests.Session()
@@ -292,20 +276,26 @@ class TestClientModes:
 
     @pytest.mark.parametrize("mode", ["replay", "mock"])
     def test_offline_client_builds_no_session(self, monkeypatch, tmp_path, mode):
-        def no_netrc(url, raise_errors=False):
-            raise AssertionError("an offline client looked up netrc")
+        def no_transport(base_url):
+            raise AssertionError("an offline client built a transport")
 
-        monkeypatch.setattr(requests.utils, "get_netrc_auth", no_netrc)
+        monkeypatch.setattr(llm_client, "_Transport", no_transport)
         with cc.LLMClient(mode=mode, cache_dir=tmp_path, mock=lambda request: "ok") as client:
             assert client._session is None
 
     @pytest.mark.parametrize("mode", ["live", "record"])
     def test_network_client_builds_its_own_session(self, monkeypatch, tmp_path, mode):
-        lookups = []
-        monkeypatch.setattr(requests.utils, "get_netrc_auth", lambda url: lookups.append(url))
-        with cc.LLMClient(mode=mode, base_url="http://t/v1", cache_dir=tmp_path) as client:
-            assert isinstance(client._session, requests.Session)
-        assert lookups == ["http://t/v1"]
+        built = []
+        monkeypatch.setattr(llm_client, "_Transport", lambda base_url: built.append(base_url) or mock.Mock())
+        with cc.LLMClient(mode=mode, base_url="http://t/v1/", cache_dir=tmp_path) as client:
+            assert client._session.close.call_count == 0
+        assert built == ["http://t/v1"]
+        client._session.close.assert_called_once_with()
+
+    @pytest.mark.parametrize("base_url", ["ftp://t/v1", "t/v1", "http:///v1"])
+    def test_base_url_must_name_an_http_host(self, base_url):
+        with pytest.raises(ConfigError, match="not an http:// or https:// URL"):
+            cc.LLMClient(mode="live", base_url=base_url)
 
     def test_live_mode_ignores_the_cache_directory(self, tmp_path):
         session = FakeSession([FakeResponse(200, completion_payload("pong"))])
@@ -356,6 +346,136 @@ def record_client(cache_dir, session):
 
 def segment_entry(key, body):
     return f"{key}\t{body}\n".encode("utf-8")
+
+
+def run_whole(client, codebook, corpus, iterations=5):
+    """Code ``corpus`` whole-text: docs x dimensions x ``iterations`` prompts."""
+    cfg = cc.RunConfig(model="gpt-test", strategy="whole", iterations=iterations)
+    return cc.run_iterations(corpus, codebook, cfg, client)
+
+
+@pytest.fixture
+def no_proxy(monkeypatch):
+    """No proxy variables, so posts to 127.0.0.1 go straight to it."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+
+
+@pytest.mark.usefixtures("no_proxy")
+class TestTransport:
+    """The client's own HTTP transport, against a server on 127.0.0.1."""
+
+    def test_request_carries_the_api_key_as_bearer_despite_netrc(self, monkeypatch, tmp_path):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine 127.0.0.1 login user password secret\n", encoding="utf-8")
+        monkeypatch.setenv("NETRC", str(netrc))
+        request = make_request("wire check")
+        with LocalEndpoint() as endpoint:
+            with cc.LLMClient(mode="live", base_url=endpoint.url, api_key="sk-test") as client:
+                assert client.complete(request).text in ANSWERS
+        ((method, target, headers, body),) = endpoint.requests
+        assert (method, target) == ("POST", "/v1/chat/completions")
+        assert headers["Authorization"] == "Bearer sk-test"
+        assert headers["Content-Type"] == "application/json"
+        assert body == json.dumps(
+            {"model": "gpt-test", "messages": [{"role": "user", "content": "wire check"}]}
+        ).encode("utf-8")
+
+    def test_record_run_opens_at_most_max_inflight_connections(self, tmp_path, codebook, tiny_corpus):
+        with LocalEndpoint() as endpoint:
+            with cc.LLMClient(mode="record", base_url=endpoint.url, cache_dir=tmp_path, max_inflight=3) as client:
+                result = run_whole(client, codebook, tiny_corpus)
+        assert result.ok and result.prompts == 2 * 3 * 5
+        assert len(endpoint.posts) == result.prompts
+        assert 1 <= endpoint.connections <= 3
+
+    def test_close_leaves_no_connection_open(self, codebook, tiny_corpus):
+        with LocalEndpoint() as endpoint:
+            client = cc.LLMClient(mode="live", base_url=endpoint.url, max_inflight=4)
+            assert run_whole(client, codebook, tiny_corpus).ok
+            assert endpoint.open > 0  # idle, kept alive for the next post
+            client.close()
+            assert endpoint.wait_closed()
+            with pytest.raises(ValueError, match="transport is closed"):
+                client.complete(make_request())
+
+    def test_dropped_idle_connections_are_reopened_without_a_retry(self, tmp_path, codebook, tiny_corpus):
+        sleeps = []
+        with LocalEndpoint(drop_idle=True) as endpoint:
+            with cc.LLMClient(
+                mode="record", base_url=endpoint.url, cache_dir=tmp_path, max_inflight=2, sleep=sleeps.append
+            ) as client:
+                result = run_whole(client, codebook, tiny_corpus)
+        assert result.ok and result.prompts == 30
+        assert sleeps == []
+        # Every post after a worker's first met a dropped connection and was
+        # sent again, once, on a new one.
+        assert len(endpoint.posts) == endpoint.connections == 30
+
+    def test_refused_port_fails_the_cell_naming_the_error(self, codebook, tiny_corpus):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        sleeps = []
+        with cc.LLMClient(
+            mode="live", base_url=f"http://127.0.0.1:{port}/v1", max_attempts=2, sleep=sleeps.append
+        ) as client:
+            result = run_whole(client, codebook, tiny_corpus, iterations=1)
+        assert result.prompts == 0 and len(result.failures) == 6
+        for failure in result.failures:
+            assert "chat completion failed after 2 attempts: ConnectionRefusedError: " in failure.error
+        assert len(sleeps) == 6
+
+    def test_transport_reads_network_environment_once(self, monkeypatch):
+        contexts, real_context = [], ssl.create_default_context
+        monkeypatch.setattr(ssl, "create_default_context", lambda **where: contexts.append(where) or real_context())
+        with LocalEndpoint() as proxy:
+            address = f"127.0.0.1:{proxy.server_port}"
+            monkeypatch.setenv("HTTP_PROXY", address)
+            monkeypatch.setenv("HTTPS_PROXY", f"http://us%40er:p%3Ass@{address}")
+            monkeypatch.setenv("NO_PROXY", "internal.example,127.0.0.1")
+            monkeypatch.setenv("REQUESTS_CA_BUNDLE", "/etc/ssl/custom.pem")
+            urls = ("https://api.example/v1", "http://api.example/v1", proxy.url)
+            clients = [cc.LLMClient(mode="live", base_url=url, api_key="k", max_attempts=1) for url in urls]
+            for name in ("HTTP_PROXY", "HTTPS_PROXY", "NO_PROXY", "REQUESTS_CA_BUNDLE"):
+                monkeypatch.delenv(name)
+            tunnelled, proxied, bypassed = clients
+            with tunnelled, proxied, bypassed:
+                with pytest.raises(TransportError, match="OSError: Tunnel connection failed: 407"):
+                    tunnelled.complete(make_request())
+                proxied.complete(make_request())
+                bypassed.complete(make_request())
+        assert [r[:2] for r in proxy.requests] == [
+            ("CONNECT", "api.example:443"),
+            ("POST", "http://api.example/v1/chat/completions"),
+            ("POST", "/v1/chat/completions"),
+        ]
+        (_, _, connect, _), (_, _, absolute, _), (_, _, direct, _) = proxy.requests
+        assert connect["Proxy-Authorization"] == "Basic " + base64.b64encode(b"us@er:p:ss").decode("ascii")
+        assert "Authorization" not in connect
+        assert absolute["Host"] == "api.example" and absolute["Authorization"] == "Bearer k"
+        assert "Proxy-Authorization" not in absolute and "Proxy-Authorization" not in direct
+        assert contexts == [{"cafile": "/etc/ssl/custom.pem"}]
+
+    @pytest.mark.parametrize(
+        "env, where",
+        [
+            ({"REQUESTS_CA_BUNDLE": "/a.pem", "CURL_CA_BUNDLE": "/b.pem"}, {"cafile": "/a.pem"}),
+            ({"CURL_CA_BUNDLE": "/b.pem"}, {"cafile": "/b.pem"}),
+            ({"REQUESTS_CA_BUNDLE": "{tmp}"}, {"capath": "{tmp}"}),
+            ({}, {"cafile": None}),
+        ],
+    )
+    def test_https_trusts_the_named_ca_bundle_or_the_system_store(self, monkeypatch, tmp_path, env, where):
+        contexts, real_context = [], ssl.create_default_context
+        monkeypatch.setattr(ssl, "create_default_context", lambda **w: contexts.append(w) or real_context())
+        for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value.format(tmp=tmp_path))
+        cc.LLMClient(mode="live", base_url="https://api.example/v1").close()
+        assert contexts == [{k: v and v.format(tmp=tmp_path) for k, v in where.items()}]
 
 
 class TestCacheEntries:

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from click.testing import CliRunner
 import chunkcode as cc
 from chunkcode import agreement, engine, llm_client, report
 from chunkcode.cli import main
+from local_endpoint import LocalEndpoint
 
 CODEBOOK_ENTRIES = [
     {"id": "fidelity", "name": "Fidelity", "definition": "How faithful."},
@@ -1390,14 +1392,16 @@ sys.path.insert(0, sys.argv[1])
 from chunkcode import cli
 for argv in json.loads(sys.argv[2]):
     cli.main(argv, standalone_mode=False)
-    loaded = sorted({"requests", "concurrent.futures"} & sys.modules.keys())
+    loaded = sorted({"requests", "http.client", "ssl", "urllib.request", "concurrent.futures"} & sys.modules.keys())
     assert not loaded, f"{argv[0]} loaded {loaded}"
 """
 
 
 def test_offline_commands_never_load_the_http_stack(workspace, monkeypatch):
-    """Commands that never post load neither requests nor a thread pool: in a
-    fresh interpreter, each of them leaves both out of ``sys.modules``."""
+    """Commands that never post load neither the HTTP stack nor a thread pool:
+    in a fresh interpreter, each of them leaves ``requests``, ``http.client``,
+    ``ssl``, ``urllib.request`` and ``concurrent.futures`` out of
+    ``sys.modules``."""
     cache = workspace / "cache"
     monkeypatch.setattr(
         "chunkcode.cli._build_client",
@@ -1429,3 +1433,33 @@ def test_offline_commands_never_load_the_http_stack(workspace, monkeypatch):
     assert (workspace / "rep" / report.RECORDS_NAME).read_bytes() == (
         workspace / "rec" / report.RECORDS_NAME
     ).read_bytes()
+
+
+RECORD_CHILD = """
+import sys
+sys.modules["requests"] = None  # any import of it raises ImportError
+sys.path.insert(0, sys.argv[1])
+from chunkcode import cli
+cli.main(sys.argv[2:], standalone_mode=False)
+"""
+
+
+def test_record_run_needs_no_requests(workspace):
+    """A record run posts through the standard library alone: in a fresh
+    interpreter where ``requests`` cannot be imported, it records every
+    prompt against a local endpoint."""
+    env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
+    src = Path(cc.__file__).resolve().parents[1]
+    args = run_args(workspace, workspace / "rec", **{"--cache-mode": "record", "--cache-dir": workspace / "cache"})
+    with LocalEndpoint() as endpoint:
+        env[llm_client.BASE_URL_ENV] = endpoint.url
+        child = subprocess.run(
+            [sys.executable, "-c", RECORD_CHILD, str(src), "run", *map(str, args)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+    assert child.returncode == 0, child.stderr
+    records = (workspace / "rec" / report.RECORDS_NAME).read_text(encoding="utf-8").splitlines()
+    assert len(records) == len(endpoint.posts) == (3 + 1) * 3 * 5  # chunks x dimensions x iterations
+    replayed = cli("run", *run_args(workspace, workspace / "rep", **{"--cache-mode": "replay", "--cache-dir": workspace / "cache"}))
+    assert replayed.exit_code == 0, replayed.output
+    assert (workspace / "rep" / report.RECORDS_NAME).read_bytes() == (workspace / "rec" / report.RECORDS_NAME).read_bytes()
