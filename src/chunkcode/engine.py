@@ -57,6 +57,8 @@ class RunConfig:
             raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if self.max_prompt_words is not None and self.max_prompt_words < 1:
+            raise ConfigError(f"max_prompt_words must be >= 1, got {self.max_prompt_words}")
         if not isinstance(self.phrases, KeyPhraseSet):
             raise ConfigError("phrases must be a KeyPhraseSet")
 

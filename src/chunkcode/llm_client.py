@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Protocol
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .codebook import Dimension
 from .errors import CacheMissError, ConfigError, TransportError
@@ -140,7 +140,7 @@ def _completion(resp: _Response, latency: float) -> LLMResponse:
     """The completion a 200 answer carries. A malformed payload, an answer cut
     short or withheld, and an empty answer are refused and not retried."""
     try:
-        data = resp.json()
+        data = json.loads(resp.content)
         choice = data["choices"][0]
         text = choice["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -155,7 +155,7 @@ def _completion(resp: _Response, latency: float) -> LLMResponse:
     if not text.strip():
         raise TransportError(f"chat completion failed: empty answer (finish_reason {finish!r})")
     meta = {
-        "status": resp.status_code,
+        "status": resp.status,
         "latency_s": latency,
         "model": data.get("model"),
         "usage": data.get("usage"),
@@ -571,36 +571,17 @@ class StochasticMock:
         return self.positive_text if value else self.negative_text
 
 
-class _Session(Protocol):
-    """What ``LLMClient`` posts through: its own ``_Transport``, or a caller's
-    ``requests.Session`` or fake. Failures raise ``OSError`` (as
-    ``requests``' exceptions do) or ``http.client.HTTPException``."""
-
-    def post(self, url: str, *, json: object, headers: Mapping[str, str], timeout: float): ...
-
-
 class _Response(NamedTuple):
-    """An HTTP answer, with what ``_post`` reads of a ``requests.Response``."""
+    """An HTTP answer, as ``_Transport.post`` returns it."""
 
-    status_code: int
+    status: int
     headers: Mapping[str, str]  # an http.client.HTTPMessage: ``get`` ignores case
     content: bytes
 
-    @property
-    def text(self) -> str:
-        return self.content.decode("utf-8", "replace")
-
-    def json(self):
-        return json.loads(self.content)
-
-
-# ``_Transport.post`` takes a ``json`` argument, as requests does, which hides the module.
-_json_dumps = json.dumps
-
 
 class _Transport:
-    """Posts JSON to one origin over keep-alive HTTP/1.1 connections, one per
-    post in flight.
+    """Posts JSON bodies, serialised by the caller, to one origin over
+    keep-alive HTTP/1.1 connections, one per post in flight.
 
     The environment is read once, here. A proxy comes from ``HTTP_PROXY`` or
     ``HTTPS_PROXY`` unless ``NO_PROXY`` covers the host: HTTPS tunnels
@@ -665,9 +646,9 @@ class _Transport:
         self._idle: list[http.client.HTTPConnection] = []
         self._closed = False
 
-    def post(self, url: str, *, json: object, headers: Mapping[str, str], timeout: float) -> _Response:
-        """POST ``json`` to ``url``, which lies under the base URL."""
-        body = _json_dumps(json, allow_nan=False).encode("utf-8")
+    def post(self, url: str, body: bytes, headers: Mapping[str, str], timeout: float) -> _Response:
+        """POST ``body`` to ``url``, which lies under the base URL. Failures
+        raise ``OSError`` or ``http.client.HTTPException``."""
         headers = {**self._headers, **headers}
         target = url if self._absolute else url[len(self._origin):]
         with self._lock:
@@ -724,10 +705,11 @@ class LLMClient:
     ``cache_dir``; live and mock ignore it. ``complete`` is safe to call
     from several threads. ``max_inflight`` is the number of concurrent
     requests the caller may issue (``run_iterations`` sizes its pool by it);
-    the client does not enforce it. Live and record clients post through a
-    ``_Transport`` of their own unless given a ``session``. ``close`` (or
-    leaving a ``with`` block) closes the transport's connections and
-    releases the cache's open files; a caller's session is left open.
+    the client does not enforce it. Live and record clients build, own and
+    post through one ``_Transport``, and refuse an API key that is not
+    visible ASCII, as a Bearer token is. ``close`` (or leaving a ``with``
+    block) closes the transport's connections and releases the cache's open
+    files.
     """
 
     def __init__(
@@ -741,7 +723,6 @@ class LLMClient:
         max_attempts: int = 5,
         timeout: float = 60.0,
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        session: _Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
     ):
@@ -760,8 +741,15 @@ class LLMClient:
         self.max_attempts = max_attempts
         self.timeout = timeout
         self.max_inflight = max_inflight
-        self._transport = _Transport(self.base_url) if session is None and mode in NETWORK_MODES else None
-        self._session = self._transport if session is None else session
+        self._transport = None
+        if mode in NETWORK_MODES:
+            bad = next((i for i, ch in enumerate(self.api_key) if not "!" <= ch <= "~"), None)
+            if bad is not None:  # http.client would refuse it with an error quoting the secret
+                raise ConfigError(
+                    f"the API key (api_key= or {API_KEY_ENV}) has a character that is not"
+                    f" visible ASCII at position {bad + 1}"
+                )
+            self._transport = _Transport(self.base_url)
         self._sleep = sleep
         self._rng = rng
         self._cache = (
@@ -771,8 +759,8 @@ class LLMClient:
         )
 
     def close(self) -> None:
-        """Close the own transport's connections and release the request
-        cache's open files."""
+        """Close the transport's connections and release the request cache's
+        open files."""
         if self._transport is not None:
             self._transport.close()
         if self._cache is not None:
@@ -811,25 +799,23 @@ class LLMClient:
         from http.client import HTTPException
 
         url = f"{self.base_url}/chat/completions"
-        body = {
-            "model": request.model,
-            "messages": [{"role": "user", "content": request.prompt_text}],
-        }
+        message = {"role": "user", "content": request.prompt_text}
+        body = json.dumps({"model": request.model, "messages": [message]}, allow_nan=False).encode("utf-8")
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         for attempt in itertools.count(1):
             retry_after = None  # per attempt, never on self: threads share the client
             start = time.monotonic()
             try:
-                resp = self._session.post(url, json=body, headers=headers, timeout=self.timeout)
+                resp = self._transport.post(url, body, headers, self.timeout)
             except (OSError, HTTPException) as exc:
                 failure = f"{type(exc).__name__}: {exc}"
             else:
-                if resp.status_code == 200:
+                if resp.status == 200:
                     return _completion(resp, time.monotonic() - start)
-                failure = f"HTTP {resp.status_code}: {resp.text[:200]}"
-                if resp.status_code in (429, 503):
+                failure = f"HTTP {resp.status}: {resp.content.decode('utf-8', 'replace')[:200]}"
+                if resp.status in (429, 503):
                     retry_after = _retry_after_s(resp.headers.get("Retry-After"))
-                elif resp.status_code < 500:  # the request itself is at fault: a retry repeats it
+                elif resp.status < 500:  # the request itself is at fault: a retry repeats it
                     raise TransportError(f"chat completion failed: {failure}")
             delay = retry_delay(attempt, max_attempts=self.max_attempts, rng=self._rng)
             if delay is None:

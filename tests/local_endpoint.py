@@ -9,6 +9,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 ANSWERS = ("The paper does not focus on it.", "Yes, the parameter is mentioned.")
 
 
+def hashed_answer(prompt):
+    """One of ``ANSWERS``, by a hash of the prompt."""
+    return ANSWERS[hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 2]
+
+
 class LocalEndpoint(ThreadingHTTPServer):
     """Answers each POST by a hash of its prompt over keep-alive HTTP/1.1.
 
@@ -16,15 +21,18 @@ class LocalEndpoint(ThreadingHTTPServer):
     connections it accepted and those still open. A connection counts as
     open until the client closes it (or 10 s pass idle). With ``drop_idle``
     it closes each connection after one answer without saying so, as a
-    server does with an idle keep-alive connection. A CONNECT is recorded
-    and refused with 407. Use it as a context manager.
+    server does with an idle keep-alive connection. With ``first``, a
+    (status, headers) pair, the first POST is answered with that status,
+    those headers and no body. A CONNECT is recorded and refused with 407.
+    Use it as a context manager.
     """
 
     daemon_threads = False  # server_close joins every handler thread
 
-    def __init__(self, drop_idle=False):
+    def __init__(self, drop_idle=False, first=None):
         super().__init__(("127.0.0.1", 0), _Handler)
         self.drop_idle = drop_idle
+        self.first = first
         self.requests = []
         self.connections = 0
         self.open = 0
@@ -83,8 +91,14 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         self._record(body)
+        with self.server.changed:
+            first, self.server.first = self.server.first, None
+        if first is not None:
+            status, headers = first
+            self._answer(status, b"", headers)
+            return
         prompt = json.loads(body)["messages"][0]["content"]
-        answer = ANSWERS[hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 2]
+        answer = hashed_answer(prompt)
         payload = json.dumps({"choices": [{"message": {"content": answer}, "finish_reason": "stop"}]})
         self._answer(200, payload.encode("utf-8"))
         if self.server.drop_idle:
@@ -95,8 +109,10 @@ class _Handler(BaseHTTPRequestHandler):
         self._answer(407, b"")
         self.close_connection = True
 
-    def _answer(self, status, payload):
+    def _answer(self, status, payload, headers=()):
         self.send_response(status)
+        for name, value in dict(headers).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()

@@ -9,7 +9,6 @@ import shutil
 import subprocess
 import sys
 import threading
-import time
 from itertools import product
 from pathlib import Path
 
@@ -21,6 +20,8 @@ import chunkcode as cc
 from chunkcode import engine, llm_client, report
 from chunkcode.engine import cell_tag, record_from_json, record_to_json
 from chunkcode.errors import ConfigError
+from fake_transport import FakeTransport
+from local_endpoint import LocalEndpoint
 
 POSITIVE = "Yes, the parameter is mentioned."
 NEGATIVE = "The paper does not focus on it."
@@ -226,7 +227,7 @@ class TestRunIterations:
         if max_inflight is None:
             client = mock_client(lambda request: POSITIVE)
         else:
-            client = network_client(FakeEndpoint(delay=lambda: 0.0), max_inflight)
+            client = network_client(FakeTransport(), max_inflight)
         # Records are tuples, which take no weak reference, so the test looks
         # for them among the objects the collector tracks. The sink holds the
         # first record back, to show that the scan finds a record still alive.
@@ -583,65 +584,11 @@ def test_run_meta_takes_the_cache_mode_from_the_client(codebook, tiny_corpus, po
     assert meta["cache_mode"] == "mock"
 
 
-class FakeEndpoint:
-    """Stands in for requests.Session, and for a mock responder.
-
-    Each call sleeps ``delay()`` seconds and counts the peak number of calls
-    in progress at once. A post answers by a hash of its prompt text, 400s
-    the texts in ``reject``, and raises RuntimeError after ``fail_after``
-    calls.
-    """
-
-    def __init__(self, delay=lambda: 0.01, reject=(), fail_after=None):
-        self.delay = delay
-        self.reject = set(reject)
-        self.fail_after = fail_after
-        self.lock = threading.Lock()
-        self.calls = self.active = self.peak = 0
-
-    def _enter(self):
-        with self.lock:
-            self.calls += 1
-            if self.fail_after is not None and self.calls > self.fail_after:
-                raise RuntimeError("endpoint exploded")
-            self.active += 1
-            self.peak = max(self.peak, self.active)
-            delay = self.delay()
-        time.sleep(delay)
-        with self.lock:
-            self.active -= 1
-
-    def __call__(self, request):
-        self._enter()
-        return POSITIVE
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self._enter()
-        text = json["messages"][0]["content"]
-        if text in self.reject:
-            return EndpointResponse(400, None)
-        answer = POSITIVE if hashlib.sha256(text.encode()).digest()[0] % 2 else NEGATIVE
-        return EndpointResponse(200, {"choices": [{"message": {"content": answer}}]})
-
-
-class EndpointResponse:
-    headers = {}
-
-    def __init__(self, status_code, payload):
-        self.status_code = status_code
-        self.payload = payload
-        self.text = "rejected" if payload is None else ""
-
-    def json(self):
-        return self.payload
-
-
 def network_client(endpoint, max_inflight, mode="live", cache_dir=None):
-    return cc.LLMClient(
+    return endpoint.client(
         mode=mode,
         base_url="http://t/v1",
         cache_dir=cache_dir,
-        session=endpoint,
         max_inflight=max_inflight,
         sleep=lambda s: None,
     )
@@ -652,7 +599,7 @@ SEGMENT_CFG = cc.RunConfig(model="m", strategy="chunk", chunk_size=4, iterations
 
 def cached_run(codebook, corpus, cache, out, mode, endpoint=None):
     """A chunk run of ``corpus`` through ``cache``: its result and records bytes."""
-    client = network_client(endpoint or FakeEndpoint(delay=lambda: 0.0), 2, mode, cache)
+    client = network_client(endpoint or FakeTransport(), 2, mode, cache)
     with client:
         result = report.write_run(out, corpus, codebook, SEGMENT_CFG, client)
     return result, (out / report.RECORDS_NAME).read_bytes()
@@ -703,7 +650,7 @@ def test_cache_mixing_entry_shapes_replays_the_recorded_bytes(
     listing = sorted(cache.iterdir())
 
     assert run(tmp_path / "replay", "replay")[1] == recorded
-    endpoint = FakeEndpoint()
+    endpoint = FakeTransport()
     assert run(tmp_path / "rerun", "record", endpoint)[1] == recorded
     assert endpoint.calls == 0
     assert sorted(cache.iterdir()) == listing
@@ -722,7 +669,7 @@ def test_segment_cut_mid_line_reads_that_key_as_a_miss(codebook, tiny_corpus, tm
     result, _ = run(tmp_path / "replay", "replay")
     (failure,) = result.failures
     assert f"no cached response for request_key {key}" in failure.error
-    endpoint = FakeEndpoint()
+    endpoint = FakeTransport()
     assert run(tmp_path / "rerun", "record", endpoint)[1] == recorded
     assert endpoint.calls == 1
     assert len(recorded_segments(cache)) == 2
@@ -733,58 +680,47 @@ def test_two_processes_recording_into_one_cache_at_once(codebook, tiny_corpus, t
     """Each process opens the cache before either writes, so each records
     every prompt into a segment of its own."""
     script = """if True:
-        import hashlib, json, sys
+        import json, sys
         import chunkcode as cc
         from chunkcode import report
 
-        class Response:
-            status_code = 200
-            def __init__(self, text):
-                self.text = text
-            def json(self):
-                return {"choices": [{"message": {"content": self.text}}]}
-
-        class Endpoint:
-            def post(self, url, json=None, headers=None, timeout=None):
-                prompt = json["messages"][0]["content"]
-                odd = hashlib.sha256(prompt.encode()).digest()[0] % 2
-                return Response(POSITIVE if odd else NEGATIVE)
-
-        POSITIVE, NEGATIVE, spec, out = sys.argv[1:]
+        spec, out = sys.argv[1:]
         spec = json.loads(spec)
         cb = cc.Codebook(tuple(cc.Dimension(*dim) for dim in spec["dims"]))
         corpus = [cc.DocumentText.from_raw(*doc) for doc in spec["docs"]]
         cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=4, iterations=2)
-        with cc.LLMClient(mode="record", base_url="http://t/v1", cache_dir=spec["cache"],
-                          session=Endpoint(), max_inflight=2) as client:
+        with cc.LLMClient(mode="record", base_url=spec["url"], cache_dir=spec["cache"], max_inflight=2) as client:
             print("opened", flush=True)
             sys.stdin.readline()
             assert report.write_run(out, corpus, cb, cfg, client).ok
     """
     cache = tmp_path / "cache"
     run = functools.partial(cached_run, codebook, tiny_corpus, cache)
-    spec = json.dumps({
-        "dims": [[dim.id, dim.name, dim.definition] for dim in codebook],
-        "docs": [[doc.doc_id, doc.raw] for doc in tiny_corpus],
-        "cache": str(cache),
-    })
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cc.__file__))}
-    procs = [
-        subprocess.Popen(
-            [sys.executable, "-c", script, POSITIVE, NEGATIVE, spec, str(tmp_path / f"out{i}")],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
-        )
-        for i in range(2)
-    ]
-    try:
-        assert [proc.stdout.readline() for proc in procs] == ["opened\n"] * 2
-        for proc in procs:
-            proc.communicate("go\n", timeout=60)
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-                proc.communicate()
+    env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cc.__file__))
+    with LocalEndpoint() as endpoint:
+        spec = json.dumps({
+            "dims": [[dim.id, dim.name, dim.definition] for dim in codebook],
+            "docs": [[doc.doc_id, doc.raw] for doc in tiny_corpus],
+            "cache": str(cache),
+            "url": endpoint.url,
+        })
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, spec, str(tmp_path / f"out{i}")],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+            )
+            for i in range(2)
+        ]
+        try:
+            assert [proc.stdout.readline() for proc in procs] == ["opened\n"] * 2
+            for proc in procs:
+                proc.communicate("go\n", timeout=60)
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.communicate()
     assert [proc.returncode for proc in procs] == [0, 0]
     recorded = (tmp_path / "out0" / report.RECORDS_NAME).read_bytes()
     assert (tmp_path / "out1" / report.RECORDS_NAME).read_bytes() == recorded
@@ -795,7 +731,7 @@ def test_two_processes_recording_into_one_cache_at_once(codebook, tiny_corpus, t
     with open(cache / llm_client.INDEX_NAME, "rb") as fh:
         header = json.loads(fh.readline())
     assert header["segments"] == [[segment.name, segment.stat().st_size] for segment in segments]
-    endpoint = FakeEndpoint()
+    endpoint = FakeTransport()
     assert run(tmp_path / "replay", "replay", endpoint)[1] == recorded
     assert endpoint.calls == 0
 
@@ -813,7 +749,7 @@ def test_more_segments_than_open_descriptors_replay(codebook, tiny_corpus, tmp_p
 
     fds = Path("/proc/self/fd")
     before = len(list(fds.iterdir()))
-    client = network_client(FakeEndpoint(), 2, "replay", cache)
+    client = network_client(FakeTransport(), 2, "replay", cache)
     result = report.write_run(tmp_path / "replay", tiny_corpus, codebook, SEGMENT_CFG, client)
     assert result.ok
     assert len(list(fds.iterdir())) - before <= llm_client.MAX_OPEN_SEGMENTS
@@ -825,14 +761,14 @@ def test_more_segments_than_open_descriptors_replay(codebook, tiny_corpus, tmp_p
 class TestConcurrentDispatch:
     @pytest.mark.parametrize("max_inflight", [2, 8])
     def test_peak_concurrency_equals_max_inflight(self, codebook, tiny_corpus, max_inflight):
-        endpoint = FakeEndpoint()
+        endpoint = FakeTransport(delay=lambda: 0.01)
         cfg = cc.RunConfig(model="m", strategy="whole", iterations=6)
         rr = cc.run_iterations(tiny_corpus, codebook, cfg, network_client(endpoint, max_inflight))
         assert rr.ok and endpoint.calls == 2 * 3 * 6
         assert endpoint.peak == max_inflight
 
     def test_mock_mode_runs_inline(self, codebook, tiny_corpus):
-        responder = FakeEndpoint()
+        responder = FakeTransport(delay=lambda: 0.01)
         client = cc.LLMClient(mode="mock", mock=responder, max_inflight=8)
         cfg = cc.RunConfig(model="m", strategy="whole", iterations=2)
         threads_before = threading.active_count()
@@ -847,7 +783,7 @@ class TestConcurrentDispatch:
 
         def run(max_inflight):
             rng = random.Random(max_inflight)
-            endpoint = FakeEndpoint(delay=lambda: rng.uniform(0.0, 0.005), reject=[rejected])
+            endpoint = FakeTransport(delay=lambda: rng.uniform(0.0, 0.005), reject=[rejected])
             out = tmp_path / f"out{max_inflight}"
             client = network_client(endpoint, max_inflight, "record", tmp_path / f"cache{max_inflight}")
             rr = report.write_run(out, tiny_corpus, codebook, cfg, client)
@@ -867,9 +803,9 @@ class TestConcurrentDispatch:
     def test_unexpected_error_cancels_queued_cells(self, codebook, tiny_corpus):
         cfg = cc.RunConfig(model="m", strategy="whole", iterations=10)
         _, full = run_collecting(
-            tiny_corpus, codebook, cfg, network_client(FakeEndpoint(delay=lambda: 0.0), 1)
+            tiny_corpus, codebook, cfg, network_client(FakeTransport(), 1)
         )
-        endpoint = FakeEndpoint(delay=lambda: 0.001, fail_after=5)
+        endpoint = FakeTransport(delay=lambda: 0.001, fail_after=5)
         streamed = []
         with pytest.raises(RuntimeError, match="exploded"):
             cc.run_iterations(
@@ -880,7 +816,7 @@ class TestConcurrentDispatch:
 
     def test_interrupt_stops_cells_between_prompts(self, codebook, tiny_corpus):
         # chunk size 1: every cell prompts 7 (doc-a) or 4 (doc-b) bodies in order
-        endpoint = FakeEndpoint(delay=lambda: 0.005)
+        endpoint = FakeTransport(delay=lambda: 0.005)
         cfg = cc.RunConfig(model="m", strategy="chunk", chunk_size=1, iterations=2)
         at_interrupt = []
 

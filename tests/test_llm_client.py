@@ -17,7 +17,6 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,39 +24,23 @@ import chunkcode as cc
 from chunkcode import llm_client
 from chunkcode.errors import CacheMissError, ConfigError, TransportError
 from chunkcode.llm_client import retry_delay
+from fake_transport import FakeTransport, completion, reply
 from local_endpoint import ANSWERS, LocalEndpoint
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload=None, text="", headers=None):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text or (json.dumps(payload) if payload is not None else "")
-        self.headers = requests.structures.CaseInsensitiveDict(headers or {})
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no body")
-        return self._payload
+# What a provider adds beside the answer; the client keeps it as provider_meta.
+META = {"model": "gpt-test", "usage": {"prompt_tokens": 3, "completion_tokens": 5}}
 
 
-def completion_payload(text, model="gpt-test"):
-    return {
-        "choices": [{"message": {"role": "assistant", "content": text}}],
-        "model": model,
-        "usage": {"prompt_tokens": 3, "completion_tokens": 5},
-    }
+class Scripted(FakeTransport):
+    """Answers with the replies, or raises the exceptions, in ``script`` in
+    turn; the last one repeats."""
 
-
-class FakeSession:
-    """Stands in for requests.Session; `script` is a list of responses or exceptions."""
-
-    def __init__(self, script):
+    def __init__(self, *script):
+        super().__init__()
         self.script = list(script)
-        self.calls = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+    def answer(self, prompt):
         action = self.script.pop(0) if len(self.script) > 1 else self.script[0]
         if isinstance(action, Exception):
             raise action
@@ -217,14 +200,12 @@ class TestClientModes:
         assert second == ("answer b", "answer a")
 
     def test_live_posts_wire_format(self):
-        session = FakeSession([FakeResponse(200, completion_payload("pong"))])
-        client = cc.LLMClient(
-            mode="live", base_url="http://test/v1", api_key="sk-x", session=session
-        )
+        transport = Scripted(completion("pong", **META))
+        client = transport.client(mode="live", base_url="http://test/v1", api_key="sk-x")
         response = client.complete(make_request("ping", model="gpt-test"))
         assert response.text == "pong"
         assert response.from_cache is False
-        call = session.calls[0]
+        call = transport.sent[0]
         assert call["url"] == "http://test/v1/chat/completions"
         assert call["json"] == {
             "model": "gpt-test",
@@ -233,10 +214,8 @@ class TestClientModes:
         assert call["headers"]["Authorization"] == "Bearer sk-x"
 
     def test_record_then_replay_round_trip(self, tmp_path):
-        session = FakeSession([FakeResponse(200, completion_payload("recorded text"))])
-        recorder = cc.LLMClient(
-            mode="record", base_url="http://t/v1", cache_dir=tmp_path, session=session
-        )
+        transport = Scripted(completion("recorded text", **META))
+        recorder = transport.client(mode="record", base_url="http://t/v1", cache_dir=tmp_path)
         req = make_request("the prompt", tag="cell/1")
         first = recorder.complete(req)
         assert first.from_cache is False
@@ -245,7 +224,7 @@ class TestClientModes:
         second = recorder.complete(req)
         assert second.from_cache is True
         assert second.text == first.text
-        assert len(session.calls) == 1
+        assert transport.calls == 1
 
         replayer = cc.LLMClient(mode="replay", cache_dir=tmp_path)
         replayed = replayer.complete(req)
@@ -253,26 +232,13 @@ class TestClientModes:
         assert replayed.text == "recorded text"
 
     def test_segment_line_headed_by_request_key(self, tmp_path):
-        session = FakeSession([FakeResponse(200, completion_payload("x"))])
-        client = cc.LLMClient(
-            mode="record", base_url="http://t/v1", cache_dir=tmp_path, session=session
-        )
+        transport = Scripted(completion("x", **META))
+        client = transport.client(mode="record", base_url="http://t/v1", cache_dir=tmp_path)
         req = make_request("name check")
         client.complete(req)
         (segment,) = tmp_path.iterdir()
         assert re.fullmatch(r"segment-1-\d+-[0-9a-f]{16}", segment.name)
         assert segment.read_bytes().startswith(f"{req.request_key}\t".encode())
-
-    @pytest.mark.parametrize("mode", llm_client.CACHE_MODES)
-    def test_caller_session_is_left_as_is(self, tmp_path, mode):
-        session = requests.Session()
-        before = dict(session.adapters)
-        with cc.LLMClient(
-            mode=mode, max_inflight=16, cache_dir=tmp_path, mock=lambda request: "ok", session=session
-        ) as client:
-            assert client._session is session
-        assert session.adapters == before
-        session.close()
 
     @pytest.mark.parametrize("mode", ["replay", "mock"])
     def test_offline_client_builds_no_session(self, monkeypatch, tmp_path, mode):
@@ -281,28 +247,37 @@ class TestClientModes:
 
         monkeypatch.setattr(llm_client, "_Transport", no_transport)
         with cc.LLMClient(mode=mode, cache_dir=tmp_path, mock=lambda request: "ok") as client:
-            assert client._session is None
+            assert client._transport is None
 
     @pytest.mark.parametrize("mode", ["live", "record"])
     def test_network_client_builds_its_own_session(self, monkeypatch, tmp_path, mode):
         built = []
         monkeypatch.setattr(llm_client, "_Transport", lambda base_url: built.append(base_url) or mock.Mock())
         with cc.LLMClient(mode=mode, base_url="http://t/v1/", cache_dir=tmp_path) as client:
-            assert client._session.close.call_count == 0
+            assert client._transport.close.call_count == 0
         assert built == ["http://t/v1"]
-        client._session.close.assert_called_once_with()
+        client._transport.close.assert_called_once_with()
 
     @pytest.mark.parametrize("base_url", ["ftp://t/v1", "t/v1", "http:///v1"])
     def test_base_url_must_name_an_http_host(self, base_url):
         with pytest.raises(ConfigError, match="not an http:// or https:// URL"):
             cc.LLMClient(mode="live", base_url=base_url)
 
+    @pytest.mark.parametrize("mode", ["live", "record"])
+    def test_api_key_argument_not_visible_ascii_is_refused_unquoted(self, tmp_path, mode):
+        with pytest.raises(ConfigError) as refused:
+            cc.LLMClient(mode=mode, base_url="http://t/v1", cache_dir=tmp_path, api_key="sk-s\u20acret")
+        assert str(refused.value) == (
+            "the API key (api_key= or CHUNKCODE_API_KEY) has a character that is not"
+            " visible ASCII at position 5"
+        )
+
     def test_live_mode_ignores_the_cache_directory(self, tmp_path):
-        session = FakeSession([FakeResponse(200, completion_payload("pong"))])
+        transport = Scripted(completion("pong", **META))
         cache = tmp_path / "cache"
-        client = cc.LLMClient(mode="live", base_url="http://t/v1", cache_dir=cache, session=session)
+        client = transport.client(mode="live", base_url="http://t/v1", cache_dir=cache)
         assert [client.complete(make_request()).text for _ in range(2)] == ["pong", "pong"]
-        assert len(session.calls) == 2
+        assert transport.calls == 2
         assert not cache.exists()
 
     def test_strict_replay_miss(self, tmp_path):
@@ -340,8 +315,8 @@ def test_decode_json_accepts_and_refuses_as_json_loads(text):
         assert repr(llm_client.decode_json(text)) == repr(expected)  # NaN is not NaN
 
 
-def record_client(cache_dir, session):
-    return cc.LLMClient(mode="record", base_url="http://t/v1", cache_dir=cache_dir, session=session)
+def record_client(cache_dir, transport):
+    return transport.client(mode="record", base_url="http://t/v1", cache_dir=cache_dir)
 
 
 def segment_entry(key, body):
@@ -381,6 +356,14 @@ class TestTransport:
         assert body == json.dumps(
             {"model": "gpt-test", "messages": [{"role": "user", "content": "wire check"}]}
         ).encode("utf-8")
+
+    def test_retry_after_is_read_ignoring_case(self):
+        sleeps = []
+        with LocalEndpoint(first=(429, {"retry-after": "0"})) as endpoint:
+            with cc.LLMClient(mode="live", base_url=endpoint.url, sleep=sleeps.append) as client:
+                assert client.complete(make_request()).text in ANSWERS
+        assert sleeps == [0.0]
+        assert len(endpoint.posts) == 2
 
     def test_record_run_opens_at_most_max_inflight_connections(self, tmp_path, codebook, tiny_corpus):
         with LocalEndpoint() as endpoint:
@@ -480,9 +463,9 @@ class TestTransport:
 
 class TestCacheEntries:
     def test_record_entry_holds_the_response_not_the_prompt(self, tmp_path):
-        session = FakeSession([FakeResponse(200, completion_payload("the answer — ü"))])
+        transport = Scripted(completion("the answer — ü", **META))
         req = make_request("a prompt the entry leaves out", tag="doc/dim/i1/c0")
-        record_client(tmp_path, session).complete(req)
+        record_client(tmp_path, transport).complete(req)
         (segment,) = tmp_path.iterdir()
         raw = segment.read_bytes()
         latency = json.loads(raw.split(b"\t", 1)[1])[2]["provider_meta"]["latency_s"]
@@ -504,9 +487,9 @@ class TestCacheEntries:
         assert replayed.text == entry["response"]["text"]
         assert replayed.provider_meta == entry["response"]["provider_meta"]
         assert replayed.from_cache is True
-        session = FakeSession([FakeResponse(500, text="nothing should be sent")])
-        assert record_client(tmp_path, session).complete(req) == replayed
-        assert session.calls == []
+        transport = Scripted(reply(500, "nothing should be sent"))
+        assert record_client(tmp_path, transport).complete(req) == replayed
+        assert transport.calls == 0
 
     @pytest.mark.parametrize(
         "content",
@@ -520,9 +503,9 @@ class TestCacheEntries:
         with pytest.raises(CacheMissError, match=f"corrupt cache entry {re.escape(str(path))}"):
             cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req)
 
-        session = FakeSession([FakeResponse(200, completion_payload("fetched again"))])
-        assert record_client(tmp_path, session).complete(req).text == "fetched again"
-        assert len(session.calls) == 1
+        transport = Scripted(completion("fetched again", **META))
+        assert record_client(tmp_path, transport).complete(req).text == "fetched again"
+        assert transport.calls == 1
         assert cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req).text == "fetched again"
         assert path.read_text(encoding="utf-8") == content  # flat files are never rewritten
 
@@ -559,11 +542,11 @@ class TestCacheEntries:
         ):
             replayer.complete(req)
 
-        session = FakeSession([FakeResponse(200, completion_payload("fetched again"))])
-        recorder = record_client(tmp_path, session)
+        transport = Scripted(completion("fetched again", **META))
+        recorder = record_client(tmp_path, transport)
         assert recorder.complete(req).text == "fetched again"
         assert recorder.complete(req).from_cache is True
-        assert len(session.calls) == 1
+        assert transport.calls == 1
         assert cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req).text == "fetched again"
 
     def test_torn_headless_or_other_key_line_reads_as_a_miss(self, tmp_path):
@@ -710,12 +693,11 @@ class TestCacheEntries:
 
 
 class TestRetryBehaviour:
-    def make_client(self, session, **kwargs):
+    def make_client(self, transport, **kwargs):
         sleeps = []
-        client = cc.LLMClient(
+        client = transport.client(
             mode="live",
             base_url="http://t/v1",
-            session=session,
             sleep=sleeps.append,
             rng=random.Random(0),
             **kwargs,
@@ -723,39 +705,35 @@ class TestRetryBehaviour:
         return client, sleeps
 
     def test_transient_500_retried_until_success(self):
-        session = FakeSession(
-            [
-                FakeResponse(500, text="boom"),
-                FakeResponse(429, text="slow down"),
-                FakeResponse(200, completion_payload("ok")),
-            ]
+        transport = Scripted(
+            reply(500, "boom"),
+            reply(429, "slow down"),
+            completion("ok", **META),
         )
-        client, sleeps = self.make_client(session)
+        client, sleeps = self.make_client(transport)
         assert client.complete(make_request()).text == "ok"
-        assert len(session.calls) == 3
+        assert transport.calls == 3
         assert len(sleeps) == 2
 
     def test_timeout_is_transient(self):
-        session = FakeSession(
-            [requests.Timeout("deadline"), FakeResponse(200, completion_payload("ok"))]
-        )
-        client, _ = self.make_client(session)
+        transport = Scripted(TimeoutError("deadline"), completion("ok", **META))
+        client, _ = self.make_client(transport)
         assert client.complete(make_request()).text == "ok"
 
     def test_400_fails_immediately(self):
-        session = FakeSession([FakeResponse(400, text="bad request")])
-        client, sleeps = self.make_client(session)
+        transport = Scripted(reply(400, "bad request"))
+        client, sleeps = self.make_client(transport)
         with pytest.raises(TransportError, match="400"):
             client.complete(make_request())
-        assert len(session.calls) == 1
+        assert transport.calls == 1
         assert sleeps == []
 
     def test_gives_up_after_max_attempts(self):
-        session = FakeSession([FakeResponse(503, text="down")])
-        client, sleeps = self.make_client(session, max_attempts=3)
+        transport = Scripted(reply(503, "down"))
+        client, sleeps = self.make_client(transport, max_attempts=3)
         with pytest.raises(TransportError, match="after 3 attempts"):
             client.complete(make_request())
-        assert len(session.calls) == 3
+        assert transport.calls == 3
         assert len(sleeps) == 2
 
     @pytest.mark.parametrize(
@@ -763,47 +741,36 @@ class TestRetryBehaviour:
         [(429, "0", 0.0), (503, "2", 2.0), (429, "120", 30.0)],
     )
     def test_retry_after_seconds_replace_backoff(self, status, retry_after, slept):
-        session = FakeSession(
-            [
-                FakeResponse(status, text="wait", headers={"Retry-After": retry_after}),
-                FakeResponse(200, completion_payload("ok")),
-            ]
+        transport = Scripted(
+            reply(status, "wait", headers={"Retry-After": retry_after}),
+            completion("ok", **META),
         )
-        client, sleeps = self.make_client(session)
+        client, sleeps = self.make_client(transport)
         assert client.complete(make_request()).text == "ok"
         assert sleeps == [slept]
 
     def test_unparseable_retry_after_falls_back_to_backoff(self):
-        session = FakeSession(
-            [
-                FakeResponse(429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
-                FakeResponse(200, completion_payload("ok")),
-            ]
+        transport = Scripted(
+            reply(429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+            completion("ok", **META),
         )
-        client, sleeps = self.make_client(session)
+        client, sleeps = self.make_client(transport)
         assert client.complete(make_request()).text == "ok"
         assert len(sleeps) == 1 and 0.5 <= sleeps[0] < 1.5
 
     def test_retry_after_on_400_is_not_retried(self):
-        session = FakeSession([FakeResponse(400, text="bad", headers={"Retry-After": "0"})])
-        client, sleeps = self.make_client(session)
+        transport = Scripted(reply(400, "bad", headers={"Retry-After": "0"}))
+        client, sleeps = self.make_client(transport)
         with pytest.raises(TransportError, match="400"):
             client.complete(make_request())
-        assert len(session.calls) == 1
+        assert transport.calls == 1
         assert sleeps == []
 
     def test_malformed_payload_is_not_retried(self):
-        session = FakeSession([FakeResponse(200, {"unexpected": True})])
-        client, _ = self.make_client(session)
+        transport = Scripted(reply(200, {"unexpected": True}))
+        client, _ = self.make_client(transport)
         with pytest.raises(TransportError, match="malformed"):
             client.complete(make_request())
-
-
-def finished_payload(text, finish_reason):
-    payload = completion_payload(text)
-    if finish_reason is not None:
-        payload["choices"][0]["finish_reason"] = finish_reason
-    return payload
 
 
 class TestUnfinishedAnswers:
@@ -821,14 +788,14 @@ class TestUnfinishedAnswers:
         ],
     )
     def test_refused_after_one_post_and_not_cached(self, tmp_path, finish_reason, text, message):
-        session = FakeSession([FakeResponse(200, finished_payload(text, finish_reason))])
+        transport = Scripted(completion(text, finish_reason, **META))
         sleeps = []
-        options = dict(base_url="http://t/v1", cache_dir=tmp_path, session=session, sleep=sleeps.append)
-        with cc.LLMClient(mode="record", **options) as client:
+        options = dict(base_url="http://t/v1", cache_dir=tmp_path, sleep=sleeps.append)
+        with transport.client(mode="record", **options) as client:
             with pytest.raises(TransportError) as refused:
                 client.complete(make_request())
         assert str(refused.value) == message
-        assert len(session.calls) == 1
+        assert transport.calls == 1
         assert sleeps == []
         assert list(tmp_path.iterdir()) == []  # no segment, so no line
 
@@ -1009,13 +976,13 @@ class TestSavedIndex:
 
     def test_a_failed_index_write_leaves_no_file_and_the_same_answers(self, tmp_path, monkeypatch):
         req = make_request("p")
-        session = FakeSession([FakeResponse(200, completion_payload("the answer"))])
+        transport = Scripted(completion("the answer", **META))
 
         def refused(src, dst):
             raise OSError("disk full")
 
         monkeypatch.setattr(llm_client.os, "replace", refused)
-        with record_client(tmp_path, session) as client:
+        with record_client(tmp_path, transport) as client:
             assert client.complete(req).text == "the answer"
         monkeypatch.undo()
         (segment,) = tmp_path.iterdir()

@@ -9,12 +9,12 @@ import threading
 from pathlib import Path
 
 import pytest
-import requests
 from click.testing import CliRunner
 
 import chunkcode as cc
 from chunkcode import agreement, engine, llm_client, report
 from chunkcode.cli import main
+from fake_transport import FakeTransport, completion, hashed_answer, post_through, reply
 from local_endpoint import LocalEndpoint
 
 CODEBOOK_ENTRIES = [
@@ -162,7 +162,7 @@ class TestRunCommand:
         assert result.exit_code == 1
         assert "no cached response" in result.output
 
-    def test_replay_writes_nothing_to_the_cache_directory(self, workspace, monkeypatch):
+    def test_replay_writes_nothing_to_the_cache_directory(self, workspace):
         missing = workspace / "missing"
         result = cli(
             "run",
@@ -172,14 +172,10 @@ class TestRunCommand:
         assert "no cached response" in result.output
         assert not missing.exists()
 
-        def fake_build_client(cache_mode, cache_dir, seed, flip_probability, max_inflight):
-            session = self.StaticSession("The paper does not focus on it.")
-            return cc.LLMClient(mode=cache_mode, cache_dir=cache_dir, session=session)
-
-        monkeypatch.setattr("chunkcode.cli._build_client", fake_build_client)
         cache = workspace / "cache"
         options = {"--cache-mode": "record", "--cache-dir": cache, "--iterations": 2}
-        assert cli("run", *run_args(workspace, workspace / "rec", **options)).exit_code == 0
+        with post_through(StaticTransport("The paper does not focus on it.")):
+            assert cli("run", *run_args(workspace, workspace / "rec", **options)).exit_code == 0
 
         def listing():
             return {p.name: (p.stat().st_size, p.stat().st_mtime_ns) for p in [cache, *cache.iterdir()]}
@@ -203,6 +199,36 @@ class TestRunCommand:
         assert "max_inflight must be >= 1" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_max_prompt_words_below_one_exits_one(self, workspace, limit):
+        out = workspace / "out"
+        result = cli("run", *run_args(workspace, out, **{"--max-prompt-words": limit}))
+        assert result.exit_code == 1
+        assert f"max_prompt_words must be >= 1, got {limit}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, position", [("sk-secret\n", 10), ("sk-secr\u20act", 8)])
+    def test_api_key_not_visible_ascii_exits_one_without_echoing_it(
+        self, workspace, monkeypatch, key, position
+    ):
+        """A key that cannot be a Bearer token is refused before anything is
+        written or posted, by its position; the message never quotes it."""
+        monkeypatch.setenv(llm_client.API_KEY_ENV, key)
+        out = workspace / "out"
+        with LocalEndpoint() as endpoint:
+            monkeypatch.setenv(llm_client.BASE_URL_ENV, endpoint.url)
+            result = cli("run", *run_args(workspace, out, **{"--cache-mode": "live"}))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        refusal = (
+            f"the API key (api_key= or {llm_client.API_KEY_ENV}) has a character that is not"
+            f" visible ASCII at position {position}"
+        )
+        assert refusal in result.output
+        assert "secr" not in result.output
+        assert not out.exists()
+        assert endpoint.posts == []
+
     @pytest.mark.parametrize("option", ["--out", "--cache-dir"])
     def test_a_directory_under_a_file_exits_one(self, workspace, option):
         """An output or cache directory that cannot be made is reported, not a traceback."""
@@ -214,85 +240,54 @@ class TestRunCommand:
         assert isinstance(result.exception, SystemExit)
         assert "error: " in result.output and str(blocked) in result.output
 
-    def test_record_mode_resumes_from_cache(self, workspace, monkeypatch):
+    def test_record_mode_resumes_from_cache(self, workspace):
         """A rerun in record mode is served by the cache: no new transport calls."""
-        calls = {"n": 0}
-        lock = threading.Lock()  # record mode posts from several threads
-
-        class FakeSession:
-            def post(self, url, json=None, headers=None, timeout=None):
-                with lock:
-                    calls["n"] += 1
-
-                class Response:
-                    status_code = 200
-                    text = ""
-
-                    @staticmethod
-                    def json():
-                        return {
-                            "choices": [
-                                {"message": {"content": "Yes, the parameter is mentioned."}}
-                            ]
-                        }
-
-                return Response()
-
-        def fake_build_client(cache_mode, cache_dir, seed, flip_probability, max_inflight):
-            return cc.LLMClient(mode="record", cache_dir=cache_dir, session=FakeSession())
-
-        monkeypatch.setattr("chunkcode.cli._build_client", fake_build_client)
+        transport = StaticTransport("Yes, the parameter is mentioned.")
         cache = workspace / "cache"
-        first = cli(
-            "run",
-            *run_args(
-                workspace,
-                workspace / "out1",
-                **{"--cache-mode": "record", "--cache-dir": cache, "--iterations": 2},
-            ),
-        )
-        assert first.exit_code == 0, first.output
-        network_calls = calls["n"]
-        assert network_calls == (3 + 1) * 3 * 2
+        with post_through(transport):
+            first = cli(
+                "run",
+                *run_args(
+                    workspace,
+                    workspace / "out1",
+                    **{"--cache-mode": "record", "--cache-dir": cache, "--iterations": 2},
+                ),
+            )
+            assert first.exit_code == 0, first.output
+            network_calls = transport.calls
+            assert network_calls == (3 + 1) * 3 * 2
 
-        second = cli(
-            "run",
-            *run_args(
-                workspace,
-                workspace / "out2",
-                **{"--cache-mode": "record", "--cache-dir": cache, "--iterations": 2},
-            ),
-        )
+            second = cli(
+                "run",
+                *run_args(
+                    workspace,
+                    workspace / "out2",
+                    **{"--cache-mode": "record", "--cache-dir": cache, "--iterations": 2},
+                ),
+            )
         assert second.exit_code == 0, second.output
-        assert calls["n"] == network_calls  # fully served by the cache
+        assert transport.calls == network_calls  # fully served by the cache
         assert (workspace / "out1" / report.RECORDS_NAME).read_bytes() == (
             workspace / "out2" / report.RECORDS_NAME
         ).read_bytes()
 
-    def test_replay_after_record_reproduces_run(self, workspace, monkeypatch):
-        self.record_then_replay(workspace, monkeypatch, "The paper does not focus on it.")
+    def test_replay_after_record_reproduces_run(self, workspace):
+        self.record_then_replay(workspace, "The paper does not focus on it.")
 
-    def test_answer_with_a_lone_surrogate_is_recorded_and_replayed(self, workspace, monkeypatch):
-        self.record_then_replay(workspace, monkeypatch, "Yes, bad \ud800 text")
+    def test_answer_with_a_lone_surrogate_is_recorded_and_replayed(self, workspace):
+        self.record_then_replay(workspace, "Yes, bad \ud800 text")
         assert "Yes, bad \\ud800 text" in (workspace / "rep" / report.RECORDS_NAME).read_text()
 
-    def record_then_replay(self, workspace, monkeypatch, answer):
+    def record_then_replay(self, workspace, answer):
         """Record a run whose every answer is ``answer``, replay its cache, and
         check both runs exit 0 with the same records bytes."""
 
-        def fake_build_client(cache_mode, cache_dir, seed, flip_probability, max_inflight):
-            if cache_mode == "replay":
-                return cc.LLMClient(mode="replay", cache_dir=cache_dir)
-            return cc.LLMClient(
-                mode="record", cache_dir=cache_dir, session=self.StaticSession(answer)
-            )
-
-        monkeypatch.setattr("chunkcode.cli._build_client", fake_build_client)
         cache = workspace / "cache"
-        recorded = cli(
-            "run",
-            *run_args(workspace, workspace / "rec", **{"--cache-mode": "record", "--cache-dir": cache}),
-        )
+        with post_through(StaticTransport(answer)):
+            recorded = cli(
+                "run",
+                *run_args(workspace, workspace / "rec", **{"--cache-mode": "record", "--cache-dir": cache}),
+            )
         assert recorded.exit_code == 0, recorded.output
         replayed = cli(
             "run",
@@ -303,58 +298,16 @@ class TestRunCommand:
             workspace / "rep" / report.RECORDS_NAME
         ).read_bytes()
 
-    class StaticSession:
-        def __init__(self, text):
-            self.text_value = text
 
-        def post(self, url, json=None, headers=None, timeout=None):
-            text = self.text_value
+class StaticTransport(FakeTransport):
+    """Answers every prompt with ``text``."""
 
-            class Response:
-                status_code = 200
-                text = ""
+    def __init__(self, text):
+        super().__init__()
+        self.text = text
 
-                @staticmethod
-                def json():
-                    return {"choices": [{"message": {"content": text}}]}
-
-            return Response()
-
-
-class HashSession:
-    """A session answering each prompt by a hash of its text, from any thread;
-    every post after the first ``fail_after`` raises RuntimeError, once the
-    ``hold`` event is set when one is given (or after 10 s)."""
-
-    def __init__(self, fail_after=None, hold=None):
-        self.fail_after = fail_after
-        self.hold = hold
-        self.calls = 0
-        self.lock = threading.Lock()
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        with self.lock:
-            self.calls += 1
-            failing = self.fail_after is not None and self.calls > self.fail_after
-        if failing:
-            if self.hold is not None:
-                self.hold.wait(timeout=10)
-            raise RuntimeError("endpoint exploded")
-        prompt = json["messages"][0]["content"]
-        if hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 2:
-            answer = "Yes, the parameter is mentioned."
-        else:
-            answer = "The paper does not focus on it."
-
-        class Response:
-            status_code = 200
-            text = ""
-
-            @staticmethod
-            def json():
-                return {"choices": [{"message": {"content": answer}}]}
-
-        return Response()
+    def answer(self, prompt):
+        return completion(self.text)
 
 
 class TestCrashAndResume:
@@ -368,41 +321,36 @@ class TestCrashAndResume:
         report.RUN_META_NAME,
     )
 
-    def record(self, workspace, monkeypatch, session, name, max_inflight):
-        monkeypatch.setattr(
-            "chunkcode.cli._build_client",
-            lambda cache_mode, cache_dir, seed, flip_probability, max_inflight: cc.LLMClient(
-                mode="record", cache_dir=cache_dir, session=session, max_inflight=max_inflight
-            ),
-        )
+    def record(self, workspace, transport, name, max_inflight):
         options = {
             "--cache-mode": "record",
             "--cache-dir": workspace / f"cache_{name}",
             "--iterations": 3,
             "--max-inflight": max_inflight,
         }
-        return cli("run", *run_args(workspace, workspace / name, **options))
+        with post_through(transport):
+            return cli("run", *run_args(workspace, workspace / name, **options))
 
     @pytest.mark.parametrize("max_inflight", [1, 8])
     @pytest.mark.parametrize("stop", ["session raises", "sink interrupted"])
     def test_resume_gives_the_bytes_of_an_uninterrupted_run(
         self, workspace, monkeypatch, stop, max_inflight
     ):
-        full = HashSession()
-        assert self.record(workspace, monkeypatch, full, "full", max_inflight).exit_code == 0
+        full = FakeTransport()
+        assert self.record(workspace, full, "full", max_inflight).exit_code == 0
         assert full.calls == (3 + 1) * 3 * 3
 
         k = 7
         with monkeypatch.context() as patch:
             if stop == "session raises":
-                session = HashSession(fail_after=k)
+                transport = FakeTransport(fail_after=k)
             else:
                 # All 18 cells fit the dispatch window, so the workers could
                 # answer every prompt before the sink raises. The last post
                 # therefore waits for the interrupt and is cut off by it, as
                 # a request in flight when the run is stopped may be.
                 interrupted = threading.Event()
-                session = HashSession(fail_after=full.calls - 1, hold=interrupted)
+                transport = FakeTransport(fail_after=full.calls - 1, hold=interrupted)
                 sunk = []
 
                 def interrupting(record, to_json=engine.record_to_json):
@@ -413,7 +361,7 @@ class TestCrashAndResume:
                     return to_json(record)
 
                 patch.setattr(engine, "record_to_json", interrupting)
-            stopped = self.record(workspace, patch, session, "resumed", max_inflight)
+            stopped = self.record(workspace, transport, "resumed", max_inflight)
         assert stopped.exit_code != 0
         out = workspace / "resumed"
         meta = (out / report.RUN_META_NAME).read_bytes()
@@ -426,8 +374,8 @@ class TestCrashAndResume:
         cached = sum(segment.read_bytes().count(b"\n") for segment in cache.glob("segment-*"))
         assert 0 < cached < full.calls
 
-        resumed = HashSession()
-        assert self.record(workspace, monkeypatch, resumed, "resumed", max_inflight).exit_code == 0
+        resumed = FakeTransport()
+        assert self.record(workspace, resumed, "resumed", max_inflight).exit_code == 0
         assert resumed.calls == full.calls - cached
         for name in self.OUTPUTS:
             assert (out / name).read_bytes() == (workspace / "full" / name).read_bytes(), name
@@ -1218,40 +1166,27 @@ class TestValidateCodebook:
         assert "duplicate" in result.output
 
 
-class CauseSession:
-    """A session that answers each prompt by the failure cause its dimension
-    names; a body holding ``alpha0`` is always answered, so a chunked cell
-    can fail on a later chunk. Safe to share between threads."""
+class CauseTransport(FakeTransport):
+    """Answers each prompt by the failure cause its dimension names; a body
+    holding ``alpha0`` is always answered, so a chunked cell can fail on a
+    later chunk."""
 
-    ANSWERS = ("The paper does not focus on it.", "Yes, the parameter is mentioned.")
-
-    class Response:
-        def __init__(self, status_code, text="", headers=None, payload=None):
-            self.status_code = status_code
-            self.text = text if payload is None else json.dumps(payload)
-            self.headers = requests.structures.CaseInsensitiveDict(headers or {})
-
-        def json(self):
-            return json.loads(self.text)
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        prompt = json["messages"][0]["content"]
+    def answer(self, prompt):
         cause = prompt.split("parameter '", 1)[1].split("'", 1)[0]
         if cause == "ok" or "alpha0" in prompt:
-            answer = self.ANSWERS[hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 2]
-            return self.Response(200, payload={"choices": [{"message": {"content": answer}}]})
+            return completion(hashed_answer(prompt))
         if cause == "http-400":
-            return self.Response(400, "bad request: unknown model")
+            return reply(400, "bad request: unknown model")
         if cause == "http-503":
-            return self.Response(503, "overloaded", {"Retry-After": "0"})
+            return reply(503, "overloaded", {"Retry-After": "0"})
         if cause == "connection":
-            raise requests.ConnectionError("connection refused")
+            raise ConnectionError("connection refused")
         if cause == "not-json":
-            return self.Response(200, "<html>gateway</html>")
+            return reply(200, "<html>gateway</html>")
         if cause == "no-choices":
-            return self.Response(200, payload={"choices": []})
+            return reply(200, {"choices": []})
         assert cause == "non-string"
-        return self.Response(200, payload={"choices": [{"message": {"content": 42}}]})
+        return completion(42)
 
 
 # sha256 of the files test_golden_failure_outputs pins, per run.
@@ -1281,7 +1216,8 @@ def test_golden_failure_outputs(tmp_path):
         cc.DocumentText.from_raw("doc-a", " ".join(f"alpha{i}" for i in range(7))),
         cc.DocumentText.from_raw("doc-b", "beta0 beta1"),
     ]
-    live = dict(mode="live", session=CauseSession(), sleep=lambda s: None, max_inflight=4)
+    transport = CauseTransport()
+    live = dict(mode="live", sleep=lambda s: None, max_inflight=4)
     cold = dict(mode="replay", cache_dir=tmp_path / "cold")
     runs = {
         "chunk": (dict(strategy="chunk", chunk_size=3), live),
@@ -1291,7 +1227,7 @@ def test_golden_failure_outputs(tmp_path):
     digests = {}
     for name, (options, client_options) in runs.items():
         cfg = cc.RunConfig(model="gpt-test", iterations=2, **options)
-        result = report.write_run(tmp_path / name, corpus, cb, cfg, cc.LLMClient(**client_options))
+        result = report.write_run(tmp_path / name, corpus, cb, cfg, transport.client(**client_options))
         assert result.failures
         for file in (
             report.FAILURES_NAME,
@@ -1304,35 +1240,31 @@ def test_golden_failure_outputs(tmp_path):
     assert digests == GOLDEN_FAILURE_SHA256
 
 
-class FinishSession:
-    """A session that answers each prompt as its dimension names: ``ok``
-    finished, ``cut`` cut short, ``filtered`` withheld, ``blank`` empty. It
-    counts the posts per dimension. With ``stop`` set, the finished answers
-    carry ``finish_reason: "stop"`` as well. Safe to share between threads."""
+class FinishTransport(FakeTransport):
+    """Answers each prompt as its dimension names: ``ok`` finished, ``cut``
+    cut short, ``filtered`` withheld, ``blank`` empty. It counts the posts
+    per dimension. With ``stop`` set, the finished answers carry
+    ``finish_reason: "stop"`` as well."""
 
     FINISHES = {"ok": None, "cut": "length", "filtered": "content_filter", "blank": "stop"}
 
     def __init__(self, stop=False):
+        super().__init__()
         self.stop = stop
         self.posts = {dim: 0 for dim in self.FINISHES}
-        self.lock = threading.Lock()
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        prompt = json["messages"][0]["content"]
+    def answer(self, prompt):
         dim = prompt.split("parameter '", 1)[1].split("'", 1)[0]
         with self.lock:
             self.posts[dim] += 1
         text = {
-            "ok": CauseSession.ANSWERS[hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 2],
+            "ok": hashed_answer(prompt),
             "cut": "Yes, the parameter",
             "filtered": "",
             "blank": " \n",
         }[dim]
-        choice = {"message": {"content": text}}
         finish = self.FINISHES[dim] or ("stop" if self.stop else None)
-        if finish is not None:
-            choice["finish_reason"] = finish
-        return CauseSession.Response(200, payload={"choices": [choice]})
+        return completion(text, finish)
 
 
 def test_unfinished_answers_fail_their_cells_and_a_rerun_sends_them_again(tmp_path):
@@ -1340,7 +1272,7 @@ def test_unfinished_answers_fail_their_cells_and_a_rerun_sends_them_again(tmp_pa
     with a message naming why, and writes no cache line; a record-mode rerun
     sends only those prompts again. Whether finished answers carry
     ``finish_reason: "stop"`` changes no output byte."""
-    cb = cc.Codebook(tuple(cc.Dimension(id=d, name=d, definition=f"{d}.") for d in FinishSession.FINISHES))
+    cb = cc.Codebook(tuple(cc.Dimension(id=d, name=d, definition=f"{d}.") for d in FinishTransport.FINISHES))
     corpus = [
         cc.DocumentText.from_raw("doc-a", " ".join(f"alpha{i}" for i in range(7))),
         cc.DocumentText.from_raw("doc-b", "beta0 beta1"),
@@ -1352,15 +1284,13 @@ def test_unfinished_answers_fail_their_cells_and_a_rerun_sends_them_again(tmp_pa
         "blank": "empty answer (finish_reason 'stop')",
     }
 
-    def record(name, session, cache):
-        with cc.LLMClient(
-            mode="record", cache_dir=cache, session=session, sleep=lambda s: None, max_inflight=4
-        ) as client:
+    def record(name, transport, cache):
+        with transport.client(mode="record", cache_dir=cache, sleep=lambda s: None, max_inflight=4) as client:
             return report.write_run(tmp_path / name, corpus, cb, cfg, client)
 
-    session = FinishSession()
+    transport = FinishTransport()
     for name in ("first", "rerun"):
-        result = record(name, session, tmp_path / "cache")
+        result = record(name, transport, tmp_path / "cache")
         assert [f.error for f in result.failures] == [
             f"prompt for doc={doc!r} dim={dim!r} iteration={iteration} chunk=0 failed:"
             f" chat completion failed: {problem}"
@@ -1371,7 +1301,7 @@ def test_unfinished_answers_fail_their_cells_and_a_rerun_sends_them_again(tmp_pa
         # One post per refused answer a run meets: a cell stops at its
         # first chunk. The finished answers of the first run serve the rerun.
         runs = 1 if name == "first" else 2
-        assert session.posts == {"ok": (3 + 1) * 2, "cut": 4 * runs, "filtered": 4 * runs, "blank": 4 * runs}
+        assert transport.posts == {"ok": (3 + 1) * 2, "cut": 4 * runs, "filtered": 4 * runs, "blank": 4 * runs}
     cache = tmp_path / "cache"
     assert [path.name for path in cache.iterdir() if not path.name.startswith("segment-")] == [llm_client.INDEX_NAME]
     lines = b"".join(path.read_bytes() for path in cache.glob("segment-*")).splitlines()
@@ -1381,7 +1311,7 @@ def test_unfinished_answers_fail_their_cells_and_a_rerun_sends_them_again(tmp_pa
         tmp_path / "rerun" / report.RECORDS_NAME
     ).read_bytes()
 
-    record("stop", FinishSession(stop=True), tmp_path / "stop-cache")
+    record("stop", FinishTransport(stop=True), tmp_path / "stop-cache")
     for file in (report.RECORDS_NAME, report.FAILURES_NAME, report.ITERATION_RESULTS_NAME, report.CONSENSUS_NAME):
         assert (tmp_path / "stop" / file).read_bytes() == (tmp_path / "first" / file).read_bytes()
 
@@ -1397,20 +1327,15 @@ for argv in json.loads(sys.argv[2]):
 """
 
 
-def test_offline_commands_never_load_the_http_stack(workspace, monkeypatch):
+def test_offline_commands_never_load_the_http_stack(workspace):
     """Commands that never post load neither the HTTP stack nor a thread pool:
     in a fresh interpreter, each of them leaves ``requests``, ``http.client``,
     ``ssl``, ``urllib.request`` and ``concurrent.futures`` out of
     ``sys.modules``."""
     cache = workspace / "cache"
-    monkeypatch.setattr(
-        "chunkcode.cli._build_client",
-        lambda cache_mode, cache_dir, seed, flip_probability, max_inflight: cc.LLMClient(
-            mode="record", cache_dir=cache_dir, session=HashSession()
-        ),
-    )
     record = run_args(workspace, workspace / "rec", **{"--cache-mode": "record", "--cache-dir": cache})
-    recorded = cli("run", *record)
+    with post_through(FakeTransport()):
+        recorded = cli("run", *record)
     assert recorded.exit_code == 0, recorded.output
     samples = workspace / "samples.csv"
     samples.write_text("group,value\na,1\na,2\nb,3\nb,4\n", encoding="utf-8")
