@@ -38,9 +38,11 @@ DEFAULT_BASE_URL = "https://api.openai.com/v1"
 CACHE_MODES = ("live", "record", "replay", "mock")
 # Modes in which a completion can wait on the endpoint.
 NETWORK_MODES = ("live", "record")
-DEFAULT_MAX_INFLIGHT = 8
+DEFAULT_MAX_INFLIGHT = 16
 RETRY_BASE_S = 1.0
 RETRY_CAP_S = 30.0
+# Requests per second each 200 adds to the client's paced rate.
+PACE_STEP_RPS = 0.5
 
 PROMPT_TEMPLATE = (
     "Explain whether the parameter '{parameter}' is mentioned/directly talked "
@@ -610,6 +612,23 @@ class _Transport:
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ConfigError(f"base URL {base_url!r} is not an http:// or https:// URL")
         self._origin = f"{parts.scheme}://{parts.netloc}"
+        # http.client refuses these in a request line, so every post would
+        # fail: a space or a control character only after a transient error's
+        # backoff.
+        path_start = len(self._origin)
+        bad = next(
+            (
+                i
+                for i, ch in enumerate(base_url)
+                if ch <= " " or ch == "\x7f" or (i >= path_start and not ch.isascii())
+            ),
+            None,
+        )
+        if bad is not None:
+            raise ConfigError(
+                f"base URL {base_url!r} has a space, a control character or a non-ASCII path"
+                f" character at position {bad + 1}"
+            )
         self._headers = {"Content-Type": "application/json", "User-Agent": "chunkcode"}
         self._absolute = False  # whether the request line names the whole URL, for a proxy
         self._tunnel = None
@@ -691,6 +710,57 @@ class _Transport:
             conn.close()
 
 
+class _Pacer:
+    """Spaces the client's posts once the endpoint has answered one 429.
+
+    One pacer serves every worker of a client. Each send takes a ticket
+    (the cut epoch, its number among the sends, its send time), once paced
+    after waiting for its slot, ``interval`` after the one before. Until the
+    first 429 the interval is 0 and a ticket costs a lock and a clock read.
+    A 429 of a post sent in the current epoch cuts: the interval becomes
+    ``max(2 * interval, 2 / r)``, capped at ``RETRY_CAP_S``, where ``r`` is
+    the sends counted during that post's round trip over its time, and a new
+    epoch starts. So the rate halves from what the client was sending, and a
+    429 of a post sent before the last cut cuts no further. Each 200 raises
+    the rate by ``PACE_STEP_RPS``; any other answer leaves it alone.
+    """
+
+    def __init__(self, clock: Callable[[], float], sleep: Callable[[float], None]):
+        self._clock = clock
+        self._sleep = sleep
+        self._lock = threading.Lock()
+        self._interval = 0.0
+        self._next = 0.0  # the next free slot, once paced
+        self._sent = 0
+        self._epoch = 0
+
+    def wait(self) -> tuple[int, int, float]:
+        """Wait for the next send's slot and return its ticket."""
+        with self._lock:
+            now = self._clock()
+            self._sent += 1
+            at = max(now, self._next)
+            self._next = at + self._interval
+            ticket = (self._epoch, self._sent, at)
+        if at > now:
+            self._sleep(at - now)
+        return ticket
+
+    def answered(self, ticket: tuple[int, int, float], status: int) -> None:
+        """Pace by the status the post holding ``ticket`` was answered with."""
+        if status == 200:
+            if self._interval:  # read unlocked: unpaced, a 200 costs nothing
+                with self._lock:
+                    self._interval = 1 / (1 / self._interval + PACE_STEP_RPS)
+        elif status == 429:
+            epoch, number, sent_at = ticket
+            with self._lock:
+                if epoch == self._epoch:
+                    measured = 2 * (self._clock() - sent_at) / (self._sent - number + 1)
+                    self._interval = min(RETRY_CAP_S, max(2 * self._interval, measured))
+                    self._epoch += 1
+
+
 class LLMClient:
     """Front end for chat completions with four modes.
 
@@ -706,10 +776,10 @@ class LLMClient:
     from several threads. ``max_inflight`` is the number of concurrent
     requests the caller may issue (``run_iterations`` sizes its pool by it);
     the client does not enforce it. Live and record clients build, own and
-    post through one ``_Transport``, and refuse an API key that is not
-    visible ASCII, as a Bearer token is. ``close`` (or leaving a ``with``
-    block) closes the transport's connections and releases the cache's open
-    files.
+    post through one ``_Transport``, paced by one ``_Pacer`` once the
+    endpoint answers 429, and refuse an API key that is not visible ASCII,
+    as a Bearer token is. ``close`` (or leaving a ``with`` block) closes the
+    transport's connections and releases the cache's open files.
     """
 
     def __init__(
@@ -750,6 +820,7 @@ class LLMClient:
                     f" visible ASCII at position {bad + 1}"
                 )
             self._transport = _Transport(self.base_url)
+            self._pacer = _Pacer(time.monotonic, sleep)
         self._sleep = sleep
         self._rng = rng
         self._cache = (
@@ -804,12 +875,14 @@ class LLMClient:
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         for attempt in itertools.count(1):
             retry_after = None  # per attempt, never on self: threads share the client
+            ticket = self._pacer.wait()
             start = time.monotonic()
             try:
                 resp = self._transport.post(url, body, headers, self.timeout)
             except (OSError, HTTPException) as exc:
                 failure = f"{type(exc).__name__}: {exc}"
             else:
+                self._pacer.answered(ticket, resp.status)
                 if resp.status == 200:
                     return _completion(resp, time.monotonic() - start)
                 failure = f"HTTP {resp.status}: {resp.content.decode('utf-8', 'replace')[:200]}"

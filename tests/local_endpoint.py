@@ -4,6 +4,7 @@ import hashlib
 import json
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 ANSWERS = ("The paper does not focus on it.", "Yes, the parameter is mentioned.")
@@ -23,16 +24,24 @@ class LocalEndpoint(ThreadingHTTPServer):
     it closes each connection after one answer without saying so, as a
     server does with an idle keep-alive connection. With ``first``, a
     (status, headers) pair, the first POST is answered with that status,
-    those headers and no body. A CONNECT is recorded and refused with 407.
-    Use it as a context manager.
+    those headers and no body. With ``bucket``, a (rate, burst) pair, a POST
+    takes a token from a bucket that holds at most ``burst`` and refills at
+    ``rate`` per second, and one that finds none is answered 429 with
+    ``Retry-After: 1``. Each POST is answered ``latency`` seconds after it
+    arrived. A CONNECT is recorded and refused with 407. Use it as a context
+    manager.
     """
 
     daemon_threads = False  # server_close joins every handler thread
 
-    def __init__(self, drop_idle=False, first=None):
+    def __init__(self, drop_idle=False, first=None, bucket=None, latency=0.0):
         super().__init__(("127.0.0.1", 0), _Handler)
         self.drop_idle = drop_idle
         self.first = first
+        self.bucket = bucket
+        self.latency = latency
+        self._tokens = bucket[1] if bucket else 0.0
+        self._filled = time.monotonic()
         self.requests = []
         self.connections = 0
         self.open = 0
@@ -46,6 +55,20 @@ class LocalEndpoint(ThreadingHTTPServer):
     @property
     def posts(self):
         return [r for r in self.requests if r[0] == "POST"]
+
+    def take_token(self):
+        """Whether the bucket held a token for this POST (always, without one)."""
+        if self.bucket is None:
+            return True
+        rate, burst = self.bucket
+        with self.changed:
+            now = time.monotonic()
+            self._tokens = min(burst, self._tokens + (now - self._filled) * rate)
+            self._filled = now
+            if self._tokens < 1:
+                return False
+            self._tokens -= 1
+            return True
 
     def wait_closed(self, timeout=5.0):
         """Whether every connection was closed within ``timeout`` seconds."""
@@ -93,6 +116,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._record(body)
         with self.server.changed:
             first, self.server.first = self.server.first, None
+        if first is None and not self.server.take_token():
+            first = (429, {"Retry-After": "1"})
+        time.sleep(self.server.latency)
         if first is not None:
             status, headers = first
             self._answer(status, b"", headers)

@@ -263,6 +263,29 @@ class TestClientModes:
         with pytest.raises(ConfigError, match="not an http:// or https:// URL"):
             cc.LLMClient(mode="live", base_url=base_url)
 
+    @pytest.mark.parametrize(
+        "base_url, position",
+        [
+            ("http://127.0.0.1:9/v1 ", 22),
+            ("http://127.0.0.1:9/v1\n", 22),
+            ("http://127.0.0.1:9/v 1", 21),
+            (" http://127.0.0.1:9/v1", 1),
+            ("http://127.0.0.1:9/v\u00e91", 21),
+        ],
+    )
+    def test_base_url_http_cannot_send_is_refused_before_any_post(self, base_url, position):
+        sleeps = []
+        with pytest.raises(ConfigError) as refused:
+            cc.LLMClient(mode="live", base_url=base_url, sleep=sleeps.append)
+        assert str(refused.value) == (
+            f"base URL {base_url!r} has a space, a control character or a non-ASCII path"
+            f" character at position {position}"
+        )
+        assert sleeps == []
+
+    def test_base_url_with_a_non_ascii_host_is_left_to_idna(self):
+        cc.LLMClient(mode="live", base_url="http://b\u00fccher.example/v1").close()
+
     @pytest.mark.parametrize("mode", ["live", "record"])
     def test_api_key_argument_not_visible_ascii_is_refused_unquoted(self, tmp_path, mode):
         with pytest.raises(ConfigError) as refused:
@@ -409,6 +432,24 @@ class TestTransport:
         for failure in result.failures:
             assert "chat completion failed after 2 attempts: ConnectionRefusedError: " in failure.error
         assert len(sleeps) == 6
+
+    def test_record_run_against_a_rate_limit_is_paced(self, tmp_path):
+        """A token bucket of 200 requests/s with a burst of 3 answers 429 with
+        ``Retry-After: 1`` above it. A record run at the default in-flight
+        count codes every cell, with few 429s, in a few seconds."""
+        codebook = cc.Codebook(tuple(cc.Dimension(f"d{i}", f"Dim{i}", f"Definition {i}.") for i in range(17)))
+        corpus = [cc.DocumentText.from_raw("doc", " ".join(f"w{i}" for i in range(1000)))]
+        cfg = cc.RunConfig(model="gpt-test", strategy="chunk", chunk_size=500, iterations=10)
+        with LocalEndpoint(bucket=(200, 3), latency=0.02) as endpoint:
+            start = time.monotonic()
+            with cc.LLMClient(mode="record", base_url=endpoint.url, cache_dir=tmp_path) as client:
+                result = cc.run_iterations(corpus, codebook, cfg, client)
+            wall = time.monotonic() - start
+        assert result.ok and result.prompts == 17 * 2 * 10
+        assert len(endpoint.posts) <= 1.2 * result.prompts
+        # The bucket allows the 340 prompts in 1.7 s. Unpaced, 8 workers
+        # took about 10 s: each 429 costs its worker a second.
+        assert wall < 8
 
     def test_transport_reads_network_environment_once(self, monkeypatch):
         contexts, real_context = [], ssl.create_default_context
@@ -771,6 +812,124 @@ class TestRetryBehaviour:
         client, _ = self.make_client(transport)
         with pytest.raises(TransportError, match="malformed"):
             client.complete(make_request())
+
+
+class FakeClock:
+    """A clock that moves only when told, and a sleep that records."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps = []
+
+    def __call__(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+
+
+class TestPacer:
+    def make_pacer(self):
+        clock = FakeClock()
+        return llm_client._Pacer(clock, clock.sleep), clock
+
+    def test_unpaced_until_the_first_429(self):
+        pacer, clock = self.make_pacer()
+        for _ in range(100):
+            pacer.answered(pacer.wait(), 200)
+        held = [pacer.wait() for _ in range(50)]  # fifty at one instant
+        assert clock.sleeps == [] and pacer._interval == 0.0
+        clock.now = 0.01
+        pacer.answered(held[0], 429)
+        assert pacer._interval > 0.0
+
+    def test_a_429_halves_the_rate_measured_over_its_round_trip(self):
+        pacer, clock = self.make_pacer()
+        first = pacer.wait()
+        for _ in range(3):  # sent while the first was in flight
+            pacer.wait()
+        clock.now = 0.1
+        pacer.answered(first, 429)  # 4 sends in 0.1 s: 40/s, halved to 20/s
+        assert pacer._interval == pytest.approx(0.05)
+        for _ in range(3):
+            pacer.wait()
+        assert clock.sleeps == pytest.approx([0.05, 0.1])
+
+    def test_a_429_of_a_post_sent_before_the_last_cut_does_not_cut(self):
+        pacer, clock = self.make_pacer()
+        a, b = pacer.wait(), pacer.wait()
+        clock.now = 0.1
+        pacer.answered(a, 429)  # 2 sends in 0.1 s: 20/s, halved to 10/s
+        pacer.answered(b, 429)
+        assert pacer._interval == pytest.approx(0.1)
+        c = pacer.wait()
+        clock.now = 0.15
+        pacer.answered(c, 429)  # measured 20/s, but the interval at least doubles
+        assert pacer._interval == pytest.approx(0.2)
+
+    def test_each_200_adds_half_a_request_per_second(self):
+        pacer, clock = self.make_pacer()
+        ticket = pacer.wait()
+        clock.now = 0.2
+        pacer.answered(ticket, 429)  # 5/s, halved to 2.5/s
+        for _ in range(3):
+            pacer.answered(pacer.wait(), 200)
+        assert 1 / pacer._interval == pytest.approx(2.5 + 3 * 0.5)
+
+    @pytest.mark.parametrize("status", [503, 400, 500])
+    def test_other_statuses_do_not_cut(self, status):
+        pacer, clock = self.make_pacer()
+        ticket = pacer.wait()
+        clock.now = 0.1
+        pacer.answered(ticket, status)
+        assert pacer._interval == 0.0
+
+    def test_the_interval_is_capped_at_the_backoff_cap(self):
+        pacer, clock = self.make_pacer()
+        for now in (100.0, 200.0):
+            ticket = pacer.wait()
+            clock.now = now
+            pacer.answered(ticket, 429)
+            assert pacer._interval == llm_client.RETRY_CAP_S
+
+    def test_concurrent_posts_lose_no_ticket_and_no_recovery(self):
+        """Threads switched every microsecond: every send gets its own slot,
+        in the order of its number, and every 200 raises the rate."""
+        pacer, clock = self.make_pacer()
+        first = pacer.wait()
+        clock.now = 0.1
+        pacer.answered(first, 429)  # 1 send in 0.1 s: 10/s, halved to 5/s
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        def post_500():
+            tickets = [pacer.wait() for _ in range(500)]
+            for ticket in tickets:
+                pacer.answered(ticket, 200)
+            return tickets
+
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                tickets = [t for batch in pool.map(lambda _: post_500(), range(8)) for t in batch]
+        finally:
+            sys.setswitchinterval(switch)
+        slots = [at for _, _, at in sorted(tickets, key=lambda ticket: ticket[1])]
+        assert sorted(number for _, number, _ in tickets) == list(range(2, 4002))
+        assert all(a < b for a, b in zip(slots, slots[1:]))
+        assert 1 / pacer._interval == pytest.approx(5 + 4000 * 0.5)
+
+    def test_every_post_takes_a_ticket_and_only_a_429_cuts(self):
+        transport = Scripted(
+            TimeoutError("deadline"),
+            reply(503, "down", headers={"Retry-After": "0"}),
+            reply(429, "slow down", headers={"Retry-After": "0"}),
+            completion("ok", **META),
+        )
+        sleeps = []
+        client = transport.client(mode="live", base_url="http://t/v1", sleep=sleeps.append, rng=random.Random(0))
+        pacer = client._pacer
+        assert client.complete(make_request()).text == "ok"
+        assert (pacer._sent, pacer._epoch) == (4, 1)
+        assert sleeps[1:] == [0.0, 0.0]  # Retry-After, as before; the slot after the cut is free
 
 
 class TestUnfinishedAnswers:
