@@ -73,7 +73,6 @@ from .llm_client import (
     LLMClient,
     LLMResponse,
     PromptRequest,
-    ScriptedMock,
     StochasticMock,
     render_prompt,
     retry_delay,

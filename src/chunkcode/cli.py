@@ -29,9 +29,9 @@ def main() -> None:
 
 
 def _mock_truth(request: PromptRequest) -> bool:
-    # Stable per-cell ground truth for mock runs: hash the doc/dimension part
-    # of the tag so all iterations of a cell share one underlying answer.
-    cell = "/".join(request.tag.split("/")[:2])
+    # Stable per-cell ground truth for mock runs: hash the tag up to its last
+    # "/i", the doc/dimension part, so all iterations of a cell share one answer.
+    cell = request.tag.rpartition("/i")[0]
     return hashlib.sha256(cell.encode("utf-8")).digest()[0] % 2 == 0
 
 

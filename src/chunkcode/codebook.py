@@ -34,6 +34,8 @@ class Codebook:
                 raise CodebookError(
                     f"dimension id {dim.id!r} must be nonempty with no whitespace"
                 )
+            if dim.id == "doc_id":
+                raise CodebookError("dimension id 'doc_id' is reserved for consensus.csv's document column")
             if dim.id in seen:
                 raise CodebookError(f"duplicate dimension id {dim.id!r}")
             seen.add(dim.id)

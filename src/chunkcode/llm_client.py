@@ -517,28 +517,6 @@ class RequestCache:
         raise CacheMissError(f"corrupt cache entry {where}: {exc}") from exc
 
 
-class ScriptedMock:
-    """Deterministic responder: a fixed mapping of request keys to text.
-
-    ``default`` answers any request not in the script; without it, unknown
-    requests raise so silent test gaps cannot slip through.
-    """
-
-    def __init__(self, script: Mapping[str, str] | None = None, default: str | None = None):
-        self.script = dict(script or {})
-        self.default = default
-
-    def __call__(self, request: PromptRequest) -> str:
-        try:
-            return self.script[request.request_key]
-        except KeyError:
-            if self.default is not None:
-                return self.default
-            raise ConfigError(
-                f"scripted mock has no response for request_key {request.request_key}"
-            ) from None
-
-
 class StochasticMock:
     """Seeded responder with a per-cell truth, flipped with probability p.
 
@@ -582,28 +560,34 @@ class _Response(NamedTuple):
 
 
 class _Transport:
-    """Posts JSON bodies, serialised by the caller, to one origin over
+    """Posts JSON bodies, serialised by the caller, to one endpoint over
     keep-alive HTTP/1.1 connections, one per post in flight.
 
-    The environment is read once, here. A proxy comes from ``HTTP_PROXY`` or
-    ``HTTPS_PROXY`` unless ``NO_PROXY`` covers the host: HTTPS tunnels
-    through it with CONNECT, plain HTTP sends it the absolute URI, and
-    userinfo in its URL becomes ``Proxy-Authorization``. HTTPS trusts the CA
-    bundle that ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE`` names, else the
-    system store (``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` apply). ``~/.netrc``
-    is not read: its Basic credentials would replace the API key's Bearer.
+    The endpoint and the environment are read once, here. A proxy comes from
+    ``HTTP_PROXY`` or ``HTTPS_PROXY`` unless ``NO_PROXY`` covers the host:
+    HTTPS tunnels through it with CONNECT, plain HTTP sends it the absolute
+    URI, and userinfo in its URL becomes ``Proxy-Authorization``. HTTPS trusts
+    the CA bundle that ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE`` names,
+    else the system store (``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` apply).
+    ``~/.netrc`` is not read: its Basic credentials would replace the API
+    key's Bearer.
 
     A post takes an idle connection, or opens one, and gives it back after,
     so the transport holds no more connections than it once had posts in
-    flight; each keeps the timeout of the post that opened it. When a
-    reused connection fails before a status line (the server closed it
-    while idle), the post is sent again at once on a new one; any other
-    failure closes the connection and propagates. The modules load only
-    when a transport is built: replay, mock and the analysis commands never
-    post. Safe to call from several threads.
+    flight. When a reused connection fails before a status line (the server
+    closed it while idle), the post is sent again at once on a new one; any
+    other failure closes the connection and propagates. The modules load
+    only when a transport is built: replay, mock and the analysis commands
+    never post. Safe to call from several threads.
     """
 
-    def __init__(self, base_url: str):
+    def __init__(self, base_url: str, api_key: str, timeout: float):
+        bad = next((i for i, ch in enumerate(api_key) if not "!" <= ch <= "~"), None)
+        if bad is not None:  # http.client would refuse it with an error quoting the secret
+            raise ConfigError(
+                f"the API key (api_key= or {API_KEY_ENV}) has a character that is not"
+                f" visible ASCII at position {bad + 1}"
+            )
         import http.client
         import urllib.parse
         import urllib.request
@@ -611,11 +595,10 @@ class _Transport:
         parts = urllib.parse.urlsplit(base_url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ConfigError(f"base URL {base_url!r} is not an http:// or https:// URL")
-        self._origin = f"{parts.scheme}://{parts.netloc}"
         # http.client refuses these in a request line, so every post would
         # fail: a space or a control character only after a transient error's
         # backoff.
-        path_start = len(self._origin)
+        path_start = len(f"{parts.scheme}://{parts.netloc}")
         bad = next(
             (
                 i
@@ -629,8 +612,9 @@ class _Transport:
                 f"base URL {base_url!r} has a space, a control character or a non-ASCII path"
                 f" character at position {bad + 1}"
             )
+        url = f"{base_url}/chat/completions"
+        self._target = url[path_start:]
         self._headers = {"Content-Type": "application/json", "User-Agent": "chunkcode"}
-        self._absolute = False  # whether the request line names the whole URL, for a proxy
         self._tunnel = None
         host, port = parts.hostname, parts.port
         proxies = urllib.request.getproxies_environment()
@@ -649,45 +633,45 @@ class _Transport:
             if parts.scheme == "https":
                 self._tunnel = (host, port, auth)
             else:
-                self._absolute = True
+                self._target = url  # a plain-HTTP proxy is sent the whole URL
                 self._headers.update(auth)
             host, port = via.hostname, via.port or 80
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        tls = {}
         if parts.scheme == "https":
             import ssl
 
             ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
             where = {"capath": ca} if ca and os.path.isdir(ca) else {"cafile": ca}
-            context = ssl.create_default_context(**where)
-            self._connection = functools.partial(http.client.HTTPSConnection, host, port, context=context)
-        else:
-            self._connection = functools.partial(http.client.HTTPConnection, host, port)
+            tls["context"] = ssl.create_default_context(**where)
+        connection = http.client.HTTPSConnection if tls else http.client.HTTPConnection
+        self._connection = functools.partial(connection, host, port, timeout=timeout, **tls)
         self._lock = threading.Lock()
         self._idle: list[http.client.HTTPConnection] = []
         self._closed = False
 
-    def post(self, url: str, body: bytes, headers: Mapping[str, str], timeout: float) -> _Response:
-        """POST ``body`` to ``url``, which lies under the base URL. Failures
-        raise ``OSError`` or ``http.client.HTTPException``."""
-        headers = {**self._headers, **headers}
-        target = url if self._absolute else url[len(self._origin):]
+    def post(self, body: bytes) -> _Response:
+        """POST ``body`` to the endpoint. Failures raise ``OSError`` or
+        ``http.client.HTTPException``."""
         with self._lock:
             if self._closed:
                 raise ValueError("HTTP transport is closed")
             conn = self._idle.pop() if self._idle else None
         if conn is None:
-            conn = self._connection(timeout=timeout)  # connects on its first request
+            conn = self._connection()  # connects on its first request
             if self._tunnel is not None:
                 conn.set_tunnel(*self._tunnel)
         try:
             reused = conn.sock is not None
             try:
-                conn.request("POST", target, body, headers)
+                conn.request("POST", self._target, body, self._headers)
                 response = conn.getresponse()
             except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected among them
                 if not reused:
                     raise
                 conn.close()  # the next request opens a new socket
-                conn.request("POST", target, body, headers)
+                conn.request("POST", self._target, body, self._headers)
                 response = conn.getresponse()
             content = response.read()
         except BaseException:
@@ -775,11 +759,11 @@ class LLMClient:
     ``cache_dir``; live and mock ignore it. ``complete`` is safe to call
     from several threads. ``max_inflight`` is the number of concurrent
     requests the caller may issue (``run_iterations`` sizes its pool by it);
-    the client does not enforce it. Live and record clients build, own and
-    post through one ``_Transport``, paced by one ``_Pacer`` once the
-    endpoint answers 429, and refuse an API key that is not visible ASCII,
-    as a Bearer token is. ``close`` (or leaving a ``with`` block) closes the
-    transport's connections and releases the cache's open files.
+    the client does not enforce it. Only live and record clients read
+    ``base_url`` and ``api_key`` (else ``CHUNKCODE_BASE_URL`` and
+    ``CHUNKCODE_API_KEY``) and build, own and post through one ``_Transport``,
+    paced by one ``_Pacer`` once it answers 429. ``close`` (or leaving a
+    ``with`` block) closes its connections and releases the cache's open files.
     """
 
     def __init__(
@@ -805,21 +789,16 @@ class LLMClient:
         if max_inflight < 1:
             raise ConfigError(f"max_inflight must be >= 1, got {max_inflight}")
         self.mode = mode
-        self.base_url = (base_url or os.environ.get(BASE_URL_ENV) or DEFAULT_BASE_URL).rstrip("/")
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self.mock = mock
         self.max_attempts = max_attempts
-        self.timeout = timeout
         self.max_inflight = max_inflight
         self._transport = None
         if mode in NETWORK_MODES:
-            bad = next((i for i, ch in enumerate(self.api_key) if not "!" <= ch <= "~"), None)
-            if bad is not None:  # http.client would refuse it with an error quoting the secret
-                raise ConfigError(
-                    f"the API key (api_key= or {API_KEY_ENV}) has a character that is not"
-                    f" visible ASCII at position {bad + 1}"
-                )
-            self._transport = _Transport(self.base_url)
+            self._transport = _Transport(
+                (base_url or os.environ.get(BASE_URL_ENV) or DEFAULT_BASE_URL).rstrip("/"),
+                api_key if api_key is not None else os.environ.get(API_KEY_ENV, ""),
+                timeout,
+            )
             self._pacer = _Pacer(time.monotonic, sleep)
         self._sleep = sleep
         self._rng = rng
@@ -846,12 +825,7 @@ class LLMClient:
     def complete(self, request: PromptRequest) -> LLMResponse:
         """Execute one stateless completion per the configured mode."""
         if self.mode == "mock":
-            assert self.mock is not None
-            return LLMResponse(
-                text=self.mock(request),
-                provider_meta={"provider": "mock"},
-                from_cache=False,
-            )
+            return LLMResponse(self.mock(request), {"provider": "mock"})
         if self._cache is not None:
             key = request.request_key
             cached = self._cache.get(key)
@@ -869,16 +843,14 @@ class LLMClient:
     def _post(self, request: PromptRequest) -> LLMResponse:
         from http.client import HTTPException
 
-        url = f"{self.base_url}/chat/completions"
         message = {"role": "user", "content": request.prompt_text}
         body = json.dumps({"model": request.model, "messages": [message]}, allow_nan=False).encode("utf-8")
-        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         for attempt in itertools.count(1):
             retry_after = None  # per attempt, never on self: threads share the client
             ticket = self._pacer.wait()
             start = time.monotonic()
             try:
-                resp = self._transport.post(url, body, headers, self.timeout)
+                resp = self._transport.post(body)
             except (OSError, HTTPException) as exc:
                 failure = f"{type(exc).__name__}: {exc}"
             else:

@@ -476,6 +476,12 @@ def write_report_bundle(
     """
     if not runs:
         raise ValueError("a report needs at least one run")
+    raters = list(manual.raters)
+    for run in runs:
+        if run.rater_id in raters:
+            source = "the manual matrix" if run.rater_id in manual.raters else "another run"
+            raise ValueError(f"rater id {run.rater_id!r} of a {run.strategy} run is also a rater of {source}")
+        raters.append(run.rater_id)
     tables = {
         name: (builder(runs, manual), percent_cols)
         for name, (builder, percent_cols) in _TABLES.items()

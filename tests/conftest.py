@@ -49,13 +49,9 @@ def old_cache_entry():
 
 @pytest.fixture
 def positive_mock():
-    return cc.LLMClient(
-        mode="mock", mock=cc.ScriptedMock(default="Yes, the parameter is mentioned.")
-    )
+    return cc.LLMClient(mode="mock", mock=lambda request: "Yes, the parameter is mentioned.")
 
 
 @pytest.fixture
 def negative_mock():
-    return cc.LLMClient(
-        mode="mock", mock=cc.ScriptedMock(default="The paper does not focus on it.")
-    )
+    return cc.LLMClient(mode="mock", mock=lambda request: "The paper does not focus on it.")

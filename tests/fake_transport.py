@@ -37,7 +37,7 @@ def completion(text, finish_reason=None, **fields):
 def post_through(transport):
     """A context in which every live or record ``LLMClient`` built, the
     CLI's too, posts through ``transport``."""
-    return mock.patch.object(llm_client, "_Transport", lambda base_url: transport)
+    return mock.patch.object(llm_client, "_Transport", lambda *endpoint: transport)
 
 
 class FakeTransport:
@@ -50,8 +50,8 @@ class FakeTransport:
     in progress at once is kept. The prompts in ``reject`` are answered 400.
     Every call after the first ``fail_after`` raises RuntimeError, once the
     ``hold`` event is set when one is given (or after 10 s). ``calls``
-    counts the calls and ``sent`` holds each post's URL, JSON body, headers
-    and timeout. Safe to share between threads.
+    counts the calls and ``sent`` holds each post's JSON body, decoded. Safe
+    to share between threads.
     """
 
     def __init__(self, delay=None, reject=(), fail_after=None, hold=None):
@@ -68,10 +68,10 @@ class FakeTransport:
         with post_through(self):
             return cc.LLMClient(**options)
 
-    def post(self, url, body, headers, timeout):
+    def post(self, body):
         sent = json.loads(body)
         with self.lock:
-            self.sent.append({"url": url, "json": sent, "headers": headers, "timeout": timeout})
+            self.sent.append(sent)
         self._enter()
         return self.answer(sent["messages"][0]["content"])
 

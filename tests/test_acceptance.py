@@ -260,7 +260,7 @@ def test_engine_semantics_under_scripted_mock(tmp_path):
     script = _build_script(docs, cb, cfg)
 
     def run_once(out):
-        client = cc.LLMClient(mode="mock", mock=cc.ScriptedMock(script))
+        client = cc.LLMClient(mode="mock", mock=lambda request: script[request.request_key])
         assert report.write_run(out, docs, cb, cfg, client).ok
         return (out / report.RECORDS_NAME).read_bytes()
 

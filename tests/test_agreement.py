@@ -337,8 +337,10 @@ class TestRatingsCSV:
              ":4: subject ('d', 'x') repeats line 2"),
             ("doc_id,dimension_id,r1,r2\n", ": a rating matrix needs at least one subject"),
             ("doc_id,dimension_id,r1,r1\nd,x,T,F\n", ": rater ids must be unique"),
+            ("", ": empty ratings file"),
+            ("doc_id,dimension_id,r1,r2\nd,x,T,F\nd,y,T\n", ":3: expected 4 cells"),
         ],
-        ids=["repeated-subject", "no-rows", "repeated-rater"],
+        ids=["repeated-subject", "no-rows", "repeated-rater", "empty-file", "short-row"],
     )
     def test_matrix_refusals_name_the_file(self, tmp_path, text, problem):
         path = tmp_path / "ratings.csv"

@@ -54,6 +54,22 @@ def test_missing_field_names_entry(tmp_path):
         cc.load_codebook(write_codebook(tmp_path, entries))
 
 
+@pytest.mark.parametrize(
+    "entry, problem",
+    [
+        ("fidelity", "entry 1 is not an object"),
+        ({"id": "x", "name": "X"}, "entry 1 is missing field 'definition'"),
+        ({"id": "x", "name": 1, "definition": "D."}, "entry 1 has non-string fields"),
+    ],
+    ids=["not an object", "missing field", "non-string field"],
+)
+def test_malformed_entry_is_named(tmp_path, entry, problem):
+    path = write_codebook(tmp_path, [ENTRIES[0], entry])
+    with pytest.raises(CodebookError) as refused:
+        cc.load_codebook(path)
+    assert str(refused.value) == f"{path}: {problem}"
+
+
 def test_malformed_file(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

@@ -125,15 +125,6 @@ class TestRetryPolicy:
 
 
 class TestMocks:
-    def test_scripted_lookup_and_default(self):
-        req = make_request("scripted")
-        mock = cc.ScriptedMock({req.request_key: "canned answer"})
-        assert mock(req) == "canned answer"
-        with pytest.raises(ConfigError):
-            mock(make_request("other"))
-        fallback = cc.ScriptedMock({}, default="fallback")
-        assert fallback(make_request("other")) == "fallback"
-
     def test_stochastic_mock_is_deterministic_per_request(self):
         mock = cc.StochasticMock(seed=3, flip_probability=0.5)
         req = make_request("q1")
@@ -183,17 +174,15 @@ class TestClientModes:
             cc.LLMClient(mode="live", max_inflight=0)
 
     def test_mock_mode(self):
-        client = cc.LLMClient(mode="mock", mock=cc.ScriptedMock(default="hi"))
+        client = cc.LLMClient(mode="mock", mock=lambda request: "hi")
         response = client.complete(make_request())
         assert response.text == "hi"
         assert response.from_cache is False
 
     def test_statelessness_under_reordering(self):
         req_a, req_b = make_request("a"), make_request("b")
-        mock = cc.ScriptedMock(
-            {req_a.request_key: "answer a", req_b.request_key: "answer b"}
-        )
-        client = cc.LLMClient(mode="mock", mock=mock)
+        script = {req_a.request_key: "answer a", req_b.request_key: "answer b"}
+        client = cc.LLMClient(mode="mock", mock=lambda request: script[request.request_key])
         first = (client.complete(req_a).text, client.complete(req_b).text)
         second = (client.complete(req_b).text, client.complete(req_a).text)
         assert first == ("answer a", "answer b")
@@ -205,13 +194,7 @@ class TestClientModes:
         response = client.complete(make_request("ping", model="gpt-test"))
         assert response.text == "pong"
         assert response.from_cache is False
-        call = transport.sent[0]
-        assert call["url"] == "http://test/v1/chat/completions"
-        assert call["json"] == {
-            "model": "gpt-test",
-            "messages": [{"role": "user", "content": "ping"}],
-        }
-        assert call["headers"]["Authorization"] == "Bearer sk-x"
+        assert transport.sent == [{"model": "gpt-test", "messages": [{"role": "user", "content": "ping"}]}]
 
     def test_record_then_replay_round_trip(self, tmp_path):
         transport = Scripted(completion("recorded text", **META))
@@ -242,7 +225,7 @@ class TestClientModes:
 
     @pytest.mark.parametrize("mode", ["replay", "mock"])
     def test_offline_client_builds_no_session(self, monkeypatch, tmp_path, mode):
-        def no_transport(base_url):
+        def no_transport(*endpoint):
             raise AssertionError("an offline client built a transport")
 
         monkeypatch.setattr(llm_client, "_Transport", no_transport)
@@ -252,11 +235,28 @@ class TestClientModes:
     @pytest.mark.parametrize("mode", ["live", "record"])
     def test_network_client_builds_its_own_session(self, monkeypatch, tmp_path, mode):
         built = []
-        monkeypatch.setattr(llm_client, "_Transport", lambda base_url: built.append(base_url) or mock.Mock())
-        with cc.LLMClient(mode=mode, base_url="http://t/v1/", cache_dir=tmp_path) as client:
+        monkeypatch.setattr(llm_client, "_Transport", lambda *endpoint: built.append(endpoint) or mock.Mock())
+        options = dict(base_url="http://t/v1/", api_key="sk-x", timeout=5.0, cache_dir=tmp_path)
+        with cc.LLMClient(mode=mode, **options) as client:
             assert client._transport.close.call_count == 0
-        assert built == ["http://t/v1"]
+        assert built == [("http://t/v1", "sk-x", 5.0)]
         client._transport.close.assert_called_once_with()
+
+    @pytest.mark.parametrize("mode", ["live", "record"])
+    def test_network_client_reads_the_endpoint_from_the_environment(self, monkeypatch, tmp_path, mode):
+        built = []
+        monkeypatch.setattr(llm_client, "_Transport", lambda *endpoint: built.append(endpoint) or mock.Mock())
+        monkeypatch.setenv(llm_client.BASE_URL_ENV, "http://env/v1/")
+        monkeypatch.setenv(llm_client.API_KEY_ENV, "sk-env")
+        cc.LLMClient(mode=mode, cache_dir=tmp_path).close()
+        cc.LLMClient(mode=mode, base_url="http://t/v1", api_key="", cache_dir=tmp_path).close()
+        monkeypatch.delenv(llm_client.BASE_URL_ENV)
+        cc.LLMClient(mode=mode, cache_dir=tmp_path).close()
+        assert built == [
+            ("http://env/v1", "sk-env", 60.0),
+            ("http://t/v1", "", 60.0),
+            ("https://api.openai.com/v1", "sk-env", 60.0),
+        ]
 
     @pytest.mark.parametrize("base_url", ["ftp://t/v1", "t/v1", "http:///v1"])
     def test_base_url_must_name_an_http_host(self, base_url):
@@ -283,6 +283,14 @@ class TestClientModes:
         )
         assert sleeps == []
 
+    @pytest.mark.usefixtures("no_proxy")
+    @pytest.mark.parametrize("proxy", ["https://proxy.example:8443", "socks5://proxy.example:1080", "http://:8080"])
+    def test_proxy_must_be_an_http_url(self, monkeypatch, proxy):
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+        with pytest.raises(ConfigError) as refused:
+            cc.LLMClient(mode="live", base_url="http://api.example/v1")
+        assert str(refused.value) == f"proxy {proxy!r} is not an http:// URL"
+
     def test_base_url_with_a_non_ascii_host_is_left_to_idna(self):
         cc.LLMClient(mode="live", base_url="http://b\u00fccher.example/v1").close()
 
@@ -294,6 +302,10 @@ class TestClientModes:
             "the API key (api_key= or CHUNKCODE_API_KEY) has a character that is not"
             " visible ASCII at position 5"
         )
+
+    def test_api_key_is_checked_before_the_base_url(self):
+        with pytest.raises(ConfigError, match="the API key"):
+            cc.LLMClient(mode="live", base_url="ftp://t/v1", api_key="sk-s\u20acret")
 
     def test_live_mode_ignores_the_cache_directory(self, tmp_path):
         transport = Scripted(completion("pong", **META))

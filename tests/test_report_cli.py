@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 import chunkcode as cc
 from chunkcode import agreement, engine, llm_client, report
-from chunkcode.cli import main
+from chunkcode.cli import _mock_truth, main
 from fake_transport import FakeTransport, completion, hashed_answer, post_through, reply
 from local_endpoint import LocalEndpoint
 
@@ -150,6 +150,24 @@ class TestRunCommand:
         assert not out.exists()
         assert cli("run", *run_args(workspace, out, **{"--chunk-size": 6})).exit_code == 0
         assert cli("run", *run_args(workspace, workspace / "whole", **{"--strategy": "whole"})).exit_code == 0
+
+    def test_dimension_id_doc_id_is_refused_before_anything_is_created(self, workspace):
+        codebook = workspace / "doc_id_codebook.json"
+        entries = [{"id": "doc_id", "name": "Doc", "definition": "D."}, CODEBOOK_ENTRIES[2]]
+        codebook.write_text(json.dumps(entries), encoding="utf-8")
+        out = workspace / "out"
+        result = cli("run", *run_args(workspace, out, **{"--codebook": codebook}))
+        assert result.exit_code == 1
+        assert "error: dimension id 'doc_id' is reserved" in result.output
+        assert not out.exists()
+
+    def test_mock_truth_is_one_per_cell_whatever_the_doc_id(self):
+        for doc_id in ("doc-a", "2021/report", "a/i9/b"):
+            for dim_id in ("fidelity", "use-cases", "state", "d/i1", "x", "y"):
+                cell = f"{doc_id}/{dim_id}".encode("utf-8")
+                truth = hashlib.sha256(cell).digest()[0] % 2 == 0
+                tags = [engine.cell_tag(doc_id, dim_id, i, c) for i in (1, 2, 15) for c in (None, 0, 3)]
+                assert {_mock_truth(cc.PromptRequest("m", "p", tag)) for tag in tags} == {truth}
 
     def test_cold_replay_exits_one_with_cache_miss(self, workspace):
         out = workspace / "out"
@@ -483,6 +501,15 @@ class TestConsensusCommand:
         assert isinstance(result.exception, SystemExit)
         assert "error: " in result.output and str(blocked) in result.output
 
+    def test_a_records_file_without_records_exits_one(self, workspace):
+        path = workspace / "empty.jsonl"
+        path.write_text("\n", encoding="utf-8")
+        dest = workspace / "dest"
+        result = cli("consensus", "--records", path, "--out", dest)
+        assert result.exit_code == 1
+        assert "error: records file holds no results" in result.output
+        assert not dest.exists()
+
     def test_uneven_iterations_are_refused_before_writing(self, workspace):
         out = workspace / "out"
         cli("run", *run_args(workspace, out))
@@ -554,6 +581,11 @@ def data_after_the_object(suffix):
     return defect
 
 
+def not_an_object(lines):
+    lines[1] = "[]"
+    return 2
+
+
 def set_field(name, value):
     def defect(lines):
         record = json.loads(lines[1])
@@ -573,6 +605,7 @@ def set_field(name, value):
         (data_after_the_object("x"), "invalid JSON (column {column}: Extra data)"),
         (data_after_the_object("{}"), "invalid JSON (column {column}: Extra data)"),
         (drop_a_field, "record lacks field 'request_key'"),
+        (not_an_object, "not a JSON object"),
         (true_code_without_phrase, "a True code must record its matched phrase"),
         (set_field("doc_id", ["a"]), 'field \'doc_id\' must be a string, not ["a"]'),
         (set_field("iteration", "1"), 'field \'iteration\' must be a positive integer, not "1"'),
@@ -582,18 +615,23 @@ def set_field(name, value):
             set_field("chunk_index", 2**63),
             f"field 'chunk_index' must be below {engine.CHUNK_INDEX_LIMIT}, not {2**63}",
         ),
+        (set_field("chunk_index", -1), "field 'chunk_index' must be null or a non-negative integer, not -1"),
+        (set_field("matched_phrase", 5), "field 'matched_phrase' must be null or a string, not 5"),
     ],
     ids=[
         "truncated",
         "data after the object",
         "a second object",
         "field missing",
+        "not an object",
         "true without phrase",
         "doc_id a list",
         "iteration a string",
         "iteration a bool",
         "code a number",
         "chunk_index 2**63",
+        "chunk_index negative",
+        "matched_phrase a number",
     ],
 )
 def test_malformed_record_is_named_by_file_and_line(workspace, command, defect, problem):
@@ -909,6 +947,22 @@ class TestEvaluateCommand:
         assert "Fleiss' kappa needs at least two raters" in result.output
         assert not reports.exists()
 
+    @pytest.mark.parametrize("source", ["two runs", "the manual matrix"])
+    def test_repeated_rater_id_is_named_before_any_table(self, workspace, source):
+        if source == "two runs":
+            problem = "another run"
+            result, reports = self.evaluate(workspace, runs=("out", "out"))
+        else:
+            problem = "the manual matrix"
+            manual = workspace / "manual.csv"
+            text = manual.read_text(encoding="utf-8")
+            manual.write_text(text.replace("rater_3", "llm_mock-model_chunk"), encoding="utf-8")
+            result, reports = self.evaluate(workspace)
+        assert result.exit_code == 1
+        rater = "rater id 'llm_mock-model_chunk' of a chunk run"
+        assert f"error: {rater} is also a rater of {problem}\n" in result.output
+        assert not reports.exists()
+
     def test_evaluate_outputs_are_deterministic(self, workspace):
         _, first = self.evaluate(workspace)
         perf_bytes = (first / "performance.csv").read_bytes()
@@ -1099,6 +1153,20 @@ class TestStatsCommand:
         assert result.exit_code == 1
         assert "--target" in result.output
 
+    @pytest.mark.parametrize(
+        "test_name, groups, problem",
+        [
+            ("mann-whitney", {"a": [1], "b": [2], "c": [3]}, "mann-whitney needs exactly two groups, got 3"),
+            ("wilcoxon", {"a": [1], "b": [2]}, "wilcoxon needs exactly one group, got 2"),
+        ],
+    )
+    def test_wrong_number_of_groups_exits_one(self, tmp_path, test_name, groups, problem):
+        path = tmp_path / "samples.csv"
+        self.write_samples(path, groups)
+        result = cli("stats", "--samples", path, "--test", test_name, "--target", "0.5")
+        assert result.exit_code == 1
+        assert f"error: {problem}" in result.output
+
     def test_unknown_test_exits_one(self, tmp_path):
         path = tmp_path / "samples.csv"
         self.write_samples(path, {"a": [1], "b": [2]})
@@ -1164,6 +1232,14 @@ class TestValidateCodebook:
         result = cli("validate-codebook", "--codebook", path)
         assert result.exit_code == 1
         assert "duplicate" in result.output
+
+
+    def test_dimension_id_doc_id_exits_one(self, tmp_path):
+        path = tmp_path / "codebook.json"
+        path.write_text(json.dumps([{"id": "doc_id", "name": "Doc", "definition": "D."}]), encoding="utf-8")
+        result = cli("validate-codebook", "--codebook", path)
+        assert result.exit_code == 1
+        assert "error: dimension id 'doc_id' is reserved" in result.output
 
 
 class CauseTransport(FakeTransport):

@@ -393,6 +393,13 @@ class TestSamplesCSV:
             cs.read_samples_csv(path)
         assert str(raised.value) == f"{path}:3: {text!r} is not finite"
 
+    def test_missing_value_named_by_line(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("group,value\na,1\na\n", encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            cs.read_samples_csv(path)
+        assert str(raised.value) == f"{path}:3: expected 'group,value'"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("label,measure\na,1\n", encoding="utf-8")
