@@ -25,7 +25,7 @@ from .ingestion import DocumentText, chunk_document
 from .llm_client import NETWORK_MODES, LLMClient, PromptRequest, decode_json, render_prompt
 
 STRATEGIES = ("whole", "chunk")
-# Cells submitted ahead of the one being consumed, per worker.
+# Cells queued ahead of the one being consumed, per worker.
 _WINDOW_PER_WORKER = 4
 # Chunk indices lie below this. A document would need a million words at
 # chunk size 1 to reach it; a run that would reach it is refused, and so is
@@ -209,31 +209,85 @@ def _complete_cell(
 
 
 def _map_in_order(fn, items, workers: int, stop: threading.Event) -> Iterator:
-    """Yield ``fn(item)`` for each item, in order, computed on ``workers`` threads.
+    """Yield ``fn(item)`` for each item, in order, computed on up to ``workers`` threads.
 
-    Submission runs a bounded window ahead of the result being read: enough
-    that one call sleeping through a retry does not idle the other workers,
-    few enough that a long run holds a handful of futures, not one per item.
-    An exception from ``fn``, or closing the generator, sets ``stop`` and
-    cancels the calls not yet started; leaving the pool waits for those
-    already running, which may poll ``stop`` to end early.
+    The caller's thread queues the items, starting one thread per item queued
+    until ``workers`` run, and stays ``_WINDOW_PER_WORKER * workers`` items
+    ahead of the result being read: enough that one call sleeping through a
+    retry does not idle the other threads, few enough that a long run holds a
+    handful of results, not one per item. A call that raises, or closing the
+    generator, sets ``stop``: no further item starts, and the calls already
+    running, which may poll ``stop`` to end early, finish. Once every thread
+    has been joined, the exception of the first item in order whose call
+    raised is raised; no result is yielded after ``stop`` is set.
     """
-    from concurrent.futures import ThreadPoolExecutor  # only network modes come here
+    lock = threading.Lock()
+    queued = threading.Condition(lock)  # an item was queued, or none will be
+    posted = threading.Condition(lock)  # the result read next, or an exception, was posted
+    queue: deque = deque()
+    results: dict = {}
+    errors: dict = {}
+    threads: list[threading.Thread] = []
+    exhausted = False
+    head = 0  # index of the result read next
 
-    items = iter(items)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        ahead = islice(items, _WINDOW_PER_WORKER * workers)
-        window = deque(pool.submit(fn, item) for item in ahead)
-        try:
-            while window:
-                head = window.popleft()
-                for item in islice(items, 1):
-                    window.append(pool.submit(fn, item))
-                yield head.result()
-        finally:
+    def work() -> None:
+        while True:
+            with lock:
+                while not (queue or exhausted or stop.is_set()):
+                    queued.wait()
+                if stop.is_set() or not queue:
+                    return
+                index, item = queue.popleft()
+            try:
+                result = fn(item)
+            except BaseException as exc:
+                with lock:
+                    errors[index] = exc
+                    stop.set()
+                    queued.notify_all()
+                    posted.notify()
+                return
+            with lock:
+                results[index] = result
+                if index == head:
+                    posted.notify()
+
+    window = _WINDOW_PER_WORKER * workers
+    items = enumerate(items)
+    taken = 0  # items queued so far
+    try:
+        while True:
+            limit = head + window + 1
+            for index, item in islice(items, limit - taken):
+                with lock:
+                    queue.append((index, item))
+                    queued.notify()
+                taken = index + 1
+                if len(threads) < workers:
+                    thread = threading.Thread(target=work)
+                    thread.start()
+                    threads.append(thread)
+            with lock:
+                if taken < limit and not exhausted:
+                    exhausted = True
+                    queued.notify_all()
+                if head == taken:
+                    return
+                while head not in results and not stop.is_set():
+                    posted.wait()
+                if stop.is_set():
+                    break
+                result = results.pop(head)
+            yield result
+            head += 1
+    finally:
+        with lock:
             stop.set()
-            for future in window:
-                future.cancel()
+            queued.notify_all()
+        for thread in threads:
+            thread.join()
+    raise errors[min(errors)]
 
 
 def validate_corpus(corpus: Sequence[DocumentText], cfg: RunConfig) -> None:

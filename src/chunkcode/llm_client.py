@@ -38,7 +38,7 @@ DEFAULT_BASE_URL = "https://api.openai.com/v1"
 CACHE_MODES = ("live", "record", "replay", "mock")
 # Modes in which a completion can wait on the endpoint.
 NETWORK_MODES = ("live", "record")
-DEFAULT_MAX_INFLIGHT = 16
+DEFAULT_MAX_INFLIGHT = 32
 RETRY_BASE_S = 1.0
 RETRY_CAP_S = 30.0
 # Requests per second each 200 adds to the client's paced rate.
@@ -758,8 +758,9 @@ class LLMClient:
     Record and replay keep their responses in a ``RequestCache`` under
     ``cache_dir``; live and mock ignore it. ``complete`` is safe to call
     from several threads. ``max_inflight`` is the number of concurrent
-    requests the caller may issue (``run_iterations`` sizes its pool by it);
-    the client does not enforce it. Only live and record clients read
+    requests the caller may issue (``run_iterations`` starts at most that
+    many worker threads, one per cell until that many run); the client does
+    not enforce it. Only live and record clients read
     ``base_url`` and ``api_key`` (else ``CHUNKCODE_BASE_URL`` and
     ``CHUNKCODE_API_KEY``) and build, own and post through one ``_Transport``,
     paced by one ``_Pacer`` once it answers 429. ``close`` (or leaving a

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from itertools import product
 from pathlib import Path
 
@@ -759,13 +760,76 @@ def test_more_segments_than_open_descriptors_replay(codebook, tiny_corpus, tmp_p
 
 
 class TestConcurrentDispatch:
-    @pytest.mark.parametrize("max_inflight", [2, 8])
+    @pytest.mark.parametrize("max_inflight", [2, 8, llm_client.DEFAULT_MAX_INFLIGHT])
     def test_peak_concurrency_equals_max_inflight(self, codebook, tiny_corpus, max_inflight):
         endpoint = FakeTransport(delay=lambda: 0.01)
         cfg = cc.RunConfig(model="m", strategy="whole", iterations=6)
+        threads_before = threading.active_count()
         rr = cc.run_iterations(tiny_corpus, codebook, cfg, network_client(endpoint, max_inflight))
         assert rr.ok and endpoint.calls == 2 * 3 * 6
         assert endpoint.peak == max_inflight
+        assert threading.active_count() == threads_before
+
+    def test_starts_no_more_threads_than_cells(self, codebook, tiny_corpus):
+        # 6 cells at 64 in flight; each post notes the threads alive
+        alive = []
+        endpoint = FakeTransport(delay=lambda: alive.append(threading.active_count()) or 0.01)
+        cfg = cc.RunConfig(model="m", strategy="whole", iterations=1)
+        threads_before = threading.active_count()
+        assert cc.run_iterations(tiny_corpus, codebook, cfg, network_client(endpoint, 64)).ok
+        assert len(alive) == 2 * 3 and max(alive) - threads_before <= 2 * 3
+
+    def test_cells_start_at_most_a_window_ahead(self, codebook, tiny_corpus):
+        endpoint = FakeTransport()
+        cfg = cc.RunConfig(model="m", strategy="whole", iterations=6)
+        started = []
+
+        def sink(record):
+            if not started:
+                time.sleep(0.2)  # time for the workers to start all they may
+                started.append(endpoint.calls)
+
+        cc.run_iterations(tiny_corpus, codebook, cfg, network_client(endpoint, 2), record_sink=sink)
+        assert started == [1 + engine._WINDOW_PER_WORKER * 2]
+
+    def test_results_stay_in_order_under_contention(self):
+        # More workers than cores and a thread switch every microsecond: a
+        # lost wake-up hangs the run, a lost or misplaced result shows in it.
+        items, out = range(2000), []
+
+        def consume():
+            out.extend(engine._map_in_order(lambda item: item, items, 16, threading.Event()))
+
+        consumer = threading.Thread(target=consume)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumer.start()
+            consumer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not consumer.is_alive()
+        assert out == list(items)
+
+    def test_raises_the_first_exception_in_order(self):
+        stop = threading.Event()
+
+        def fn(item):
+            if item == 3:
+                stop.wait(timeout=10)  # until item 5 has raised
+                raise ValueError(3)
+            if item == 5:
+                raise ValueError(5)
+            return item
+
+        threads_before = threading.active_count()
+        yielded = []
+        with pytest.raises(ValueError) as raised:
+            for result in engine._map_in_order(fn, range(10), 4, stop):
+                yielded.append(result)
+        assert raised.value.args == (3,)
+        assert yielded == [0, 1, 2][: len(yielded)]
+        assert threading.active_count() == threads_before
 
     def test_mock_mode_runs_inline(self, codebook, tiny_corpus):
         responder = FakeTransport(delay=lambda: 0.01)
@@ -807,10 +871,12 @@ class TestConcurrentDispatch:
         )
         endpoint = FakeTransport(delay=lambda: 0.001, fail_after=5)
         streamed = []
+        threads_before = threading.active_count()
         with pytest.raises(RuntimeError, match="exploded"):
             cc.run_iterations(
                 tiny_corpus, codebook, cfg, network_client(endpoint, 2), record_sink=streamed.append
             )
+        assert threading.active_count() == threads_before
         assert endpoint.calls < len(full)
         assert streamed == full[: len(streamed)]
 
@@ -824,9 +890,11 @@ class TestConcurrentDispatch:
             at_interrupt.append(endpoint.calls)
             raise KeyboardInterrupt
 
+        threads_before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             cc.run_iterations(
                 tiny_corpus, codebook, cfg, network_client(endpoint, 2), record_sink=sink
             )
+        assert threading.active_count() == threads_before
         # each of the 2 workers may send at most the one prompt it had begun
         assert endpoint.calls - at_interrupt[0] <= 2

@@ -1442,13 +1442,16 @@ sys.modules["requests"] = None  # any import of it raises ImportError
 sys.path.insert(0, sys.argv[1])
 from chunkcode import cli
 cli.main(sys.argv[2:], standalone_mode=False)
+loaded = sorted({"concurrent.futures", "logging"} & sys.modules.keys())
+assert not loaded, f"a record run loaded {loaded}"
 """
 
 
 def test_record_run_needs_no_requests(workspace):
     """A record run posts through the standard library alone: in a fresh
     interpreter where ``requests`` cannot be imported, it records every
-    prompt against a local endpoint."""
+    prompt against a local endpoint on threads of its own, leaving
+    ``concurrent.futures`` and ``logging`` out of ``sys.modules``."""
     env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
     src = Path(cc.__file__).resolve().parents[1]
     args = run_args(workspace, workspace / "rec", **{"--cache-mode": "record", "--cache-dir": workspace / "cache"})
