@@ -227,7 +227,10 @@ def stats_command(samples_path, test_name, sides, target, bonferroni, out_path):
     ]
     click.echo(report.markdown_table(fieldnames, table_rows), nl=False)
     if out_path:
-        report.write_table_csv(out_path, fieldnames, table_rows)
+        try:
+            report.write_table_csv(out_path, fieldnames, table_rows)
+        except OSError as exc:
+            _fail(str(exc))
 
 
 @main.command("validate-codebook")

@@ -9,7 +9,6 @@ call order and safe to issue from concurrent workers.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import itertools
 import json
@@ -551,12 +550,154 @@ class StochasticMock:
         return self.positive_text if value else self.negative_text
 
 
+class ProtocolError(OSError):
+    """An answer that is not HTTP/1.x, is cut short or has too large a head;
+    the message names which."""
+
+
+class RemoteDisconnected(ConnectionResetError):
+    """The connection closed before the first byte of an answer."""
+
+
+class _Headers(dict):
+    """An answer's header fields by lower-cased name, each with the first
+    value it came with; ``get`` ignores case."""
+
+    def get(self, name, default=None):
+        return dict.get(self, name.lower(), default)
+
+
 class _Response(NamedTuple):
     """An HTTP answer, as ``_Transport.post`` returns it."""
 
     status: int
-    headers: Mapping[str, str]  # an http.client.HTTPMessage: ``get`` ignores case
+    headers: _Headers
     content: bytes
+
+
+# The status line and header fields of an answer take at most this many bytes.
+MAX_HEAD_BYTES = 65536
+_RECV_BYTES = 65536
+
+
+class _Reader:
+    """Parses one answer from a socket, starting with bytes already received."""
+
+    __slots__ = ("sock", "buf")
+
+    def __init__(self, sock, buf: bytes):
+        self.sock = sock
+        self.buf = buf
+
+    def fill(self) -> bool:
+        """Receive more bytes; False once the connection has closed."""
+        data = self.sock.recv(_RECV_BYTES)
+        self.buf += data
+        return bool(data)
+
+    def until(self, mark: bytes, what: str) -> bytes:
+        """The bytes before the next ``mark``, at most ``MAX_HEAD_BYTES``,
+        taken with the mark."""
+        limit = MAX_HEAD_BYTES + len(mark)
+        end = self.buf.find(mark, 0, limit)
+        while end < 0:
+            if len(self.buf) >= limit:
+                raise ProtocolError(f"{what} over {MAX_HEAD_BYTES} bytes")
+            if not self.fill():
+                raise ProtocolError(f"truncated {what}: the connection closed")
+            end = self.buf.find(mark, 0, limit)
+        taken, self.buf = self.buf[:end], self.buf[end + len(mark):]
+        return taken
+
+    def take(self, size: int, what: str) -> bytes:
+        """The next ``size`` bytes."""
+        while len(self.buf) < size:
+            if not self.fill():
+                raise ProtocolError(f"truncated {what}: the connection closed after {len(self.buf)} of {size} bytes")
+        taken, self.buf = self.buf[:size], self.buf[size:]
+        return taken
+
+    def head(self) -> tuple[str, int, str, _Headers]:
+        """The version, status, reason and header fields of the next head."""
+        lines = self.until(b"\r\n\r\n", "answer head").decode("latin-1").split("\r\n")
+        version, _, rest = lines[0].partition(" ")
+        code, _, reason = rest.partition(" ")
+        if not (version.startswith("HTTP/1.") and code.isascii() and code.isdigit() and 100 <= int(code) <= 999):
+            raise ProtocolError(f"not an HTTP/1.x status line: {lines[0][:80]!r}")
+        headers = _Headers()
+        for line in lines[1:]:
+            name, colon, value = line.partition(":")
+            if not colon:
+                raise ProtocolError(f"not a header field: {line[:80]!r}")
+            headers.setdefault(name.strip().lower(), value.strip())
+        return version, int(code), reason, headers
+
+    def chunked(self) -> bytes:
+        """A body in chunked transfer coding, its trailer fields dropped."""
+        chunks = []
+        while True:
+            line = self.until(b"\r\n", "chunk size line")
+            size = line.partition(b";")[0].strip()
+            if not size or size.strip(b"0123456789abcdefABCDEF"):
+                raise ProtocolError(f"not a chunk size line: {line[:80]!r}")
+            size = int(size, 16)
+            if not size:
+                break
+            chunk = self.take(size + 2, "chunked body")
+            if chunk[-2:] != b"\r\n":
+                raise ProtocolError("chunk data not followed by CRLF")
+            chunks.append(chunk[:-2])
+        while self.until(b"\r\n", "trailer"):
+            pass
+        return b"".join(chunks)
+
+
+def _send(sock, request: bytes) -> bytes:
+    """Send ``request`` on ``sock`` and return the first bytes of the answer."""
+    sock.sendall(request)
+    data = sock.recv(_RECV_BYTES)
+    if not data:
+        raise RemoteDisconnected("Remote end closed connection without response")
+    return data
+
+
+def _read_answer(sock, data: bytes) -> tuple[_Response, bool]:
+    """The answer whose first bytes are ``data``, read from ``sock``, and
+    whether ``sock`` can carry another post.
+
+    Interim (1xx) answers are skipped. The body is framed by chunked
+    transfer coding, else by ``Content-Length``, else by the connection's
+    close; 204 and 304 answers have none. The connection is kept only after
+    an HTTP/1.1 answer without ``Connection: close`` that left no bytes over.
+    """
+    reader = _Reader(sock, data)
+    version, status, _, headers = reader.head()
+    while status < 200:
+        version, status, _, headers = reader.head()
+    coding = headers.get("transfer-encoding")
+    length = headers.get("content-length")
+    keep = version == "HTTP/1.1" and "close" not in headers.get("connection", "").lower()
+    if status in (204, 304):
+        content = b""
+    elif coding is not None and coding.lower().endswith("chunked"):
+        content = reader.chunked()
+    elif coding is None and length is not None:
+        if not (length.isascii() and length.isdigit()):
+            raise ProtocolError(f"Content-Length {length[:40]!r} is not a byte count")
+        content = reader.take(int(length), "body")
+    else:
+        while reader.fill():
+            pass
+        content, reader.buf, keep = reader.buf, b"", False
+    return _Response(status, headers, content), keep and not reader.buf
+
+
+def _host_bytes(host: str) -> bytes:
+    """``host`` as a request carries it: ASCII, else IDNA-encoded."""
+    try:
+        return host.encode("ascii")
+    except UnicodeEncodeError:
+        return host.encode("idna")
 
 
 class _Transport:
@@ -568,36 +709,41 @@ class _Transport:
     HTTPS tunnels through it with CONNECT, plain HTTP sends it the absolute
     URI, and userinfo in its URL becomes ``Proxy-Authorization``. HTTPS trusts
     the CA bundle that ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE`` names,
-    else the system store (``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` apply).
-    ``~/.netrc`` is not read: its Basic credentials would replace the API
-    key's Bearer.
+    else the system store (``SSL_CERT_FILE`` and ``SSL_CERT_DIR`` apply), and
+    offers ALPN ``http/1.1``. ``~/.netrc`` is not read: its Basic credentials
+    would replace the API key's Bearer.
 
-    A post takes an idle connection, or opens one, and gives it back after,
-    so the transport holds no more connections than it once had posts in
-    flight. When a reused connection fails before a status line (the server
-    closed it while idle), the post is sent again at once on a new one; any
-    other failure closes the connection and propagates. The modules load
-    only when a transport is built: replay, mock and the analysis commands
-    never post. Safe to call from several threads.
+    The request head is built here as bytes, with the fields, order and
+    values ``http.client`` sends; a post adds ``Content-Length`` and the body
+    and sends them in one ``sendall``, then ``_read_answer`` reads the answer
+    from the socket. Every failure raises ``OSError``: a ``ProtocolError``
+    names an answer that is not HTTP/1.x, is cut short or has a head over
+    ``MAX_HEAD_BYTES``.
+
+    A post takes an idle connection, or opens one, and gives it back after
+    when the answer allows, so the transport holds no more connections than
+    it once had posts in flight. When a reused connection fails before the
+    answer begins (the server closed it while idle), the post is sent again
+    at once on a new one; any other failure closes the connection and
+    propagates. The modules load only when a transport is built, and
+    ``urllib.request`` only when a proxy variable is set: replay, mock and
+    the analysis commands never post. Safe to call from several threads.
     """
 
     def __init__(self, base_url: str, api_key: str, timeout: float):
         bad = next((i for i, ch in enumerate(api_key) if not "!" <= ch <= "~"), None)
-        if bad is not None:  # http.client would refuse it with an error quoting the secret
+        if bad is not None:  # a header cannot carry it, and an error must not quote it
             raise ConfigError(
                 f"the API key (api_key= or {API_KEY_ENV}) has a character that is not"
                 f" visible ASCII at position {bad + 1}"
             )
-        import http.client
         import urllib.parse
-        import urllib.request
 
         parts = urllib.parse.urlsplit(base_url)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ConfigError(f"base URL {base_url!r} is not an http:// or https:// URL")
-        # http.client refuses these in a request line, so every post would
-        # fail: a space or a control character only after a transient error's
-        # backoff.
+        # A request line cannot carry these, so every post would fail: a
+        # space or a control character only after a transient error's backoff.
         path_start = len(f"{parts.scheme}://{parts.netloc}")
         bad = next(
             (
@@ -613,85 +759,130 @@ class _Transport:
                 f" character at position {bad + 1}"
             )
         url = f"{base_url}/chat/completions"
-        self._target = url[path_start:]
-        self._headers = {"Content-Type": "application/json", "User-Agent": "chunkcode"}
-        self._tunnel = None
-        host, port = parts.hostname, parts.port
-        proxies = urllib.request.getproxies_environment()
-        proxy = proxies.get(parts.scheme)
-        if proxy and not urllib.request.proxy_bypass_environment(parts.netloc, proxies):
-            import base64
+        target = url[path_start:]
+        default_port = 443 if parts.scheme == "https" else 80
+        try:
+            host, port = parts.hostname, parts.port or default_port
+        except ValueError as exc:  # not a number in 0-65535
+            raise ConfigError(f"base URL {base_url!r} has a bad port: {exc}") from exc
+        bracketed = f"[{host}]" if ":" in host else host
+        authority = bracketed if port == default_port else f"{bracketed}:{port}"
+        fields = {"Content-Type": "application/json", "User-Agent": "chunkcode"}
+        tunnel = None  # the CONNECT request's header fields, when HTTPS goes through a proxy
+        self._address = (host, port)
+        if any(name[-6:].lower() == "_proxy" for name in os.environ):
+            import urllib.request
 
-            via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            if via.scheme != "http" or not via.hostname:
-                raise ConfigError(f"proxy {proxy!r} is not an http:// URL")
-            auth = {}
-            if via.username is not None:
-                userinfo = f"{via.username}:{via.password or ''}"
-                credentials = base64.b64encode(urllib.parse.unquote(userinfo).encode("utf-8"))
-                auth["Proxy-Authorization"] = "Basic " + credentials.decode("ascii")
-            if parts.scheme == "https":
-                self._tunnel = (host, port, auth)
-            else:
-                self._target = url  # a plain-HTTP proxy is sent the whole URL
-                self._headers.update(auth)
-            host, port = via.hostname, via.port or 80
+            proxies = urllib.request.getproxies_environment()
+            proxy = proxies.get(parts.scheme)
+            if proxy and not urllib.request.proxy_bypass_environment(parts.netloc, proxies):
+                import base64
+
+                via = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+                if via.scheme != "http" or not via.hostname:
+                    raise ConfigError(f"proxy {proxy!r} is not an http:// URL")
+                auth = {}
+                if via.username is not None:
+                    userinfo = f"{via.username}:{via.password or ''}"
+                    credentials = base64.b64encode(urllib.parse.unquote(userinfo).encode("utf-8"))
+                    auth["Proxy-Authorization"] = "Basic " + credentials.decode("ascii")
+                if parts.scheme == "https":
+                    tunnel = auth
+                else:  # a plain-HTTP proxy is sent the whole URL, and its authority as Host
+                    target, authority = url, parts.netloc
+                    fields.update(auth)
+                try:
+                    self._address = (via.hostname, via.port or 80)
+                except ValueError as exc:
+                    raise ConfigError(f"proxy {proxy!r} has a bad port: {exc}") from exc
         if api_key:
-            self._headers["Authorization"] = f"Bearer {api_key}"
-        tls = {}
+            fields["Authorization"] = f"Bearer {api_key}"
+        try:
+            self._head = b"POST %b HTTP/1.1\r\nHost: %b\r\nAccept-Encoding: identity\r\nContent-Length: " % (
+                target.encode("ascii"),
+                _host_bytes(authority),
+            )
+            self._tunnel = None if tunnel is None else b"CONNECT %b:%d HTTP/1.0\r\n%b\r\n" % (
+                _host_bytes(bracketed),
+                port,
+                "".join(f"{name}: {value}\r\n" for name, value in tunnel.items()).encode("latin-1"),
+            )
+        except UnicodeError as exc:
+            raise ConfigError(f"base URL {base_url!r} cannot be sent: {exc}") from exc
+        self._tail = "".join(f"\r\n{name}: {value}" for name, value in fields.items()).encode("latin-1") + b"\r\n\r\n"
+        self._tls = None
         if parts.scheme == "https":
             import ssl
 
             ca = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
             where = {"capath": ca} if ca and os.path.isdir(ca) else {"cafile": ca}
-            tls["context"] = ssl.create_default_context(**where)
-        connection = http.client.HTTPSConnection if tls else http.client.HTTPConnection
-        self._connection = functools.partial(connection, host, port, timeout=timeout, **tls)
+            self._tls = ssl.create_default_context(**where)
+            self._tls.set_alpn_protocols(["http/1.1"])
+        self._server_name = host
+        self._timeout = timeout
         self._lock = threading.Lock()
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list = []  # sockets, each ready for a post
         self._closed = False
 
+    def _connect(self):
+        """A new connection to the endpoint, tunnelled through the proxy when
+        there is one."""
+        import socket
+
+        sock = socket.create_connection(self._address, self._timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel is not None:
+                sock.sendall(self._tunnel)
+                _, status, reason, _ = _Reader(sock, b"").head()
+                if status != 200:
+                    raise OSError(f"Tunnel connection failed: {status} {reason.strip()}")
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._server_name)
+        except BaseException:
+            sock.close()
+            raise
+        return sock
+
     def post(self, body: bytes) -> _Response:
-        """POST ``body`` to the endpoint. Failures raise ``OSError`` or
-        ``http.client.HTTPException``."""
+        """POST ``body`` to the endpoint. Failures raise ``OSError``."""
+        request = b"%b%d%b%b" % (self._head, len(body), self._tail, body)
         with self._lock:
             if self._closed:
                 raise ValueError("HTTP transport is closed")
-            conn = self._idle.pop() if self._idle else None
-        if conn is None:
-            conn = self._connection()  # connects on its first request
-            if self._tunnel is not None:
-                conn.set_tunnel(*self._tunnel)
+            sock = self._idle.pop() if self._idle else None
+        reused = sock is not None
         try:
-            reused = conn.sock is not None
+            if sock is None:
+                sock = self._connect()
             try:
-                conn.request("POST", self._target, body, self._headers)
-                response = conn.getresponse()
+                data = _send(sock, request)
             except (ConnectionResetError, BrokenPipeError):  # RemoteDisconnected among them
                 if not reused:
                     raise
-                conn.close()  # the next request opens a new socket
-                conn.request("POST", self._target, body, self._headers)
-                response = conn.getresponse()
-            content = response.read()
+                sock.close()
+                sock = self._connect()
+                data = _send(sock, request)
+            response, keep = _read_answer(sock, data)
         except BaseException:
-            conn.close()
+            if sock is not None:
+                sock.close()
             raise
         with self._lock:
-            if not self._closed:
-                self._idle.append(conn)
-                conn = None
-        if conn is not None:
-            conn.close()
-        return _Response(response.status, response.headers, content)
+            if keep and not self._closed:
+                self._idle.append(sock)
+                sock = None
+        if sock is not None:
+            sock.close()
+        return response
 
     def close(self) -> None:
         """Close every connection; one in flight closes when its post ends."""
         with self._lock:
             self._closed = True
             idle, self._idle = self._idle, []
-        for conn in idle:
-            conn.close()
+        for sock in idle:
+            sock.close()
 
 
 class _Pacer:
@@ -842,8 +1033,6 @@ class LLMClient:
     # -- transport ---------------------------------------------------------
 
     def _post(self, request: PromptRequest) -> LLMResponse:
-        from http.client import HTTPException
-
         message = {"role": "user", "content": request.prompt_text}
         body = json.dumps({"model": request.model, "messages": [message]}, allow_nan=False).encode("utf-8")
         for attempt in itertools.count(1):
@@ -852,7 +1041,7 @@ class LLMClient:
             start = time.monotonic()
             try:
                 resp = self._transport.post(body)
-            except (OSError, HTTPException) as exc:
+            except OSError as exc:
                 failure = f"{type(exc).__name__}: {exc}"
             else:
                 self._pacer.answered(ticket, resp.status)

@@ -1,6 +1,5 @@
 """A stand-in for the client's HTTP transport, ``llm_client._Transport``."""
 
-import http.client
 import json
 import threading
 import time
@@ -13,16 +12,14 @@ from local_endpoint import hashed_answer
 
 def reply(status, body=b"", headers=()):
     """An HTTP answer as the transport returns it: ``body`` is a dict (sent
-    as JSON), a str or bytes; the headers are read ignoring case, as
-    ``http.client`` reads them."""
+    as JSON), a str or bytes; the headers are read ignoring case, as the
+    transport reads them."""
     if isinstance(body, dict):
         body = json.dumps(body)
     if isinstance(body, str):
         body = body.encode("utf-8")
-    message = http.client.HTTPMessage()
-    for name, value in dict(headers).items():
-        message[name] = value
-    return llm_client._Response(status, message, body)
+    fields = llm_client._Headers((name.lower(), value) for name, value in dict(headers).items())
+    return llm_client._Response(status, fields, body)
 
 
 def completion(text, finish_reason=None, **fields):

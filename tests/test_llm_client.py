@@ -25,7 +25,7 @@ from chunkcode import llm_client
 from chunkcode.errors import CacheMissError, ConfigError, TransportError
 from chunkcode.llm_client import retry_delay
 from fake_transport import FakeTransport, completion, reply
-from local_endpoint import ANSWERS, LocalEndpoint
+from local_endpoint import ANSWERS, TLS_CA, LocalEndpoint, RawEndpoint
 
 
 # What a provider adds beside the answer; the client keeps it as provider_meta.
@@ -291,6 +291,15 @@ class TestClientModes:
             cc.LLMClient(mode="live", base_url="http://api.example/v1")
         assert str(refused.value) == f"proxy {proxy!r} is not an http:// URL"
 
+    @pytest.mark.usefixtures("no_proxy")
+    def test_a_port_that_is_not_a_number_in_range_is_refused(self, monkeypatch):
+        for base_url in ("http://t:abc/v1", "http://t:99999/v1"):
+            with pytest.raises(ConfigError, match=re.escape(f"base URL {base_url!r} has a bad port: ")):
+                cc.LLMClient(mode="live", base_url=base_url)
+        monkeypatch.setenv("HTTP_PROXY", "http://proxy:abc")
+        with pytest.raises(ConfigError, match=re.escape("proxy 'http://proxy:abc' has a bad port: ")):
+            cc.LLMClient(mode="live", base_url="http://t/v1")
+
     def test_base_url_with_a_non_ascii_host_is_left_to_idna(self):
         cc.LLMClient(mode="live", base_url="http://b\u00fccher.example/v1").close()
 
@@ -512,6 +521,119 @@ class TestTransport:
             monkeypatch.setenv(name, value.format(tmp=tmp_path))
         cc.LLMClient(mode="live", base_url="https://api.example/v1").close()
         assert contexts == [{k: v and v.format(tmp=tmp_path) for k, v in where.items()}]
+
+
+    def test_https_round_trip_verifies_the_server_and_offers_http11(self, monkeypatch):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(TLS_CA))
+        with LocalEndpoint(tls=True) as endpoint:
+            with cc.LLMClient(mode="live", base_url=endpoint.url, api_key="sk-test") as client:
+                for _ in range(2):
+                    assert client.complete(make_request("over TLS")).text in ANSWERS
+        assert endpoint.handshakes == [("localhost", "http/1.1")]  # one connection, reused
+        assert [(r[0], r[1], r[2]["Host"]) for r in endpoint.requests] == [
+            ("POST", "/v1/chat/completions", f"localhost:{endpoint.server_port}")
+        ] * 2
+
+    def test_https_round_trip_through_a_connect_tunnel(self, monkeypatch):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(TLS_CA))
+        with LocalEndpoint(tls=True) as endpoint, LocalEndpoint(tunnel=True) as proxy:
+            monkeypatch.setenv("HTTPS_PROXY", f"http://us%40er:pw@127.0.0.1:{proxy.server_port}")
+            with cc.LLMClient(mode="live", base_url=endpoint.url, api_key="sk-test") as client:
+                for _ in range(2):
+                    assert client.complete(make_request("through a tunnel")).text in ANSWERS
+        authority = f"localhost:{endpoint.server_port}"
+        credentials = base64.b64encode(b"us@er:pw").decode("ascii")
+        assert proxy.requests == [("CONNECT", authority, {"Proxy-Authorization": f"Basic {credentials}"}, b"")]
+        assert endpoint.handshakes == [("localhost", "http/1.1")]
+        assert [(r[0], r[1], r[2]["Host"], r[2]["Authorization"]) for r in endpoint.requests] == [
+            ("POST", "/v1/chat/completions", authority, "Bearer sk-test")
+        ] * 2
+        assert all("Proxy-Authorization" not in r[2] for r in endpoint.requests)
+
+    def test_https_server_the_ca_bundle_does_not_vouch_for_fails_transiently(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path))  # a directory holding no CA
+        sleeps = []
+        with LocalEndpoint(tls=True) as endpoint:
+            with cc.LLMClient(mode="live", base_url=endpoint.url, max_attempts=2, sleep=sleeps.append) as client:
+                with pytest.raises(TransportError, match="after 2 attempts: SSLCertVerificationError: "):
+                    client.complete(make_request())
+        assert len(sleeps) == 1
+        assert endpoint.requests == []
+
+
+COMPLETION_BODY = json.dumps({"choices": [{"message": {"content": "Yes."}, "finish_reason": "stop"}]}).encode()
+
+
+def answer(*head, body=COMPLETION_BODY, version=b"HTTP/1.1"):
+    """A 200 answer with these header lines, ``Content-Length`` among them."""
+    return b"\r\n".join((version + b" 200 OK", *head, b"Content-Length: %d" % len(body), b"", body))
+
+
+@pytest.mark.usefixtures("no_proxy")
+class TestAnswerReader:
+    """The transport's reader, against a server that answers with raw bytes."""
+
+    def complete_twice(self, endpoint):
+        with cc.LLMClient(mode="live", base_url=endpoint.url) as client:
+            return [client.complete(make_request(f"prompt {i}")).text for i in range(2)]
+
+    def test_chunked_body_keeps_the_connection(self):
+        first, rest = COMPLETION_BODY[:10], COMPLETION_BODY[10:]
+        chunked = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%x;note=1\r\n%b\r\n%X\r\n%b\r\n0\r\nX-Trailer: t\r\n\r\n" % (
+            len(first), first, len(rest), rest,
+        )
+        with RawEndpoint(chunked) as endpoint:
+            assert self.complete_twice(endpoint) == ["Yes."] * 2
+        assert (len(endpoint.bodies), endpoint.connections) == (2, 1)
+
+    def test_body_read_to_close(self):
+        with RawEndpoint(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + COMPLETION_BODY, close=True) as endpoint:
+            assert self.complete_twice(endpoint) == ["Yes."] * 2
+        assert (len(endpoint.bodies), endpoint.connections) == (2, 2)
+
+    def test_skipped_100_continue_keeps_the_connection(self):
+        with RawEndpoint(b"HTTP/1.1 100 Continue\r\n\r\n" + answer(b"Content-Type: application/json")) as endpoint:
+            assert self.complete_twice(endpoint) == ["Yes."] * 2
+        assert (len(endpoint.bodies), endpoint.connections) == (2, 1)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            answer(b"Connection: close"),
+            answer(b"CONNECTION: Close"),
+            answer(b"Connection: keep-alive", version=b"HTTP/1.0"),
+            answer() + b"HTTP/1.1 200 OK\r\n",  # bytes left over after the body
+        ],
+        ids=["connection-close", "connection-close-upper-case", "http-1.0", "bytes-left-over"],
+    )
+    def test_connection_not_reused(self, raw):
+        with RawEndpoint(raw) as endpoint:
+            assert self.complete_twice(endpoint) == ["Yes."] * 2
+        assert (len(endpoint.bodies), endpoint.connections) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "raw, cause",
+        [
+            (answer()[:-5], "ProtocolError: truncated body: the connection closed after"),
+            (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n40\r\n{}", "ProtocolError: truncated chunked body"),
+            (b"SSH-2.0-OpenSSH_9.6\r\n\r\n", "ProtocolError: not an HTTP/1.x status line: 'SSH-2.0-OpenSSH_9.6'"),
+            (b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70000 + b"\r\n\r\n", "ProtocolError: answer head over 65536 bytes"),
+            (b"", "RemoteDisconnected: Remote end closed connection without response"),
+        ],
+        ids=["truncated-body", "truncated-chunk", "not-http", "oversize-head", "no-answer"],
+    )
+    def test_broken_answer_fails_the_cell_as_transient_naming_its_cause(self, raw, cause):
+        codebook = cc.Codebook((cc.Dimension("d", "D", "Definition."),))
+        corpus = [cc.DocumentText.from_raw("doc", "some words")]
+        cfg = cc.RunConfig(model="gpt-test", strategy="whole", iterations=1)
+        sleeps = []
+        with RawEndpoint(raw, close=True) as endpoint:
+            with cc.LLMClient(mode="live", base_url=endpoint.url, max_attempts=2, sleep=sleeps.append) as client:
+                result = cc.run_iterations(corpus, codebook, cfg, client)
+        (failure,) = result.failures
+        assert f" failed: chat completion failed after 2 attempts: {cause}" in failure.error
+        assert len(sleeps) == 1  # backed off and sent again
+        assert endpoint.connections == 2
 
 
 class TestCacheEntries:

@@ -1197,6 +1197,16 @@ class TestStatsCommand:
         assert row["comparison"] == "a vs b"
         assert 0.0 <= float(row["p_value"]) <= 1.0
 
+    def test_csv_output_into_a_missing_directory_fails_cleanly(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        out = tmp_path / "missing" / "result.csv"
+        self.write_samples(path, {"a": [1, 2, 3], "b": [4, 5, 6]})
+        result = cli("stats", "--samples", path, "--test", "mann-whitney", "--out", out)
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert f"error: [Errno 2] No such file or directory: '{out}'" in result.output
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("route", sorted(STATS_ROUTES))
     def test_golden_output(self, tmp_path, route):
         groups, options = STATS_ROUTES[route]
@@ -1442,7 +1452,8 @@ sys.modules["requests"] = None  # any import of it raises ImportError
 sys.path.insert(0, sys.argv[1])
 from chunkcode import cli
 cli.main(sys.argv[2:], standalone_mode=False)
-loaded = sorted({"concurrent.futures", "logging"} & sys.modules.keys())
+stack = {"concurrent.futures", "logging", "http.client", "email.parser", "urllib.request", "ssl"}
+loaded = sorted(stack & sys.modules.keys())
 assert not loaded, f"a record run loaded {loaded}"
 """
 
@@ -1450,8 +1461,10 @@ assert not loaded, f"a record run loaded {loaded}"
 def test_record_run_needs_no_requests(workspace):
     """A record run posts through the standard library alone: in a fresh
     interpreter where ``requests`` cannot be imported, it records every
-    prompt against a local endpoint on threads of its own, leaving
-    ``concurrent.futures`` and ``logging`` out of ``sys.modules``."""
+    prompt against a plain-HTTP local endpoint, with no proxy variable set,
+    on threads and sockets of its own. It leaves ``concurrent.futures``,
+    ``logging``, ``http.client``, ``email.parser``, ``urllib.request`` and
+    ``ssl`` out of ``sys.modules``."""
     env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
     src = Path(cc.__file__).resolve().parents[1]
     args = run_args(workspace, workspace / "rec", **{"--cache-mode": "record", "--cache-dir": workspace / "cache"})
