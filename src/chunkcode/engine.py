@@ -12,20 +12,19 @@ from __future__ import annotations
 import contextlib
 import json
 import threading
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .classifier import NO_MATCH, BinaryCode, KeyPhraseSet, classify, default_key_phrases
-from .codebook import Codebook, Dimension
+from .codebook import Codebook
 from .errors import ChunkCodeError, ConfigError, IngestionError
 from .ingestion import DocumentText, chunk_document
 from .llm_client import NETWORK_MODES, LLMClient, PromptRequest, decode_json, render_prompt
 
 STRATEGIES = ("whole", "chunk")
-# Cells queued ahead of the one being consumed, per worker.
+# Cells claimed ahead of the one being consumed, per worker.
 _WINDOW_PER_WORKER = 4
 # Chunk indices lie below this. A document would need a million words at
 # chunk size 1 to reach it; a run that would reach it is refused, and so is
@@ -172,48 +171,12 @@ def _prompt_bodies(doc: DocumentText, cfg: RunConfig) -> list[tuple[int | None, 
     return [(c.index, len(c.words), c.text) for c in chunk_document(doc, cfg.chunk_size)]
 
 
-def _complete_cell(
-    client: LLMClient,
-    cfg: RunConfig,
-    doc_id: str,
-    dim: Dimension,
-    iteration: int,
-    body: tuple[int | None, int, str],
-) -> PromptRecord | CellFailure:
-    """Prompt one body of a cell: its record, or the cell's failure."""
-    chunk_index, body_words, text = body
-    if cfg.max_prompt_words is not None and body_words > cfg.max_prompt_words:
-        error = (
-            f"prompt body of {body_words} words exceeds the configured limit of"
-            f" {cfg.max_prompt_words}; refusing to truncate"
-        )
-        return CellFailure(doc_id, dim.id, iteration, chunk_index, error)
-    request = PromptRequest(
-        model=cfg.model,
-        prompt_text=render_prompt(dim, text),
-        tag=cell_tag(doc_id, dim.id, iteration, chunk_index),
-    )
-    try:
-        response = client.complete(request)
-    except ChunkCodeError as exc:
-        error = (
-            f"prompt for doc={doc_id!r} dim={dim.id!r} iteration={iteration}"
-            f" chunk={chunk_index} failed: {exc}"
-        )
-        return CellFailure(doc_id, dim.id, iteration, chunk_index, error)
-    code = classify(response.text, cfg.phrases, word_boundary=cfg.word_boundary)
-    return PromptRecord(
-        doc_id, dim.id, iteration, chunk_index, cfg.model, cfg.strategy, response.text, code,
-        request.request_key,
-    )
-
-
-def _map_in_order(fn, items, workers: int, stop: threading.Event) -> Iterator:
+def _map_in_order(fn, items: Sequence, workers: int, stop: threading.Event) -> Iterator:
     """Yield ``fn(item)`` for each item, in order, computed on up to ``workers`` threads.
 
-    The caller's thread queues the items, starting one thread per item queued
-    until ``workers`` run, and stays ``_WINDOW_PER_WORKER * workers`` items
-    ahead of the result being read: enough that one call sleeping through a
+    The pool starts ``min(workers, len(items))`` threads. Each claims the next
+    unclaimed item, but none further than ``_WINDOW_PER_WORKER * workers``
+    items past the result being read: enough that one call sleeping through a
     retry does not idle the other threads, few enough that a long run holds a
     handful of results, not one per item. A call that raises, or closing the
     generator, sets ``stop``: no further item starts, and the calls already
@@ -222,30 +185,32 @@ def _map_in_order(fn, items, workers: int, stop: threading.Event) -> Iterator:
     raised is raised; no result is yielded after ``stop`` is set.
     """
     lock = threading.Lock()
-    queued = threading.Condition(lock)  # an item was queued, or none will be
+    room = threading.Condition(lock)  # the window moved on, or the pool stops
     posted = threading.Condition(lock)  # the result read next, or an exception, was posted
-    queue: deque = deque()
     results: dict = {}
     errors: dict = {}
     threads: list[threading.Thread] = []
-    exhausted = False
+    window = _WINDOW_PER_WORKER * workers
+    claimed = 0  # index of the item claimed next
     head = 0  # index of the result read next
 
     def work() -> None:
+        nonlocal claimed
         while True:
             with lock:
-                while not (queue or exhausted or stop.is_set()):
-                    queued.wait()
-                if stop.is_set() or not queue:
+                while not (stop.is_set() or claimed == len(items) or claimed <= head + window):
+                    room.wait()
+                if stop.is_set() or claimed == len(items):
                     return
-                index, item = queue.popleft()
+                index = claimed
+                claimed += 1
             try:
-                result = fn(item)
+                result = fn(items[index])
             except BaseException as exc:
                 with lock:
                     errors[index] = exc
                     stop.set()
-                    queued.notify_all()
+                    room.notify_all()
                     posted.notify()
                 return
             with lock:
@@ -253,38 +218,26 @@ def _map_in_order(fn, items, workers: int, stop: threading.Event) -> Iterator:
                 if index == head:
                     posted.notify()
 
-    window = _WINDOW_PER_WORKER * workers
-    items = enumerate(items)
-    taken = 0  # items queued so far
     try:
-        while True:
-            limit = head + window + 1
-            for index, item in islice(items, limit - taken):
-                with lock:
-                    queue.append((index, item))
-                    queued.notify()
-                taken = index + 1
-                if len(threads) < workers:
-                    thread = threading.Thread(target=work)
-                    thread.start()
-                    threads.append(thread)
+        for _ in range(min(workers, len(items))):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        for head in range(len(items)):
             with lock:
-                if taken < limit and not exhausted:
-                    exhausted = True
-                    queued.notify_all()
-                if head == taken:
-                    return
+                room.notify()  # the result before this one has been read
                 while head not in results and not stop.is_set():
                     posted.wait()
                 if stop.is_set():
                     break
                 result = results.pop(head)
             yield result
-            head += 1
+        else:
+            return
     finally:
         with lock:
             stop.set()
-            queued.notify_all()
+            room.notify_all()
         for thread in threads:
             thread.join()
     raise errors[min(errors)]
@@ -342,25 +295,45 @@ def run_iterations(
     """
     validate_corpus(corpus, cfg)
     bodies_by_doc = {doc.doc_id: _prompt_bodies(doc, cfg) for doc in corpus}
-    cells = (
+    cells = [
         (iteration, doc_id, bodies, dim)
         for iteration in range(1, cfg.iterations + 1)
         for doc_id, bodies in bodies_by_doc.items()
         for dim in cb
-    )
-
+    ]
     stop = threading.Event()
 
     def code_cell(cell) -> list[PromptRecord] | CellFailure | None:
+        """Prompt a cell's bodies in order: their records, or the cell's first failure."""
         iteration, doc_id, bodies, dim = cell
         cell_records = []
-        for body in bodies:
+        for chunk_index, body_words, text in bodies:
             if stop.is_set():
                 return None  # the run is being abandoned; nothing reads this
-            outcome = _complete_cell(client, cfg, doc_id, dim, iteration, body)
-            if isinstance(outcome, CellFailure):
-                return outcome
-            cell_records.append(outcome)
+            if cfg.max_prompt_words is not None and body_words > cfg.max_prompt_words:
+                error = (
+                    f"prompt body of {body_words} words exceeds the configured limit of"
+                    f" {cfg.max_prompt_words}; refusing to truncate"
+                )
+                return CellFailure(doc_id, dim.id, iteration, chunk_index, error)
+            request = PromptRequest(
+                model=cfg.model,
+                prompt_text=render_prompt(dim, text),
+                tag=cell_tag(doc_id, dim.id, iteration, chunk_index),
+            )
+            try:
+                response = client.complete(request)
+            except ChunkCodeError as exc:
+                error = (
+                    f"prompt for doc={doc_id!r} dim={dim.id!r} iteration={iteration}"
+                    f" chunk={chunk_index} failed: {exc}"
+                )
+                return CellFailure(doc_id, dim.id, iteration, chunk_index, error)
+            code = classify(response.text, cfg.phrases, word_boundary=cfg.word_boundary)
+            cell_records.append(PromptRecord(
+                doc_id, dim.id, iteration, chunk_index, cfg.model, cfg.strategy, response.text, code,
+                request.request_key,
+            ))
         return cell_records
 
     # Only a client that waits on the network gains from threads; replay and

@@ -559,19 +559,12 @@ class RemoteDisconnected(ConnectionResetError):
     """The connection closed before the first byte of an answer."""
 
 
-class _Headers(dict):
-    """An answer's header fields by lower-cased name, each with the first
-    value it came with; ``get`` ignores case."""
-
-    def get(self, name, default=None):
-        return dict.get(self, name.lower(), default)
-
-
 class _Response(NamedTuple):
-    """An HTTP answer, as ``_Transport.post`` returns it."""
+    """An HTTP answer, as ``_Transport.post`` returns it: ``headers`` maps
+    each lower-cased field name to the first value it came with."""
 
     status: int
-    headers: _Headers
+    headers: dict[str, str]
     content: bytes
 
 
@@ -617,14 +610,14 @@ class _Reader:
         taken, self.buf = self.buf[:size], self.buf[size:]
         return taken
 
-    def head(self) -> tuple[str, int, str, _Headers]:
+    def head(self) -> tuple[str, int, str, dict[str, str]]:
         """The version, status, reason and header fields of the next head."""
         lines = self.until(b"\r\n\r\n", "answer head").decode("latin-1").split("\r\n")
         version, _, rest = lines[0].partition(" ")
         code, _, reason = rest.partition(" ")
         if not (version.startswith("HTTP/1.") and code.isascii() and code.isdigit() and 100 <= int(code) <= 999):
             raise ProtocolError(f"not an HTTP/1.x status line: {lines[0][:80]!r}")
-        headers = _Headers()
+        headers = {}
         for line in lines[1:]:
             name, colon, value = line.partition(":")
             if not colon:
@@ -757,6 +750,13 @@ class _Transport:
             raise ConfigError(
                 f"base URL {base_url!r} has a space, a control character or a non-ASCII path"
                 f" character at position {bad + 1}"
+            )
+        # Posts go to the base URL's path plus /chat/completions: a query or a
+        # fragment would come before that suffix, and every post fail as a 4xx.
+        bad = next((i for i, ch in enumerate(base_url) if ch in "?#"), None)
+        if bad is not None:
+            raise ConfigError(
+                f"base URL {base_url!r} has a query or a fragment at position {bad + 1}"
             )
         url = f"{base_url}/chat/completions"
         target = url[path_start:]
@@ -949,13 +949,14 @@ class LLMClient:
     Record and replay keep their responses in a ``RequestCache`` under
     ``cache_dir``; live and mock ignore it. ``complete`` is safe to call
     from several threads. ``max_inflight`` is the number of concurrent
-    requests the caller may issue (``run_iterations`` starts at most that
-    many worker threads, one per cell until that many run); the client does
-    not enforce it. Only live and record clients read
-    ``base_url`` and ``api_key`` (else ``CHUNKCODE_BASE_URL`` and
-    ``CHUNKCODE_API_KEY``) and build, own and post through one ``_Transport``,
-    paced by one ``_Pacer`` once it answers 429. ``close`` (or leaving a
-    ``with`` block) closes its connections and releases the cache's open files.
+    requests the caller may issue (``run_iterations`` starts
+    ``min(max_inflight, cells)`` worker threads, which run at most four cells
+    per worker ahead of the one it writes); the client does not enforce it.
+    Only live and record clients read ``base_url`` and ``api_key`` (else
+    ``CHUNKCODE_BASE_URL`` and ``CHUNKCODE_API_KEY``) and build, own and post
+    through one ``_Transport``, paced by one ``_Pacer`` once it answers 429.
+    ``close`` (or leaving a ``with`` block) closes its connections and
+    releases the cache's open files.
     """
 
     def __init__(
@@ -1049,7 +1050,7 @@ class LLMClient:
                     return _completion(resp, time.monotonic() - start)
                 failure = f"HTTP {resp.status}: {resp.content.decode('utf-8', 'replace')[:200]}"
                 if resp.status in (429, 503):
-                    retry_after = _retry_after_s(resp.headers.get("Retry-After"))
+                    retry_after = _retry_after_s(resp.headers.get("retry-after"))
                 elif resp.status < 500:  # the request itself is at fault: a retry repeats it
                     raise TransportError(f"chat completion failed: {failure}")
             delay = retry_delay(attempt, max_attempts=self.max_attempts, rng=self._rng)

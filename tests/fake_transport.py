@@ -12,13 +12,13 @@ from local_endpoint import hashed_answer
 
 def reply(status, body=b"", headers=()):
     """An HTTP answer as the transport returns it: ``body`` is a dict (sent
-    as JSON), a str or bytes; the headers are read ignoring case, as the
-    transport reads them."""
+    as JSON), a str or bytes; the header names are lower-cased, as the
+    transport's reader stores them."""
     if isinstance(body, dict):
         body = json.dumps(body)
     if isinstance(body, str):
         body = body.encode("utf-8")
-    fields = llm_client._Headers((name.lower(), value) for name, value in dict(headers).items())
+    fields = {name.lower(): value for name, value in dict(headers).items()}
     return llm_client._Response(status, fields, body)
 
 

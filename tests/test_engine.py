@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import functools
@@ -830,6 +831,36 @@ class TestConcurrentDispatch:
         assert raised.value.args == (3,)
         assert yielded == [0, 1, 2][: len(yielded)]
         assert threading.active_count() == threads_before
+
+    def test_random_pools_keep_order_and_raise_the_first_failure(self):
+        # Seeded pools of 0-300 items on 1-39 workers, 0-2 of the items
+        # raising, with a thread switch every 10 microseconds.
+        rng = random.Random(26)
+        threads_before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(100):
+                size, workers = rng.randint(0, 300), rng.randint(1, 39)
+                raising = set(rng.sample(range(size), min(size, rng.randint(0, 2))))
+
+                def fn(item, raising=raising):
+                    if item in raising:
+                        raise ValueError(item)
+                    return item
+
+                first = min(raising, default=size)
+                yielded = []
+                with pytest.raises(ValueError) if raising else contextlib.nullcontext() as raised:
+                    for result in engine._map_in_order(fn, range(size), workers, threading.Event()):
+                        yielded.append(result)
+                if raising:
+                    assert raised.value.args == (first,)
+                assert yielded == list(range(first))[: len(yielded)]
+                assert raising or len(yielded) == size
+                assert threading.active_count() == threads_before
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_mock_mode_runs_inline(self, codebook, tiny_corpus):
         responder = FakeTransport(delay=lambda: 0.01)

@@ -283,6 +283,23 @@ class TestClientModes:
         )
         assert sleeps == []
 
+    @pytest.mark.parametrize(
+        "base_url, position",
+        [
+            ("http://127.0.0.1:9/openai/deployments/x?api-version=2024-02-01", 40),
+            ("http://127.0.0.1:9/v1#frag", 22),
+            ("http://127.0.0.1:9/v1?", 22),
+            ("http://127.0.0.1:9#/v1", 19),
+        ],
+    )
+    def test_base_url_with_a_query_or_a_fragment_is_refused_before_any_post(self, base_url, position):
+        sleeps = []
+        with mock.patch("socket.create_connection") as connect:
+            with pytest.raises(ConfigError) as refused:
+                cc.LLMClient(mode="live", base_url=base_url, sleep=sleeps.append)
+        assert str(refused.value) == f"base URL {base_url!r} has a query or a fragment at position {position}"
+        assert sleeps == [] and not connect.called
+
     @pytest.mark.usefixtures("no_proxy")
     @pytest.mark.parametrize("proxy", ["https://proxy.example:8443", "socks5://proxy.example:1080", "http://:8080"])
     def test_proxy_must_be_an_http_url(self, monkeypatch, proxy):
