@@ -37,7 +37,7 @@ DEFAULT_BASE_URL = "https://api.openai.com/v1"
 CACHE_MODES = ("live", "record", "replay", "mock")
 # Modes in which a completion can wait on the endpoint.
 NETWORK_MODES = ("live", "record")
-DEFAULT_MAX_INFLIGHT = 32
+DEFAULT_MAX_INFLIGHT = 64
 RETRY_BASE_S = 1.0
 RETRY_CAP_S = 30.0
 # Requests per second each 200 adds to the client's paced rate.
@@ -570,17 +570,23 @@ class _Response(NamedTuple):
 
 # The status line and header fields of an answer take at most this many bytes.
 MAX_HEAD_BYTES = 65536
-_RECV_BYTES = 65536
+# A receive's buffer: each post in flight has one while it waits for its answer.
+_RECV_BYTES = 8192
 
 
 class _Reader:
-    """Parses one answer from a socket, starting with bytes already received."""
+    """Parses one answer from a socket, starting with bytes already received.
+
+    The bytes received and not yet taken are kept in a ``bytearray``, which
+    grows in place and drops taken bytes from its front without moving the
+    rest: a body of n bytes costs O(n) copies however many receives it spans.
+    """
 
     __slots__ = ("sock", "buf")
 
     def __init__(self, sock, buf: bytes):
         self.sock = sock
-        self.buf = buf
+        self.buf = bytearray(buf)
 
     def fill(self) -> bool:
         """Receive more bytes; False once the connection has closed."""
@@ -599,7 +605,8 @@ class _Reader:
             if not self.fill():
                 raise ProtocolError(f"truncated {what}: the connection closed")
             end = self.buf.find(mark, 0, limit)
-        taken, self.buf = self.buf[:end], self.buf[end + len(mark):]
+        taken = bytes(self.buf[:end])
+        del self.buf[: end + len(mark)]
         return taken
 
     def take(self, size: int, what: str) -> bytes:
@@ -607,7 +614,8 @@ class _Reader:
         while len(self.buf) < size:
             if not self.fill():
                 raise ProtocolError(f"truncated {what}: the connection closed after {len(self.buf)} of {size} bytes")
-        taken, self.buf = self.buf[:size], self.buf[size:]
+        taken = bytes(self.buf[:size])
+        del self.buf[:size]
         return taken
 
     def head(self) -> tuple[str, int, str, dict[str, str]]:
@@ -681,7 +689,8 @@ def _read_answer(sock, data: bytes) -> tuple[_Response, bool]:
     else:
         while reader.fill():
             pass
-        content, reader.buf, keep = reader.buf, b"", False
+        content, keep = bytes(reader.buf), False
+        reader.buf.clear()
     return _Response(status, headers, content), keep and not reader.buf
 
 
@@ -733,6 +742,14 @@ class _Transport:
         import urllib.parse
 
         parts = urllib.parse.urlsplit(base_url)
+        # Posting direct would drop it, and through a plain-HTTP proxy send it
+        # in the request line and Host. Refused first: no error quotes it.
+        if "@" in parts.netloc:
+            shown = base_url.replace(parts.netloc, "***@" + parts.netloc.rpartition("@")[2], 1)
+            raise ConfigError(
+                f"base URL {shown!r} has userinfo before its host; give the API key as api_key="
+                f" or {API_KEY_ENV}"
+            )
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ConfigError(f"base URL {base_url!r} is not an http:// or https:// URL")
         # A request line cannot carry these, so every post would fail: a
@@ -886,54 +903,110 @@ class _Transport:
 
 
 class _Pacer:
-    """Spaces the client's posts once the endpoint has answered one 429.
+    """Meters the client's first burst, then spaces its posts once the
+    endpoint has answered one 429.
 
     One pacer serves every worker of a client. Each send takes a ticket
     (the cut epoch, its number among the sends, its send time), once paced
-    after waiting for its slot, ``interval`` after the one before. Until the
-    first 429 the interval is 0 and a ticket costs a lock and a clock read.
+    after waiting for its slot, ``interval`` after the one before.
+
+    Until the first 429 the interval is 0, and a send waits while
+    ``window`` posts are out, as TCP's slow start does. The window starts at
+    half of ``max_inflight`` (at least 1) and each 200 widens it by one; any
+    other answer, and a post that failed without one, only frees its slot.
+    A post holds a slot iff its number is at or below the last send taken
+    inside the window. The window is dropped, and every send waiting for it
+    woken, once it reaches ``max_inflight`` or the pacer cuts; with
+    ``max_inflight`` 1 there is none. From then on a ticket costs a lock
+    and a clock read, and an unpaced 200 nothing.
+
     A 429 of a post sent in the current epoch cuts: the interval becomes
     ``max(2 * interval, 2 / r)``, capped at ``RETRY_CAP_S``, where ``r`` is
     the sends counted during that post's round trip over its time, and a new
     epoch starts. So the rate halves from what the client was sending, and a
-    429 of a post sent before the last cut cuts no further. Each 200 raises
-    the rate by ``PACE_STEP_RPS``; any other answer leaves it alone.
+    429 of a post sent before the last cut cuts no further. A cut also
+    re-spaces the sends still asleep until their slots: the next free slot
+    is at most one new interval away, and each such send takes a new slot
+    when it wakes, keeping its number. Without that, a cut would slow only
+    the sends after every slot already handed out, up to one per worker.
+    Each 200 raises the rate by ``PACE_STEP_RPS``; any other answer leaves
+    it alone.
     """
 
-    def __init__(self, clock: Callable[[], float], sleep: Callable[[float], None]):
+    def __init__(self, clock: Callable[[], float], sleep: Callable[[float], None], max_inflight: int = 1):
         self._clock = clock
         self._sleep = sleep
         self._lock = threading.Lock()
+        self._opened = threading.Condition(self._lock)  # a slot freed, or the window dropped
         self._interval = 0.0
         self._next = 0.0  # the next free slot, once paced
         self._sent = 0
         self._epoch = 0
+        self._max_inflight = max_inflight
+        start = max(1, max_inflight // 2)
+        self._window = start if start < max_inflight else None  # None once dropped
+        self._out = 0  # posts holding a slot
+        self._windowed = 0  # the number of the last send taken inside the window
 
     def wait(self) -> tuple[int, int, float]:
         """Wait for the next send's slot and return its ticket."""
         with self._lock:
+            while self._window is not None and self._out >= self._window:
+                self._opened.wait()
             now = self._clock()
             self._sent += 1
-            at = max(now, self._next)
-            self._next = at + self._interval
-            ticket = (self._epoch, self._sent, at)
-        if at > now:
-            self._sleep(at - now)
+            if self._window is not None:
+                self._out += 1
+                self._windowed = self._sent
+            ticket = self._book(self._sent, now)
+        while ticket[2] > now:
+            self._sleep(ticket[2] - now)
+            if ticket[0] == self._epoch:  # read unlocked: no cut while it slept
+                break
+            with self._lock:
+                now = self._clock()
+                ticket = self._book(ticket[1], now)
         return ticket
 
-    def answered(self, ticket: tuple[int, int, float], status: int) -> None:
-        """Pace by the status the post holding ``ticket`` was answered with."""
+    def _book(self, number: int, now: float) -> tuple[int, int, float]:
+        """The ticket of send ``number``: the next free slot, at ``now`` or
+        later. The lock is held."""
+        at = max(now, self._next)
+        self._next = at + self._interval
+        return (self._epoch, number, at)
+
+    def answered(self, ticket: tuple[int, int, float], status: int | None) -> None:
+        """Free the slot of the post holding ``ticket``, and pace by the
+        status it was answered with: None when it failed without an answer."""
+        epoch, number, sent_at = ticket
+        if number <= self._windowed:  # read unlocked: it grows only while the window is open
+            with self._lock:
+                if self._window is not None:
+                    self._out -= 1
+                    if status == 200:
+                        self._window += 1
+                    if self._window >= self._max_inflight:
+                        self._drop()
+                    else:
+                        self._opened.notify(2 if status == 200 else 1)
         if status == 200:
             if self._interval:  # read unlocked: unpaced, a 200 costs nothing
                 with self._lock:
                     self._interval = 1 / (1 / self._interval + PACE_STEP_RPS)
         elif status == 429:
-            epoch, number, sent_at = ticket
             with self._lock:
                 if epoch == self._epoch:
-                    measured = 2 * (self._clock() - sent_at) / (self._sent - number + 1)
+                    now = self._clock()
+                    measured = 2 * (now - sent_at) / (self._sent - number + 1)
                     self._interval = min(RETRY_CAP_S, max(2 * self._interval, measured))
+                    self._next = min(self._next, now + self._interval)
                     self._epoch += 1
+                    self._drop()
+
+    def _drop(self) -> None:
+        """Drop the window and wake every send waiting for it; the lock is held."""
+        self._window = None
+        self._opened.notify_all()
 
 
 class LLMClient:
@@ -951,10 +1024,12 @@ class LLMClient:
     from several threads. ``max_inflight`` is the number of concurrent
     requests the caller may issue (``run_iterations`` starts
     ``min(max_inflight, cells)`` worker threads, which run at most four cells
-    per worker ahead of the one it writes); the client does not enforce it.
+    per worker ahead of the one it writes); the client does not enforce it,
+    but until the endpoint first answers 429 it lets at most half of it out
+    at first, and one more for each 200.
     Only live and record clients read ``base_url`` and ``api_key`` (else
     ``CHUNKCODE_BASE_URL`` and ``CHUNKCODE_API_KEY``) and build, own and post
-    through one ``_Transport``, paced by one ``_Pacer`` once it answers 429.
+    through one ``_Transport``, metered and paced by one ``_Pacer``.
     ``close`` (or leaving a ``with`` block) closes its connections and
     releases the cache's open files.
     """
@@ -992,7 +1067,7 @@ class LLMClient:
                 api_key if api_key is not None else os.environ.get(API_KEY_ENV, ""),
                 timeout,
             )
-            self._pacer = _Pacer(time.monotonic, sleep)
+            self._pacer = _Pacer(time.monotonic, sleep, max_inflight)
         self._sleep = sleep
         self._rng = rng
         self._cache = (
@@ -1038,20 +1113,23 @@ class LLMClient:
         body = json.dumps({"model": request.model, "messages": [message]}, allow_nan=False).encode("utf-8")
         for attempt in itertools.count(1):
             retry_after = None  # per attempt, never on self: threads share the client
+            status = None  # until answered: a transport error or any exception frees the slot too
             ticket = self._pacer.wait()
             start = time.monotonic()
             try:
                 resp = self._transport.post(body)
+                status = resp.status
             except OSError as exc:
                 failure = f"{type(exc).__name__}: {exc}"
-            else:
-                self._pacer.answered(ticket, resp.status)
-                if resp.status == 200:
-                    return _completion(resp, time.monotonic() - start)
-                failure = f"HTTP {resp.status}: {resp.content.decode('utf-8', 'replace')[:200]}"
-                if resp.status in (429, 503):
+            finally:
+                self._pacer.answered(ticket, status)
+            if status == 200:
+                return _completion(resp, time.monotonic() - start)
+            if status is not None:
+                failure = f"HTTP {status}: {resp.content.decode('utf-8', 'replace')[:200]}"
+                if status in (429, 503):
                     retry_after = _retry_after_s(resp.headers.get("retry-after"))
-                elif resp.status < 500:  # the request itself is at fault: a retry repeats it
+                elif status < 500:  # the request itself is at fault: a retry repeats it
                     raise TransportError(f"chat completion failed: {failure}")
             delay = retry_delay(attempt, max_attempts=self.max_attempts, rng=self._rng)
             if delay is None:

@@ -763,11 +763,16 @@ def test_more_segments_than_open_descriptors_replay(codebook, tiny_corpus, tmp_p
 class TestConcurrentDispatch:
     @pytest.mark.parametrize("max_inflight", [2, 8, llm_client.DEFAULT_MAX_INFLIGHT])
     def test_peak_concurrency_equals_max_inflight(self, codebook, tiny_corpus, max_inflight):
-        endpoint = FakeTransport(delay=lambda: 0.01)
-        cfg = cc.RunConfig(model="m", strategy="whole", iterations=6)
+        # Half the in-flight count goes first, and the other workers join as
+        # those 200s open the window: at 64, 96 cells fill it. Starting 64
+        # posts takes the client about 10 ms of CPU on a 2-core machine, so
+        # each post lasts longer than that.
+        iterations = max(6, max_inflight // 4)
+        endpoint = FakeTransport(delay=lambda: 0.03)
+        cfg = cc.RunConfig(model="m", strategy="whole", iterations=iterations)
         threads_before = threading.active_count()
         rr = cc.run_iterations(tiny_corpus, codebook, cfg, network_client(endpoint, max_inflight))
-        assert rr.ok and endpoint.calls == 2 * 3 * 6
+        assert rr.ok and endpoint.calls == 2 * 3 * iterations
         assert endpoint.peak == max_inflight
         assert threading.active_count() == threads_before
 
