@@ -202,15 +202,16 @@ def fleiss_kappa(m: RatingMatrix) -> float:
     """Fleiss' chance-corrected multi-rater agreement for binary codes.
 
     Per-subject agreement is the fraction of concordant rater pairs; the
-    chance term is the sum of squared overall category proportions. When
-    every rating falls in one category the statistic is undefined and a
-    DegenerateKappaError is raised rather than returning NaN.
+    chance term is the sum of squared overall category proportions. With
+    fewer than two subjects, or every rating in one category, the statistic
+    is undefined and a DegenerateKappaError is raised rather than returning
+    NaN; fewer than two raters is a ValueError.
     """
     k = len(m.raters)
     if k < 2:
         raise ValueError("Fleiss' kappa needs at least two raters")
     if len(m.subjects) < 2:
-        raise ValueError("Fleiss' kappa needs at least two subjects")
+        raise DegenerateKappaError("Fleiss' kappa needs at least two subjects")
     total_true = 0
     p_sum = 0.0
     for row in m.codes:
@@ -265,7 +266,8 @@ def kappa_with_llm_by_doc(
 ) -> dict[str, KappaComparison | None]:
     """Per-document kappa comparison, each over that document's subjects only.
 
-    A degenerate document (kappa undefined for its ratings) maps to None.
+    A document whose kappa is undefined (fewer than two subjects, or
+    single-category ratings) maps to None.
     """
     by_doc: dict[str, KappaComparison | None] = {}
     for doc_id in m.doc_ids:

@@ -38,5 +38,8 @@ class UndefinedMetricError(ChunkCodeError):
     """A confusion metric was requested whose denominator is zero."""
 
 
-class DegenerateKappaError(ChunkCodeError):
-    """Every rating falls in a single category, so kappa is undefined."""
+class DegenerateKappaError(ChunkCodeError, ValueError):
+    """Kappa is undefined for these ratings: fewer than two subjects, or every
+    rating in a single category. Also a ``ValueError``, since a matrix too
+    small for the statistic is a bad argument, as one of fewer than two
+    raters is."""

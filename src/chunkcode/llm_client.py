@@ -454,8 +454,10 @@ class RequestCache:
 
         The prompt is not stored: the key is a hash of it, the model and
         the tag, so a prompt re-rendered from the codebook and the corpus is
-        checked by recomputing the key. The line is written by one
-        ``os.write`` before this returns, so a crash loses at most it.
+        checked by recomputing the key. The line is UTF-8 but for a lone
+        surrogate, which only a JSON string holds, as its ``\\uXXXX`` escape
+        that reads back as itself. It is written by one ``os.write`` before
+        this returns, so a crash loses at most it.
         """
         entry = [
             request.model,
@@ -463,11 +465,7 @@ class RequestCache:
             {"text": response.text, "provider_meta": dict(response.provider_meta)},
         ]
         body = json.dumps(entry, separators=(",", ":"), ensure_ascii=False)
-        try:
-            line = f"{key}\t{body}\n".encode("utf-8")
-        except UnicodeEncodeError:  # a lone surrogate, whose JSON escape reads back as itself
-            body = json.dumps(entry, separators=(",", ":"), ensure_ascii=True)
-            line = f"{key}\t{body}\n".encode("ascii")
+        line = f"{key}\t{body}\n".encode("utf-8", "backslashreplace")
         with self._lock:
             if not self._release.alive:
                 raise ValueError("request cache is closed")
@@ -694,14 +692,6 @@ def _read_answer(sock, data: bytes) -> tuple[_Response, bool]:
     return _Response(status, headers, content), keep and not reader.buf
 
 
-def _host_bytes(host: str) -> bytes:
-    """``host`` as a request carries it: ASCII, else IDNA-encoded."""
-    try:
-        return host.encode("ascii")
-    except UnicodeEncodeError:
-        return host.encode("idna")
-
-
 class _Transport:
     """Posts JSON bodies, serialised by the caller, to one endpoint over
     keep-alive HTTP/1.1 connections, one per post in flight.
@@ -716,11 +706,14 @@ class _Transport:
     would replace the API key's Bearer.
 
     The request head is built here as bytes, with the fields, order and
-    values ``http.client`` sends; a post adds ``Content-Length`` and the body
-    and sends them in one ``sendall``, then ``_read_answer`` reads the answer
-    from the socket. Every failure raises ``OSError``: a ``ProtocolError``
-    names an answer that is not HTTP/1.x, is cut short or has a head over
-    ``MAX_HEAD_BYTES``.
+    values ``http.client`` sends. ``Host``, a plain proxy's absolute URI and
+    CONNECT carry one authority: the host lower-cased, ASCII or else
+    IDNA-encoded, an IPv6 literal bracketed, and the port unless it is the
+    scheme's default (CONNECT always names it). A post adds
+    ``Content-Length`` and the body and sends them in one ``sendall``, then
+    ``_read_answer`` reads the answer from the socket. Every failure raises
+    ``OSError``: a ``ProtocolError`` names an answer that is not HTTP/1.x,
+    is cut short or has a head over ``MAX_HEAD_BYTES``.
 
     A post takes an idle connection, or opens one, and gives it back after
     when the answer allows, so the transport holds no more connections than
@@ -742,8 +735,8 @@ class _Transport:
         import urllib.parse
 
         parts = urllib.parse.urlsplit(base_url)
-        # Posting direct would drop it, and through a plain-HTTP proxy send it
-        # in the request line and Host. Refused first: no error quotes it.
+        # Every post would drop it without a word, the API key being the
+        # credential. Refused first: no error quotes it.
         if "@" in parts.netloc:
             shown = base_url.replace(parts.netloc, "***@" + parts.netloc.rpartition("@")[2], 1)
             raise ConfigError(
@@ -752,40 +745,36 @@ class _Transport:
             )
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise ConfigError(f"base URL {base_url!r} is not an http:// or https:// URL")
-        # A request line cannot carry these, so every post would fail: a
-        # space or a control character only after a transient error's backoff.
+        # A query or a fragment would stand before the /chat/completions
+        # suffix, and every post fail as a 4xx. A request line cannot carry a
+        # space, a control character or a non-ASCII path character: every post
+        # would fail, and only after a transient error's backoff.
         path_start = len(f"{parts.scheme}://{parts.netloc}")
-        bad = next(
-            (
-                i
-                for i, ch in enumerate(base_url)
-                if ch <= " " or ch == "\x7f" or (i >= path_start and not ch.isascii())
-            ),
-            None,
-        )
-        if bad is not None:
-            raise ConfigError(
-                f"base URL {base_url!r} has a space, a control character or a non-ASCII path"
-                f" character at position {bad + 1}"
-            )
-        # Posts go to the base URL's path plus /chat/completions: a query or a
-        # fragment would come before that suffix, and every post fail as a 4xx.
-        bad = next((i for i, ch in enumerate(base_url) if ch in "?#"), None)
-        if bad is not None:
-            raise ConfigError(
-                f"base URL {base_url!r} has a query or a fragment at position {bad + 1}"
-            )
-        url = f"{base_url}/chat/completions"
-        target = url[path_start:]
+        for i, ch in enumerate(base_url):
+            if ch in "?#":
+                raise ConfigError(f"base URL {base_url!r} has a query or a fragment at position {i + 1}")
+            if ch <= " " or ch == "\x7f" or (i >= path_start and not ch.isascii()):
+                raise ConfigError(
+                    f"base URL {base_url!r} has a space, a control character or a non-ASCII path"
+                    f" character at position {i + 1}"
+                )
+        path = f"{base_url[path_start:]}/chat/completions".encode("ascii")
         default_port = 443 if parts.scheme == "https" else 80
         try:
             host, port = parts.hostname, parts.port or default_port
         except ValueError as exc:  # not a number in 0-65535
             raise ConfigError(f"base URL {base_url!r} has a bad port: {exc}") from exc
-        bracketed = f"[{host}]" if ":" in host else host
-        authority = bracketed if port == default_port else f"{bracketed}:{port}"
+        try:  # the authority that Host, a plain proxy's target and CONNECT carry
+            authority = host.encode("ascii" if host.isascii() else "idna")
+        except UnicodeError as exc:
+            raise ConfigError(f"base URL {base_url!r} cannot be sent: {exc}") from exc
+        if ":" in host:  # an IPv6 literal
+            authority = b"[%b]" % authority
+        host_port = b"%b:%d" % (authority, port)
+        if port != default_port:
+            authority = host_port
         fields = {"Content-Type": "application/json", "User-Agent": "chunkcode"}
-        tunnel = None  # the CONNECT request's header fields, when HTTPS goes through a proxy
+        self._tunnel = None
         self._address = (host, port)
         if any(name[-6:].lower() == "_proxy" for name in os.environ):
             import urllib.request
@@ -804,9 +793,10 @@ class _Transport:
                     credentials = base64.b64encode(urllib.parse.unquote(userinfo).encode("utf-8"))
                     auth["Proxy-Authorization"] = "Basic " + credentials.decode("ascii")
                 if parts.scheme == "https":
-                    tunnel = auth
-                else:  # a plain-HTTP proxy is sent the whole URL, and its authority as Host
-                    target, authority = url, parts.netloc
+                    tunnel = "".join(f"{name}: {value}\r\n" for name, value in auth.items()).encode("ascii")
+                    self._tunnel = b"CONNECT %b HTTP/1.0\r\n%b\r\n" % (host_port, tunnel)
+                else:  # a plain-HTTP proxy is sent the absolute URI
+                    path = b"http://%b%b" % (authority, path)
                     fields.update(auth)
                 try:
                     self._address = (via.hostname, via.port or 80)
@@ -814,18 +804,7 @@ class _Transport:
                     raise ConfigError(f"proxy {proxy!r} has a bad port: {exc}") from exc
         if api_key:
             fields["Authorization"] = f"Bearer {api_key}"
-        try:
-            self._head = b"POST %b HTTP/1.1\r\nHost: %b\r\nAccept-Encoding: identity\r\nContent-Length: " % (
-                target.encode("ascii"),
-                _host_bytes(authority),
-            )
-            self._tunnel = None if tunnel is None else b"CONNECT %b:%d HTTP/1.0\r\n%b\r\n" % (
-                _host_bytes(bracketed),
-                port,
-                "".join(f"{name}: {value}\r\n" for name, value in tunnel.items()).encode("latin-1"),
-            )
-        except UnicodeError as exc:
-            raise ConfigError(f"base URL {base_url!r} cannot be sent: {exc}") from exc
+        self._head = b"POST %b HTTP/1.1\r\nHost: %b\r\nAccept-Encoding: identity\r\nContent-Length: " % (path, authority)
         self._tail = "".join(f"\r\n{name}: {value}" for name, value in fields.items()).encode("latin-1") + b"\r\n\r\n"
         self._tls = None
         if parts.scheme == "https":

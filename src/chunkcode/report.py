@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -321,6 +321,12 @@ def per_dimension_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[di
     return rows
 
 
+def _why_degenerate(subjects: int) -> str:
+    """Why kappa is undefined for a matrix of ``subjects`` rows that raised
+    DegenerateKappaError."""
+    return "fewer than two subjects" if subjects < 2 else "single-category ratings"
+
+
 def _kappa_row(model: str, strategy: str, m: RatingMatrix) -> dict:
     """Kappa and percent agreement of one matrix. Where kappa is undefined
     its cells are empty and ``band`` names why; under two raters percent
@@ -333,7 +339,7 @@ def _kappa_row(model: str, strategy: str, m: RatingMatrix) -> dict:
             kappa = agreement.fleiss_kappa(m)
             band = agreement.kappa_band(kappa)
         except DegenerateKappaError:
-            band = "undefined: single-category ratings"
+            band = "undefined: " + _why_degenerate(len(m.subjects))
     return {
         "model": model,
         "strategy": strategy,
@@ -376,10 +382,11 @@ def merged_ratings(runs: Sequence[RunData], manual: RatingMatrix) -> RatingMatri
 
 def kappa_delta_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict]:
     """Per run and document: kappa before/after adding the run as a rater."""
+    subjects = Counter(doc_id for doc_id, _ in manual.subjects)
     rows = []
     for run in runs:
         by_doc = agreement.kappa_with_llm_by_doc(manual, run.consensus_codes, run.rater_id)
-        for doc_id, c in by_doc.items():  # c is None where the document is degenerate
+        for doc_id, c in by_doc.items():  # c is None where the document's kappa is undefined
             rows.append(
                 {
                     "model": run.model,
@@ -388,7 +395,7 @@ def kappa_delta_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict
                     "kappa_before": c and c.kappa_before,
                     "kappa_after": c and c.kappa_after,
                     "delta": c and c.delta,
-                    "note": "" if c else "degenerate: single-category ratings",
+                    "note": "" if c else "degenerate: " + _why_degenerate(subjects[doc_id]),
                 }
             )
     return rows

@@ -282,6 +282,18 @@ class TestKappaWithLLM:
             assert comparison == expected
 
 
+    def test_documents_of_one_subject_map_to_none_but_one_rater_is_refused(self):
+        subjects = (("doc0", "dim0"), ("doc1", "dim0"))
+        m = cc.RatingMatrix(subjects=subjects, raters=("r0", "r1"), codes=((True, False), (True, True)))
+        llm = dict(zip(subjects, (True, False)))
+        assert cc.kappa_with_llm_by_doc(m, llm) == {"doc0": None, "doc1": None}
+        with pytest.raises(DegenerateKappaError, match="at least two subjects"):
+            cc.fleiss_kappa(m.filter_doc("doc0"))
+        one_rater = cc.RatingMatrix(subjects=subjects, raters=("r0",), codes=((True,), (False,)))
+        with pytest.raises(ValueError, match="at least two raters"):
+            cc.kappa_with_llm_by_doc(one_rater, llm)
+
+
 class TestIterationMatrix:
     def test_builds_iterations_as_raters(self):
         results = [

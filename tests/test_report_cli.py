@@ -936,6 +936,25 @@ class TestEvaluateCommand:
         }
         assert all(row["kappa"] for row in rows[:-1])
 
+    def test_one_dimension_codebook_gives_undefined_per_document_kappas(self, workspace):
+        (workspace / "codebook.json").write_text(json.dumps(CODEBOOK_ENTRIES[:1]), encoding="utf-8")
+        (workspace / "manual.csv").write_text(
+            "doc_id,dimension_id,rater_1,rater_2,rater_3\n"
+            "doc-a,fidelity,T,T,F\n"
+            "doc-b,fidelity,F,F,F\n",
+            encoding="utf-8",
+        )
+        result, reports = self.evaluate(workspace)
+        assert result.exit_code == 0, result.output
+        assert len(list(reports.iterdir())) == 13
+        with open(reports / "kappa_delta_per_paper.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["doc_id"], r["kappa_before"], r["kappa_after"], r["delta"], r["note"]) for r in rows] == [
+            ("doc-a", "", "", "", "degenerate: fewer than two subjects"),
+            ("doc-b", "", "", "", "degenerate: fewer than two subjects"),
+        ]
+        assert all(row["kappa"] for row in self.kappa_rows(reports)[:2])  # two subjects over both documents
+
     def test_single_rater_manual_is_refused_before_any_table(self, workspace):
         manual = workspace / "manual.csv"
         lines = manual.read_text(encoding="utf-8").splitlines()
@@ -1025,6 +1044,13 @@ def test_golden_report_bytes(workspace):
         for path in [*reports.iterdir(), *redo.iterdir()]
     }
     assert digests == GOLDEN_REPORT_SHA256
+
+
+def test_kappa_row_of_one_document_and_one_dimension_is_undefined():
+    m = agreement.RatingMatrix(subjects=(("doc", "dim"),), raters=("r1", "r2", "r3"), codes=((True, True, False),))
+    row = report._kappa_row("manual", "", m)
+    assert (row["kappa"], row["band"], row["significant"]) == (None, "undefined: fewer than two subjects", None)
+    assert (row["raters"], row["percent_agreement"]) == (3, pytest.approx(2 / 3))
 
 
 def test_write_table_csv_refuses_a_row_lacking_a_column(tmp_path):
