@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .engine import IterationResult
+from .engine import IterationResult, modal_code
 from .errors import (
     DegenerateKappaError,
     SubjectMismatchError,
@@ -110,12 +110,7 @@ class ConfusionCounts:
 
 def manual_consensus(m: RatingMatrix) -> dict[Subject, bool]:
     """Modal code per subject across raters; even splits resolve to True."""
-    out: dict[Subject, bool] = {}
-    for subject, row in zip(m.subjects, m.codes):
-        trues = sum(row)
-        falses = len(row) - trues
-        out[subject] = trues >= falses
-    return out
+    return {subject: modal_code(sum(row), len(row))[0] for subject, row in zip(m.subjects, m.codes)}
 
 
 def confusion(
@@ -191,10 +186,9 @@ def percent_agreement(m: RatingMatrix) -> float:
     """
     if len(m.raters) < 2:
         raise ValueError("percent agreement needs at least two raters")
-    total = 0.0
+    total = 0.0  # a loop, not sum(): from Python 3.12 sum() compensates float rounding
     for row in m.codes:
-        trues = sum(row)
-        total += max(trues, len(row) - trues) / len(row)
+        total += modal_code(sum(row), len(row))[1]
     return total / len(m.subjects)
 
 

@@ -21,7 +21,7 @@ from .classifier import NO_MATCH, BinaryCode, KeyPhraseSet, classify, default_ke
 from .codebook import Codebook
 from .errors import ChunkCodeError, ConfigError, IngestionError
 from .ingestion import DocumentText, chunk_document
-from .llm_client import NETWORK_MODES, LLMClient, PromptRequest, decode_json, render_prompt
+from .llm_client import LLMClient, PromptRequest, decode_json, render_prompt
 
 STRATEGIES = ("whole", "chunk")
 # Cells claimed ahead of the one being consumed, per worker.
@@ -174,7 +174,8 @@ def _prompt_bodies(doc: DocumentText, cfg: RunConfig) -> list[tuple[int | None, 
 def _map_in_order(fn, items: Sequence, workers: int, stop: threading.Event) -> Iterator:
     """Yield ``fn(item)`` for each item, in order, computed on up to ``workers`` threads.
 
-    The pool starts ``min(workers, len(items))`` threads. Each claims the next
+    One worker maps in the caller's thread, as there is nothing to overlap.
+    More start ``min(workers, len(items))`` threads, each claiming the next
     unclaimed item, but none further than ``_WINDOW_PER_WORKER * workers``
     items past the result being read: enough that one call sleeping through a
     retry does not idle the other threads, few enough that a long run holds a
@@ -184,6 +185,9 @@ def _map_in_order(fn, items: Sequence, workers: int, stop: threading.Event) -> I
     has been joined, the exception of the first item in order whose call
     raised is raised; no result is yielded after ``stop`` is set.
     """
+    if workers == 1:
+        yield from map(fn, items)
+        return
     lock = threading.Lock()
     room = threading.Condition(lock)  # the window moved on, or the pool stops
     posted = threading.Condition(lock)  # the result read next, or an exception, was posted
@@ -283,8 +287,8 @@ def run_iterations(
     each is folded into its cell's code as it passes, and the run holds no
     more of them than the cells in flight produce.
 
-    When the client talks to the network, up to ``client.max_inflight``
-    cells run at once, each prompting its bodies in order. Results are
+    Up to ``client.max_inflight`` cells run at once, each prompting its
+    bodies in order; at 1 they run in the caller's thread. Results are
     consumed in canonical cell order (iteration, document, dimension), so
     results, failures and the sink's stream are identical to a serial run.
     A failed prompt becomes its cell's ``CellFailure``, never an exception.
@@ -336,13 +340,7 @@ def run_iterations(
             ))
         return cell_records
 
-    # Only a client that waits on the network gains from threads; replay and
-    # mock are CPU-bound, where a pool only adds hand-off cost.
-    outcomes = (
-        _map_in_order(code_cell, cells, client.max_inflight, stop)
-        if client.mode in NETWORK_MODES
-        else (code_cell(cell) for cell in cells)
-    )
+    outcomes = _map_in_order(code_cell, cells, client.max_inflight, stop)
     failures: list[CellFailure] = []
     prompts = 0
 
@@ -363,6 +361,13 @@ def run_iterations(
     return RunResult(results, failures, prompts)
 
 
+def modal_code(trues: int, n: int) -> tuple[bool, float]:
+    """The mode of ``n`` binary codes of which ``trues`` are True, an even
+    split going to True, and the share of the codes agreeing with it."""
+    value = 2 * trues >= n
+    return value, (trues if value else n - trues) / n
+
+
 def consensus(results: Sequence[IterationResult]) -> ConsensusResult:
     """Reduce one cell's iteration codes to the modal value.
 
@@ -376,11 +381,8 @@ def consensus(results: Sequence[IterationResult]) -> ConsensusResult:
         raise ValueError(f"consensus input spans multiple cells: {sorted(keys)}")
     doc_id, dimension_id = keys.pop()
     trues = sum(r.value for r in results)
-    falses = len(results) - trues
-    if trues == falses:
-        return ConsensusResult(doc_id, dimension_id, True, 0.5, tie=True)
-    value = trues > falses
-    return ConsensusResult(doc_id, dimension_id, value, max(trues, falses) / len(results))
+    value, support = modal_code(trues, len(results))
+    return ConsensusResult(doc_id, dimension_id, value, support, tie=2 * trues == len(results))
 
 
 def consensus_table(

@@ -224,6 +224,9 @@ def _response_from_line(line: bytes) -> LLMResponse:
 
 _SEGMENT_NAME = re.compile(r"segment-(\d+)-\d+-[0-9a-f]+")
 _FLAT_NAME = re.compile(r"[0-9a-f]{64}")
+# A high surrogate directly followed by a low one: as two \uXXXX escapes in a
+# JSON string it would decode as the one character the pair encodes in UTF-16.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 # Open segment descriptors a cache holds at most, its own segment included.
 MAX_OPEN_SEGMENTS = 16
 _LOW64 = (1 << 64) - 1
@@ -456,8 +459,11 @@ class RequestCache:
         the tag, so a prompt re-rendered from the codebook and the corpus is
         checked by recomputing the key. The line is UTF-8 but for a lone
         surrogate, which only a JSON string holds, as its ``\\uXXXX`` escape
-        that reads back as itself. It is written by one ``os.write`` before
-        this returns, so a crash loses at most it.
+        that reads back as itself. A high surrogate directly followed by a
+        low one would read back as one character, so it raises ValueError
+        naming its position in the entry's JSON, and nothing is written. The
+        line is written by one ``os.write`` before this returns, so a crash
+        loses at most it.
         """
         entry = [
             request.model,
@@ -465,7 +471,17 @@ class RequestCache:
             {"text": response.text, "provider_meta": dict(response.provider_meta)},
         ]
         body = json.dumps(entry, separators=(",", ":"), ensure_ascii=False)
-        line = f"{key}\t{body}\n".encode("utf-8", "backslashreplace")
+        line = f"{key}\t{body}\n"
+        try:
+            line = line.encode("utf-8")
+        except UnicodeEncodeError:  # a surrogate
+            pair = _SURROGATE_PAIR.search(body)
+            if pair is not None:
+                raise ValueError(
+                    f"cache entry for request_key {key} holds a high surrogate followed by a low"
+                    f" one at position {pair.start()} of its JSON; it would read back as one character"
+                ) from None
+            line = line.encode("utf-8", "backslashreplace")
         with self._lock:
             if not self._release.alive:
                 raise ValueError("request cache is closed")
@@ -901,12 +917,13 @@ class _Pacer:
 
     A 429 of a post sent in the current epoch cuts: the interval becomes
     ``max(2 * interval, 2 / r)``, capped at ``RETRY_CAP_S``, where ``r`` is
-    the sends counted during that post's round trip over its time, and a new
-    epoch starts. So the rate halves from what the client was sending, and a
-    429 of a post sent before the last cut cuts no further. A cut also
-    re-spaces the sends still asleep until their slots: the next free slot
-    is at most one new interval away, and each such send takes a new slot
-    when it wakes, keeping its number. Without that, a cut would slow only
+    the sends numbered from that post on (itself, those sent during its
+    round trip and those still asleep until a later slot) over its round
+    trip's time, and a new epoch starts. So the rate halves from what the
+    client was sending, and a 429 of a post sent before the last cut cuts no
+    further. A cut also re-spaces the sends still asleep until their slots:
+    the next free slot is at most one new interval away, and each such send
+    takes a new slot when it wakes, keeping its number. Without that, a cut would slow only
     the sends after every slot already handed out, up to one per worker.
     Each 200 raises the rate by ``PACE_STEP_RPS``; any other answer leaves
     it alone.
@@ -1000,12 +1017,10 @@ class LLMClient:
 
     Record and replay keep their responses in a ``RequestCache`` under
     ``cache_dir``; live and mock ignore it. ``complete`` is safe to call
-    from several threads. ``max_inflight`` is the number of concurrent
-    requests the caller may issue (``run_iterations`` starts
-    ``min(max_inflight, cells)`` worker threads, which run at most four cells
-    per worker ahead of the one it writes); the client does not enforce it,
-    but until the endpoint first answers 429 it lets at most half of it out
-    at first, and one more for each 200.
+    from several threads. ``max_inflight`` is the number of prompts the
+    client can have in flight: the caller's value for live and record, 1 for
+    replay and mock, which wait on no endpoint. Until the endpoint first
+    answers 429 the client lets half of it out, and one more for each 200.
     Only live and record clients read ``base_url`` and ``api_key`` (else
     ``CHUNKCODE_BASE_URL`` and ``CHUNKCODE_API_KEY``) and build, own and post
     through one ``_Transport``, metered and paced by one ``_Pacer``.
@@ -1038,7 +1053,7 @@ class LLMClient:
         self.mode = mode
         self.mock = mock
         self.max_attempts = max_attempts
-        self.max_inflight = max_inflight
+        self.max_inflight = max_inflight if mode in NETWORK_MODES else 1
         self._transport = None
         if mode in NETWORK_MODES:
             self._transport = _Transport(

@@ -210,7 +210,7 @@ def write_run_outputs(out: Path, meta: dict, result: engine.RunResult) -> None:
             "doc_id": r.doc_id,
             "dimension_id": r.dimension_id,
             "iteration": r.iteration,
-            "value": "T" if r.value else "F",
+            "value": r.value,
         }
         for r in result.results
     ]
@@ -349,7 +349,8 @@ def _kappa_row(model: str, strategy: str, m: RatingMatrix) -> dict:
         "raters": len(m.raters),
         "percent_agreement": pct,
         "percent_agreement_flag": None if pct is None else (
-            "ok" if pct >= agreement.PERCENT_AGREEMENT_TARGET else "weak: below 0.90"
+            "ok" if pct >= agreement.PERCENT_AGREEMENT_TARGET
+            else f"weak: below {agreement.PERCENT_AGREEMENT_TARGET:.2f}"
         ),
     }
 

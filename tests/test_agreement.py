@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -81,6 +83,15 @@ class TestManualConsensus:
     def test_even_tie_resolves_true(self):
         m = matrix([[True, False]])
         assert cc.manual_consensus(m)[m.subjects[0]] is True
+
+    @pytest.mark.parametrize("raters", range(2, 7))
+    def test_raters_reduce_as_iterations_do(self, raters):
+        """Each row's manual mode and agreeing share are the consensus value
+        and support of iterations coding the same."""
+        for row in product([False, True], repeat=raters):
+            m = matrix([row])
+            cell = cc.consensus([cc.IterationResult("d", "x", i + 1, v) for i, v in enumerate(row)])
+            assert (cc.manual_consensus(m)[m.subjects[0]], cc.percent_agreement(m)) == (cell.value, cell.support)
 
 
 class TestConfusion:

@@ -202,6 +202,12 @@ class TestLoadKeyPhrases:
         with pytest.raises(ConfigError):
             cc.load_key_phrases(path)
 
+    def test_not_json_rejected(self, tmp_path):
+        path = tmp_path / "phrases.json"
+        path.write_text('["yes", ', encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"cannot read phrase list {re.escape(str(path))}: Expecting"):
+            cc.load_key_phrases(path)
+
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "phrases.json"
         path.write_text(json.dumps(["yes", "YES"]), encoding="utf-8")

@@ -77,6 +77,14 @@ def test_malformed_file(tmp_path):
         cc.load_codebook(path)
 
 
+@pytest.mark.parametrize("entries", [ENTRIES[0], "fidelity", None], ids=["object", "string", "null"])
+def test_a_json_value_that_is_not_an_array_is_refused(tmp_path, entries):
+    path = write_codebook(tmp_path, entries)
+    with pytest.raises(CodebookError) as refused:
+        cc.load_codebook(path)
+    assert str(refused.value) == f"{path}: codebook must be a JSON array of objects"
+
+
 def test_round_trip_stability(tmp_path):
     cb = cc.load_codebook(write_codebook(tmp_path, ENTRIES))
     again = tmp_path / "again.json"

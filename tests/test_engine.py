@@ -293,6 +293,14 @@ class TestConsensus:
             else:
                 assert cell.value is True and cell.support == 0.5 and cell.tie
 
+    @pytest.mark.parametrize(
+        "trues, n, modal",
+        [(1, 2, (True, 0.5)), (7, 14, (True, 0.5)), (2, 3, (True, 2 / 3)), (1, 3, (False, 2 / 3)),
+         (0, 15, (False, 1.0)), (15, 15, (True, 1.0))],
+    )
+    def test_modal_code_goes_to_true_on_an_even_split(self, trues, n, modal):
+        assert engine.modal_code(trues, n) == modal
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cc.consensus([])
@@ -867,14 +875,35 @@ class TestConcurrentDispatch:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize("mode, max_inflight", [("replay", 8), ("record", 1)])
+    def test_one_prompt_in_flight_runs_in_the_callers_thread(self, codebook, tiny_corpus, tmp_path, mode, max_inflight):
+        # A replay client has one prompt in flight whatever it is given.
+        cfg = cc.RunConfig(model="m", strategy="whole", iterations=2)
+        cache = tmp_path / "cache"
+        if mode == "replay":
+            with network_client(FakeTransport(), 8, "record", cache) as recorder:
+                assert cc.run_iterations(tiny_corpus, codebook, cfg, recorder).ok
+        client = network_client(FakeTransport(), max_inflight, mode, cache)
+        threads_before = threading.active_count()
+        alive = []
+        with client:
+            rr = cc.run_iterations(
+                tiny_corpus, codebook, cfg, client, record_sink=lambda r: alive.append(threading.active_count())
+            )
+        assert rr.ok and alive == [threads_before] * (2 * 3 * 2)
+
     def test_mock_mode_runs_inline(self, codebook, tiny_corpus):
         responder = FakeTransport(delay=lambda: 0.01)
         client = cc.LLMClient(mode="mock", mock=responder, max_inflight=8)
         cfg = cc.RunConfig(model="m", strategy="whole", iterations=2)
         threads_before = threading.active_count()
-        assert cc.run_iterations(tiny_corpus, codebook, cfg, client).ok
+        alive = []
+        rr = cc.run_iterations(
+            tiny_corpus, codebook, cfg, client, record_sink=lambda r: alive.append(threading.active_count())
+        )
+        assert rr.ok
         assert responder.peak == 1
-        assert threading.active_count() == threads_before
+        assert alive == [threads_before] * (2 * 3 * 2)
 
     def test_outputs_independent_of_completion_order(self, codebook, tiny_corpus, tmp_path):
         doc_a = tiny_corpus[0]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -158,4 +159,10 @@ class TestLoading:
             cc.load_manifest(manifest)
         manifest.write_text('[{"doc_id": 3, "path": "a.txt"}]', encoding="utf-8")
         with pytest.raises(IngestionError):
+            cc.load_manifest(manifest)
+
+    def test_manifest_not_json(self, tmp_path):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[{not json", encoding="utf-8")
+        with pytest.raises(IngestionError, match=f"cannot read manifest {re.escape(str(manifest))}: Expecting"):
             cc.load_manifest(manifest)

@@ -233,6 +233,12 @@ class TestClientModes:
         with cc.LLMClient(mode=mode, cache_dir=tmp_path, mock=lambda request: "ok") as client:
             assert client._transport is None
 
+    @pytest.mark.parametrize("mode, in_flight", [("live", 8), ("record", 8), ("replay", 1), ("mock", 1)])
+    def test_only_a_network_client_has_more_than_one_prompt_in_flight(self, tmp_path, mode, in_flight):
+        options = dict(mode=mode, base_url="http://t/v1", cache_dir=tmp_path, mock=lambda request: "ok", max_inflight=8)
+        with FakeTransport().client(**options) as client:
+            assert client.max_inflight == in_flight
+
     @pytest.mark.parametrize("mode", ["live", "record"])
     def test_network_client_builds_its_own_session(self, monkeypatch, tmp_path, mode):
         built = []
@@ -794,6 +800,14 @@ class TestAnswerReader:
             assert self.complete_twice(endpoint) == ["Yes."] * 2
         assert (len(endpoint.bodies), endpoint.connections) == (2, 1)
 
+    def test_204_answer_has_an_empty_body_and_keeps_the_connection(self):
+        class Socket:  # the whole answer came with its first bytes
+            def recv(self, size):
+                raise AssertionError("read past the head of a 204")
+
+        response, keep = llm_client._read_answer(Socket(), b"HTTP/1.1 204 No Content\r\nX-Id: 7\r\n\r\n")
+        assert (response.status, response.headers, response.content, keep) == (204, {"x-id": "7"}, b"", True)
+
     @pytest.mark.parametrize(
         "raw",
         [
@@ -817,8 +831,25 @@ class TestAnswerReader:
             (b"SSH-2.0-OpenSSH_9.6\r\n\r\n", "ProtocolError: not an HTTP/1.x status line: 'SSH-2.0-OpenSSH_9.6'"),
             (b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70000 + b"\r\n\r\n", "ProtocolError: answer head over 65536 bytes"),
             (b"", "RemoteDisconnected: Remote end closed connection without response"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n", "ProtocolError: truncated answer head: the connection closed"),
+            (b"HTTP/1.1 200 OK\r\nContent-Length 2\r\n\r\n{}", "ProtocolError: not a header field: 'Content-Length 2'"),
+            (
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2x\r\n{}\r\n0\r\n\r\n",
+                "ProtocolError: not a chunk size line: b'2x'",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}..0\r\n\r\n",
+                "ProtocolError: chunk data not followed by CRLF",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\nContent-Length: 2 bytes\r\n\r\n{}",
+                "ProtocolError: Content-Length '2 bytes' is not a byte count",
+            ),
         ],
-        ids=["truncated-body", "truncated-chunk", "not-http", "oversize-head", "no-answer"],
+        ids=[
+            "truncated-body", "truncated-chunk", "not-http", "oversize-head", "no-answer", "truncated-head",
+            "header-without-colon", "chunk-size-not-hex", "chunk-without-crlf", "content-length-not-a-count",
+        ],
     )
     def test_broken_answer_fails_the_cell_as_transient_naming_its_cause(self, raw, cause):
         codebook = cc.Codebook((cc.Dimension("d", "D", "Definition."),))
@@ -866,6 +897,62 @@ class TestCacheEntries:
         reader = llm_client.RequestCache(tmp_path, writable=False)
         assert {request: reader.get(request.request_key).text for request in texts} == texts
         reader.close()
+
+    def test_a_surrogate_pair_is_refused_before_anything_is_written(self, tmp_path):
+        # Written as two \uXXXX escapes, the pair would read back as one
+        # character: 4 code points put, 3 got.
+        cache = llm_client.RequestCache(tmp_path, writable=True)
+        request = make_request("pair")
+        text = "a" + chr(0xD83D) + chr(0xDE00) + "b"
+        position = len('["gpt-test","",{"text":"a')
+        with pytest.raises(ValueError, match=f"request_key {request.request_key} .* at position {position} of its JSON"):
+            cache.put(request.request_key, request, cc.LLMResponse(text=text))
+        assert cache.get(request.request_key) is None
+        cache.close()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_get_and_put_on_a_closed_cache_raise(self, tmp_path):
+        cache = llm_client.RequestCache(tmp_path, writable=True)
+        request = make_request()
+        cache.close()
+        with pytest.raises(ValueError, match="request cache is closed"):
+            cache.get(request.request_key)
+        with pytest.raises(ValueError, match="request cache is closed"):
+            cache.put(request.request_key, request, cc.LLMResponse(text="x"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_short_write_raises_and_its_torn_line_reads_as_a_miss(self, tmp_path):
+        cache = llm_client.RequestCache(tmp_path, writable=True)
+        torn, kept = make_request("torn"), make_request("kept")
+        write = os.write
+        with mock.patch.object(llm_client.os, "write", lambda fd, data: write(fd, data[: len(data) // 2])):
+            with pytest.raises(OSError, match="short write to cache segment .*segment-"):
+                cache.put(torn.request_key, torn, cc.LLMResponse(text="torn"))
+        assert cache.get(torn.request_key) is None
+        cache.put(kept.request_key, kept, cc.LLMResponse(text="kept"))
+        assert cache.get(kept.request_key).text == "kept"
+        cache.close()
+        assert len(list(tmp_path.glob("segment-*"))) == 2  # the next put opened a new segment
+        reader = llm_client.RequestCache(tmp_path, writable=False)
+        assert reader.get(torn.request_key) is None
+        assert reader.get(kept.request_key).text == "kept"
+        reader.close()
+
+    @pytest.mark.parametrize("writable", [True, False], ids=["record", "replay"])
+    def test_a_segment_removed_after_the_open(self, tmp_path, writable):
+        request = make_request()
+        recorder = llm_client.RequestCache(tmp_path, writable=True)
+        recorder.put(request.request_key, request, cc.LLMResponse(text="x"))
+        recorder.close()
+        (segment,) = tmp_path.glob("segment-*")
+        cache = llm_client.RequestCache(tmp_path, writable=writable)
+        segment.unlink()
+        if writable:
+            assert cache.get(request.request_key) is None
+        else:
+            with pytest.raises(CacheMissError, match=f"corrupt cache entry {re.escape(str(segment))}: .*No such file"):
+                cache.get(request.request_key)
+        cache.close()
 
     def test_entry_recorded_with_its_prompt_still_serves(self, old_cache_entry, tmp_path):
         entry = json.loads(old_cache_entry.read_text(encoding="utf-8"))

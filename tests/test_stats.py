@@ -400,6 +400,18 @@ class TestSamplesCSV:
             cs.read_samples_csv(path)
         assert str(raised.value) == f"{path}:3: expected 'group,value'"
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [("", "empty samples file"), ("group,value\n", "no sample rows"), ("group,value\n\n\n", "no sample rows")],
+        ids=["empty", "header-only", "header-and-blank-lines"],
+    )
+    def test_a_file_without_samples_is_refused(self, tmp_path, text, problem):
+        path = tmp_path / "samples.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as raised:
+            cs.read_samples_csv(path)
+        assert str(raised.value) == f"{path}: {problem}"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("label,measure\na,1\n", encoding="utf-8")
