@@ -317,7 +317,7 @@ def read_ratings_csv(path: str | Path) -> RatingMatrix:
     Header: ``doc_id,dimension_id,<rater>...``; cells are T or F.
     """
     p = Path(path)
-    with open(p, encoding="utf-8", newline="") as fh:
+    with open(p, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import agreement, engine, report, stats
 from .classifier import default_key_phrases, load_key_phrases
@@ -189,6 +190,10 @@ def stats_command(samples_path, test_name, sides, target, bonferroni, out_path):
     """Run a significance test over grouped samples and print the result."""
     if test_name not in _STATS_TESTS:
         _fail(f"unknown test {test_name!r}; expected one of {', '.join(_STATS_TESTS)}")
+    if test_name == "kruskal-wallis" and (
+        click.get_current_context().get_parameter_source("sides") is not ParameterSource.DEFAULT
+    ):
+        _fail("kruskal-wallis takes no --sides: its H statistic has no direction")
     try:
         groups = stats.read_samples_csv(samples_path)
         rows = []

@@ -52,6 +52,10 @@ class TestRatingMatrix:
             )
         with pytest.raises(ValueError, match="missing ratings"):
             cc.RatingMatrix(subjects=(("d", "x"),), raters=("a", "b"), codes=((True,),))
+        with pytest.raises(ValueError, match="^a rating matrix needs at least one rater$"):
+            cc.RatingMatrix(subjects=(("d", "x"),), raters=(), codes=((),))
+        with pytest.raises(ValueError, match="^one code row per subject is required$"):
+            cc.RatingMatrix(subjects=(("d", "x"), ("d", "y")), raters=("a",), codes=((True,),))
 
     def test_with_rater_appends_column(self):
         m = matrix(FIXTURE_ROWS)
@@ -344,6 +348,22 @@ class TestRatingsCSV:
         path.write_text("paper,dim,r1\nd,x,T\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
             cc.read_ratings_csv(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "ratings.csv"
+        path.write_text("doc_id,dimension_id,r1\nd,x,T\n\nd,y,F\n\n", encoding="utf-8")
+        m = cc.read_ratings_csv(path)
+        assert m.subjects == (("d", "x"), ("d", "y"))
+        assert m.codes == ((True,), (False,))
+
+    def test_a_leading_byte_order_mark_reads_as_without_one(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with one.
+        text = "doc_id,dimension_id,r1,r2\r\nd,x,T,F\r\nd,y,F,F\r\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8", newline="")
+        marked.write_text("\ufeff" + text, encoding="utf-8", newline="")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert cc.read_ratings_csv(marked) == cc.read_ratings_csv(plain)
 
     def test_accepts_spelled_out_booleans(self, tmp_path):
         path = tmp_path / "ratings.csv"

@@ -37,6 +37,12 @@ def test_empty_definition_rejected(tmp_path):
         cc.load_codebook(write_codebook(tmp_path, entries))
 
 
+def test_empty_name_rejected(tmp_path):
+    entries = [{"id": "x", "name": "", "definition": "Something."}]
+    with pytest.raises(CodebookError, match="^dimension 'x' has an empty name$"):
+        cc.load_codebook(write_codebook(tmp_path, entries))
+
+
 def test_empty_list_rejected(tmp_path):
     with pytest.raises(CodebookError, match="at least one"):
         cc.load_codebook(write_codebook(tmp_path, []))

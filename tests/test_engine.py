@@ -82,6 +82,7 @@ class TestRunConfig:
             {"model": "m", "strategy": "sideways"},
             {"model": "m", "chunk_size": 0},
             {"model": "m", "iterations": 0},
+            {"model": "m", "phrases": ["the text discusses"]},
         ],
     )
     def test_validation(self, kwargs):

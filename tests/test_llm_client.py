@@ -358,6 +358,14 @@ class TestClientModes:
     def test_base_url_with_a_non_ascii_host_is_left_to_idna(self):
         cc.LLMClient(mode="live", base_url="http://b\u00fccher.example/v1").close()
 
+    @pytest.mark.usefixtures("no_proxy")
+    def test_base_url_whose_host_idna_cannot_encode_is_refused(self):
+        base_url = "http://b\u00fc..example/v1"
+        with mock.patch("socket.create_connection") as connect:
+            with pytest.raises(ConfigError, match=re.escape(f"base URL {base_url!r} cannot be sent: ")):
+                cc.LLMClient(mode="live", base_url=base_url)
+        assert not connect.called
+
     @pytest.mark.parametrize("mode", ["live", "record"])
     def test_api_key_argument_not_visible_ascii_is_refused_unquoted(self, tmp_path, mode):
         with pytest.raises(ConfigError) as refused:
@@ -1065,6 +1073,17 @@ class TestCacheEntries:
         assert replayer.complete(served).text == "kept"
         with pytest.raises(CacheMissError, match="no cached response"):
             replayer.complete(unserved)
+
+    def test_key_in_neither_a_segment_nor_a_flat_file_is_a_miss(self, tmp_path):
+        flat, absent = make_request("flat"), make_request("absent")
+        (tmp_path / flat.request_key).write_text('{"response": {"text": "flat"}}', encoding="utf-8")
+        with pytest.raises(CacheMissError, match=f"^no cached response for request_key {absent.request_key}$"):
+            cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(absent)
+        transport = Scripted(completion("posted", **META))
+        with record_client(tmp_path, transport) as client:
+            assert client.complete(absent).text == "posted"
+            assert client.complete(flat).text == "flat"
+        assert transport.calls == 1
 
     def test_later_line_for_a_key_wins(self, tmp_path):
         req = make_request("p")

@@ -1019,6 +1019,14 @@ GOLDEN_REPORT_SHA256 = {
 }
 
 
+def test_report_bundle_without_runs_is_refused_before_writing(workspace):
+    manual = agreement.read_ratings_csv(workspace / "manual.csv")
+    dest = workspace / "reports"
+    with pytest.raises(ValueError, match="^a report needs at least one run$"):
+        report.write_report_bundle(dest, [], manual)
+    assert not dest.exists()
+
+
 def test_golden_report_bytes(workspace):
     """Pin the bytes of every evaluate table and of the consensus command's
     outputs for a mock chunk run and a mock whole run."""
@@ -1096,7 +1104,7 @@ GOLDEN_STATS_SHA256 = {
     ),
     "kw-ties": (
         "3f92ee383b27d6203b78102e594b93c47bfc695afb187160159fc4cc4a317a46",
-        "47c27c76dca060a84222771c44442ca8ddcc1e296b8dab76394fc3e8b5f6c7ff",
+        "5a0f09783eccaa82dd344dcf4e2ffe1cc5c94be66087dc9adfbf387f48107891",
     ),
     "mw-approx": (
         "c15b4b02f1df690d94d8d660981df0cc3e2acb33ad09cc410bc19aca96391f72",
@@ -1192,6 +1200,14 @@ class TestStatsCommand:
         result = cli("stats", "--samples", path, "--test", test_name, "--target", "0.5")
         assert result.exit_code == 1
         assert f"error: {problem}" in result.output
+
+    @pytest.mark.parametrize("sides", ["two", "less", "greater"])
+    def test_kruskal_wallis_refuses_sides_before_reading_the_samples(self, tmp_path, sides):
+        path = tmp_path / "samples.csv"
+        path.write_text("not,a samples file\n", encoding="utf-8")
+        result = cli("stats", "--samples", path, "--test", "kruskal-wallis", "--sides", sides)
+        assert result.exit_code == 1
+        assert result.output == "error: kruskal-wallis takes no --sides: its H statistic has no direction\n"
 
     def test_unknown_test_exits_one(self, tmp_path):
         path = tmp_path / "samples.csv"

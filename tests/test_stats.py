@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -368,6 +369,55 @@ class TestChiSquareSF:
         with pytest.raises(ValueError):
             cs.chi_square_sf(1.0, 0)
 
+    # (df, x, Q): Q is mpmath 1.3.0's gammainc(df/2, x/2, inf, regularized=True)
+    # at mp.dps = 60, rounded to the nearest float. Unlike chi_square_sf_oracle
+    # it shares no closed form with the code under test.
+    MPMATH_REFERENCE = [
+        (1, 0.5, 0.4795001221869535),
+        (1, 3.841, 0.0500136837639567),
+        (2, 31.0, 1.8553913626159784e-07),
+        (3, 0.01, 0.9997348349413444),
+        (4, 9.2, 0.056290280169948075),
+        (5, 20.0, 0.0012497305630313753),
+        (7, 55.0, 1.4909069484204908e-09),
+        (10, 1.0, 0.9998278843700441),
+        (25, 30.0, 0.22428900483440392),
+        (50, 333.3, 1.6690768903634888e-43),
+        (99, 150.0, 0.0007204453957169629),
+        (41, 1400.0, 5.657578192413954e-267),
+        (60, 1400.0, 3.7455417501517596e-253),
+        (100, 1.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("df, x, q", MPMATH_REFERENCE)
+    def test_matches_mpmath_reference(self, df, x, q):
+        assert cs.chi_square_sf(x, df) == pytest.approx(q, rel=1e-12)
+
+    def test_whole_float_df_is_the_integer(self):
+        assert cs.chi_square_sf(4.5, 3.0) == cs.chi_square_sf(4.5, 3)
+
+    @pytest.mark.parametrize("df", [0, 2.5, math.nan, math.inf])
+    def test_df_not_a_whole_number_from_one_is_refused_naming_it(self, df):
+        with pytest.raises(ValueError, match=f"got {df}$"):
+            cs.chi_square_sf(1.0, df)
+
+    def test_nan_statistic_is_refused_naming_it(self):
+        with pytest.raises(ValueError, match="got nan$"):
+            cs.chi_square_sf(math.nan, 2)
+
+    def test_infinite_statistic_has_no_tail(self):
+        for df in (1, 2, 5):
+            assert cs.chi_square_sf(math.inf, df) == 0.0
+
+    def test_subnormal_statistic_whose_half_underflows(self):
+        for df in (1, 2, 5):
+            assert cs.chi_square_sf(5e-324, df) == 1.0
+
+    def test_huge_df_stops_once_the_terms_cannot_move_the_sum(self):
+        start = time.process_time()
+        assert cs.chi_square_sf(5.0, 10**9) == 1.0
+        assert time.process_time() - start < 1.0
+
 
 class TestSamplesCSV:
     def test_groups_in_first_seen_order(self, tmp_path):
@@ -378,6 +428,15 @@ class TestSamplesCSV:
         groups = cs.read_samples_csv(path)
         assert [g.label for g in groups] == ["chunk", "whole"]
         assert groups[0].values == (0.9, 0.95)
+
+    def test_a_leading_byte_order_mark_reads_as_without_one(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with one.
+        text = "group,value\r\nchunk,0.9\r\nwhole,0.7\r\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8", newline="")
+        marked.write_text("\ufeff" + text, encoding="utf-8", newline="")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert cs.read_samples_csv(marked) == cs.read_samples_csv(plain)
 
     def test_bad_number(self, tmp_path):
         path = tmp_path / "samples.csv"
