@@ -194,6 +194,10 @@ def stats_command(samples_path, test_name, sides, target, bonferroni, out_path):
         click.get_current_context().get_parameter_source("sides") is not ParameterSource.DEFAULT
     ):
         _fail("kruskal-wallis takes no --sides: its H statistic has no direction")
+    if bonferroni and test_name != "pairwise-mann-whitney":
+        _fail(f"{test_name} takes no --bonferroni: only pairwise-mann-whitney makes several comparisons")
+    if target is not None and test_name != "wilcoxon":
+        _fail(f"{test_name} takes no --target: only wilcoxon compares with a target median")
     try:
         groups = stats.read_samples_csv(samples_path)
         rows = []

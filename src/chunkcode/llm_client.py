@@ -164,30 +164,6 @@ def _completion(resp: _Response, latency: float) -> LLMResponse:
     return LLMResponse(text=text, provider_meta=meta, from_cache=False)
 
 
-def _read_cache_entry(path: Path) -> LLMResponse | None:
-    """The response a flat cache entry holds, or None when there is none.
-
-    Flat entries are one JSON file per request key, as caches held them
-    before segments. Only ``response`` is read, so entries recorded with
-    their prompt text serve as well as those without. An entry that is
-    unreadable, not JSON, or holds no ``response`` object whose ``text`` is
-    a string raises OSError or ValueError.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
-    except FileNotFoundError:
-        return None
-    return _stored_response(entry.get("response") if isinstance(entry, dict) else None)
-
-
-def _stored_response(response) -> LLMResponse:
-    """The cached response a stored object holds; ValueError unless its ``text`` is a string."""
-    if not (isinstance(response, dict) and isinstance(response.get("text"), str)):
-        raise ValueError("no response object with a string text")
-    return LLMResponse(response["text"], response.get("provider_meta", {}), True)
-
-
 _raw_decode = json.JSONDecoder().raw_decode
 
 
@@ -219,7 +195,10 @@ def _response_from_line(line: bytes) -> LLMResponse:
         and isinstance(entry[1], str)
     ):
         raise ValueError("not a [model, tag, response] entry")
-    return _stored_response(entry[2])
+    response = entry[2]
+    if not (isinstance(response, dict) and isinstance(response.get("text"), str)):
+        raise ValueError("no response object with a string text")
+    return LLMResponse(response["text"], response.get("provider_meta", {}), True)
 
 
 _SEGMENT_NAME = re.compile(r"segment-(\d+)-\d+-[0-9a-f]+")
@@ -367,20 +346,23 @@ class RequestCache:
     checks the whole key, so a key sharing another's prefix reads as a miss
     rather than as the other's response.
 
-    ``close`` on a cache that appended scans the directory again and saves
-    that index to ``index``: a JSON header line naming each segment and its
-    size, then the three arrays. So whichever of several recording caches
-    closes last indexes every segment. The next open loads it in place of
-    the scan when it names exactly the segments in the directory at their
-    present sizes and its byte order, item sizes, entry count and checksum
-    hold; any other index is ignored.
+    ``close`` on a cache that appended, or on a writable one whose open
+    found segments but no index describing them, scans the directory again
+    and saves that index to ``index``: a JSON header line naming each
+    segment and its size, then the three arrays. So whichever of several
+    recording caches closes last indexes every segment, and a rerun that
+    appends nothing restores an index a killed close never saved. The next
+    open loads it in place of the scan when it names exactly the segments in
+    the directory at their present sizes and its byte order, item sizes,
+    entry count and checksum hold; any other index is ignored.
 
-    A key not in the index falls back to a flat file named by the key, the
-    layout of caches recorded before segments; flat files are never
-    written. A writable cache treats a corrupt entry as a miss, so its
-    caller fetches it again and the appended line wins. A read-only one
-    raises ``CacheMissError`` naming the file (and a segment's line), and
-    treats a missing directory as empty, creating nothing.
+    A key not in the index is a miss. A writable cache treats a corrupt
+    line as a miss, so its caller fetches it again and the appended line
+    wins. A read-only one raises ``CacheMissError`` naming the segment and
+    line, and treats a missing directory as empty, creating nothing.
+    Caches recorded before segments held one JSON file per key; an open
+    that finds such flat entries raises ``ConfigError`` before it writes
+    anything, naming the conversion script.
 
     ``get`` and ``put`` are safe to call from several threads. The cache
     holds at most ``MAX_OPEN_SEGMENTS`` descriptors, released by ``close``
@@ -400,22 +382,29 @@ class RequestCache:
             names = os.listdir(self.directory)
         except FileNotFoundError:
             names = []
-        self._has_flat = any(_FLAT_NAME.fullmatch(name) for name in names)
+        flat = sum(1 for name in names if _FLAT_NAME.fullmatch(name))
+        if flat:
+            raise ConfigError(
+                f"request cache {self.directory} holds {flat} flat entries (one file per key),"
+                " a layout no longer read; convert them once with:"
+                f" python scripts/convert_flat_cache.py --cache-dir {self.directory}"
+            )
         in_order = _segment_names(names)
         self._generation = int(_SEGMENT_NAME.fullmatch(in_order[-1]).group(1)) + 1 if in_order else 1
-        sizes, (self._prefixes, self._positions, self._lengths) = (
-            _load_index(self.directory, in_order) or _scan(self.directory, in_order)
-        )
+        loaded = _load_index(self.directory, in_order)
+        sizes, (self._prefixes, self._positions, self._lengths) = loaded or _scan(self.directory, in_order)
+        self._unindexed = writable and bool(in_order) and loaded is None
         self._paths = [self.directory / name for name in in_order]
         self._bases = [0, *itertools.accumulate(sizes)]  # where each segment starts, end to end
         self._end = self._bases.pop()
         self._puts: dict[int, int] = {}  # prefix -> position << 32 | length
 
     def close(self) -> None:
-        """Save the index if this cache appended, then release the open
-        descriptors; the cache is not used after this."""
+        """Save the index if this cache appended, or if it is writable and
+        its open found segments but no index describing them; then release
+        the open descriptors. The cache is not used after this."""
         with self._lock:
-            if self._release.alive and self._puts:
+            if self._release.alive and (self._puts or self._unindexed):
                 _save_index(self.directory)
             self._release()
 
@@ -442,15 +431,7 @@ class RequestCache:
                 return _response_from_line(line)
             except ValueError as exc:
                 return self._corrupt(position, exc)
-        if not self._has_flat:
-            return None
-        path = self.directory / key
-        try:
-            return _read_cache_entry(path)
-        except (OSError, ValueError) as exc:
-            if self.writable:
-                return None
-            raise CacheMissError(f"corrupt cache entry {path}: {exc}") from exc
+        return None
 
     def put(self, key: str, request: PromptRequest, response: LLMResponse) -> None:
         """Append ``response`` under ``key`` to this cache's segment.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -193,6 +194,7 @@ def write_run(
     )
     for name in (ITERATION_RESULTS_NAME, CONSENSUS_NAME, FAILURES_NAME):
         (out / name).unlink(missing_ok=True)
+        _temp_name(out / name).unlink(missing_ok=True)
     with open(out / RECORDS_NAME, "w", encoding="utf-8", newline="\n") as fh:
         result = engine.run_iterations(
             corpus, cb, cfg, client, record_sink=lambda r: fh.write(engine.record_to_json(r) + "\n")
@@ -203,7 +205,11 @@ def write_run(
 
 def write_run_outputs(out: Path, meta: dict, result: engine.RunResult) -> None:
     """Persist a finished run's tables beside its records and metadata:
-    iteration results, consensus, and the failure manifest when cells failed.
+    iteration results, the failure manifest when cells failed, and consensus.
+
+    Each is written whole to a temp name and renamed into place, consensus
+    last, so a table that exists is complete and ``consensus.csv`` marks a
+    finished run.
     """
     rows = [
         {
@@ -214,24 +220,40 @@ def write_run_outputs(out: Path, meta: dict, result: engine.RunResult) -> None:
         }
         for r in result.results
     ]
-    write_table_csv(
+    _write_whole(
         out / ITERATION_RESULTS_NAME,
-        ["doc_id", "dimension_id", "iteration", "value"],
-        rows,
-    )
-
-    write_consensus_csv(
-        out / CONSENSUS_NAME,
-        engine.consensus_table(result.results),
-        meta["doc_ids"],
-        meta["dimension_ids"],
+        lambda path: write_table_csv(path, ["doc_id", "dimension_id", "iteration", "value"], rows),
     )
 
     if result.failures:
         manifest = [asdict(f) for f in result.failures]
-        (out / FAILURES_NAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        _write_whole(
+            out / FAILURES_NAME,
+            lambda path: path.write_text(
+                json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            ),
         )
+
+    table = engine.consensus_table(result.results)
+    _write_whole(
+        out / CONSENSUS_NAME,
+        lambda path: write_consensus_csv(path, table, meta["doc_ids"], meta["dimension_ids"]),
+    )
+
+
+def _temp_name(path: Path) -> Path:
+    return path.with_name(path.name + ".part")
+
+
+def _write_whole(path: Path, write: Callable[[Path], None]) -> None:
+    """``write`` the file to a temp name beside ``path``, then rename it to
+    ``path``; a write that fails or is interrupted removes the temp file."""
+    temp = _temp_name(path)
+    try:
+        write(temp)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def write_consensus_csv(

@@ -7,6 +7,8 @@ from hypothesis import HealthCheck, settings
 import chunkcode as cc
 
 sys.path.insert(0, str(Path(__file__).parent))
+# The scripts, for the conversion of flat cache entries.
+sys.path.insert(0, str(Path(__file__).parent.parent / "scripts"))
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]

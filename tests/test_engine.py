@@ -22,6 +22,7 @@ import chunkcode as cc
 from chunkcode import engine, llm_client, report
 from chunkcode.engine import cell_tag, record_from_json, record_to_json
 from chunkcode.errors import ConfigError
+import convert_flat_cache
 from fake_transport import FakeTransport
 from local_endpoint import LocalEndpoint
 
@@ -626,12 +627,14 @@ def recorded_segments(cache):
     return segments
 
 
-def test_cache_mixing_entry_shapes_replays_the_recorded_bytes(
+def test_cache_mixing_entry_shapes_replays_the_recorded_bytes_once_converted(
     codebook, tiny_corpus, old_cache_entry, tmp_path
 ):
     """Flat entries, as caches held them before segments (with and without
-    their prompt text), serve beside segment lines; a record-mode rerun
-    sends no request and writes nothing."""
+    their prompt text), beside segment lines: every open refuses the cache
+    and creates nothing. Once converted it replays the recorded bytes; a
+    record-mode rerun sends no request and writes nothing, and a second
+    conversion appends nothing."""
     cache = tmp_path / "cache"
     run = functools.partial(cached_run, codebook, tiny_corpus, cache)
     _, recorded = run(tmp_path / "record", "record")
@@ -658,12 +661,24 @@ def test_cache_mixing_entry_shapes_replays_the_recorded_bytes(
     lines.pop(old_cache_entry.name, None)
     shutil.copy(old_cache_entry, cache)
     segment.write_bytes(b"".join(lines.values()))
+    flat = len(records) - len(lines)
     listing = sorted(cache.iterdir())
+    assert len(listing) == flat + 2  # the segment and the index
 
+    for mode in ("replay", "record"):
+        with pytest.raises(ConfigError, match=f"holds {flat} flat entries"):
+            run(tmp_path / f"refused {mode}", mode)
+        assert not (tmp_path / f"refused {mode}").exists()
+        assert sorted(cache.iterdir()) == listing
+
+    assert convert_flat_cache.convert(cache) == (flat, flat, [])
+    listing = sorted(cache.iterdir())
     assert run(tmp_path / "replay", "replay")[1] == recorded
     endpoint = FakeTransport()
     assert run(tmp_path / "rerun", "record", endpoint)[1] == recorded
     assert endpoint.calls == 0
+    assert sorted(cache.iterdir()) == listing
+    assert convert_flat_cache.convert(cache) == (0, 0, [])
     assert sorted(cache.iterdir()) == listing
 
 

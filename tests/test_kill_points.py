@@ -1,0 +1,115 @@
+"""Record runs killed with SIGKILL at chosen points, then rerun.
+
+A child process records a run with the real client and CLI against
+``LocalEndpoint``, and kills itself at the point the test names by wrapping
+the call at that point; the program has no hook for it. After the kill,
+every table in the run directory is whole: it equals the uninterrupted
+run's or is absent. A rerun into the same run directory and cache gives the
+uninterrupted run's bytes, and leaves a cache whose next open loads its
+saved index.
+"""
+
+import json
+import os
+import signal
+import subprocess
+import sys
+
+import pytest
+
+import chunkcode as cc
+from chunkcode import llm_client, report
+from local_endpoint import LocalEndpoint
+
+RECORDER = """if True:
+    import os, signal, sys
+    from pathlib import Path
+    from chunkcode import cli, report
+
+    point, *args = sys.argv[1:]
+
+    def die(*_):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    if point.startswith("index"):
+        replace = os.replace
+
+        def replacing(src, dst):
+            saving = Path(dst).name == "index"
+            if saving and point == "index before its rename":
+                die()
+            replace(src, dst)
+            if saving:
+                die()
+
+        os.replace = replacing
+    elif point == "between the tables":
+        report.write_consensus_csv = die
+    elif point == "inside consensus.csv":
+        write_table_csv = report.write_table_csv
+
+        def cut_short(path, fieldnames, rows):
+            write_table_csv(path, fieldnames, rows)
+            if Path(path).name.startswith(report.CONSENSUS_NAME):
+                with open(path, "r+b") as fh:
+                    fh.truncate(os.fstat(fh.fileno()).st_size // 2)
+                die()
+
+        report.write_table_csv = cut_short
+    cli.main(args)
+"""
+
+KILL_POINTS = ["index before its rename", "index after its rename", "between the tables", "inside consensus.csv"]
+TABLES = (report.ITERATION_RESULTS_NAME, report.FAILURES_NAME, report.CONSENSUS_NAME)
+OUTPUTS = (report.RUN_META_NAME, report.RECORDS_NAME, report.ITERATION_RESULTS_NAME, report.CONSENSUS_NAME)
+
+
+@pytest.fixture(scope="module")
+def recorder(tmp_path_factory):
+    """Runs ``RECORDER`` at a kill point into a run directory and a cache, and
+    the uninterrupted run's directory."""
+    workspace = tmp_path_factory.mktemp("kills")
+    docs = {"doc-a": " ".join(f"alpha{i}" for i in range(9)), "doc-b": " ".join(f"beta{i}" for i in range(4))}
+    for doc_id, text in docs.items():
+        (workspace / f"{doc_id}.txt").write_text(text, encoding="utf-8")
+    manifest = workspace / "manifest.json"
+    manifest.write_text(json.dumps([{"doc_id": d, "path": f"{d}.txt"} for d in docs]), encoding="utf-8")
+    env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cc.__file__))
+
+    with LocalEndpoint() as endpoint:
+        env[llm_client.BASE_URL_ENV] = endpoint.url
+
+        def record(point, name):
+            args = [
+                "run", "--manifest", manifest, "--model", "m", "--chunk-size", 3, "--iterations", 2,
+                "--cache-mode", "record", "--cache-dir", workspace / f"cache {name}",
+                "--out", workspace / name,
+            ]
+            done = subprocess.run(
+                [sys.executable, "-c", RECORDER, point, *map(str, args)],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            return done.returncode, workspace / name, workspace / f"cache {name}"
+
+        status, full, _ = record("none", "full")
+        assert status == 0
+        yield record, full
+
+
+@pytest.mark.parametrize("point", KILL_POINTS)
+def test_a_kill_leaves_whole_tables_and_a_rerun_the_uninterrupted_bytes(recorder, point):
+    record, full = recorder
+    status, out, cache = record(point, point)
+    assert status == -signal.SIGKILL  # killed at the point
+    for name in TABLES:
+        if (out / name).exists():
+            assert (full / name).exists() and (out / name).read_bytes() == (full / name).read_bytes(), name
+
+    status, _, _ = record("none", point)
+    assert status == 0
+    for name in OUTPUTS:
+        assert (out / name).read_bytes() == (full / name).read_bytes(), name
+    assert sorted(path.name for path in out.iterdir()) == sorted(path.name for path in full.iterdir())
+    names = llm_client._segment_names(os.listdir(cache))
+    assert llm_client._load_index(cache, names) is not None

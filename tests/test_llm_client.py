@@ -7,6 +7,7 @@ import re
 import shutil
 import socket
 import ssl
+import subprocess
 import sys
 import tempfile
 import threading
@@ -25,6 +26,7 @@ import chunkcode as cc
 from chunkcode import llm_client
 from chunkcode.errors import CacheMissError, ConfigError, TransportError
 from chunkcode.llm_client import retry_delay
+import convert_flat_cache
 from fake_transport import FakeTransport, completion, reply
 from local_endpoint import ANSWERS, TLS_CA, LocalEndpoint, RawEndpoint
 
@@ -962,11 +964,35 @@ class TestCacheEntries:
                 cache.get(request.request_key)
         cache.close()
 
-    def test_entry_recorded_with_its_prompt_still_serves(self, old_cache_entry, tmp_path):
+    def test_an_open_finding_flat_entries_refuses_before_writing(self, tmp_path):
+        """A flat entry, one JSON file per key as caches held them before
+        segments, is refused by every open, naming the directory, the number
+        of entries and the conversion command; nothing is written."""
+        flat = [make_request(f"flat {i}") for i in range(2)]
+        for req in flat:
+            (tmp_path / req.request_key).write_text('{"response": {"text": "flat"}}', encoding="utf-8")
+        listing = sorted(tmp_path.iterdir())
+        refusal = (
+            f"^request cache {re.escape(str(tmp_path))} holds 2 flat entries .* convert them once with:"
+            f" python scripts/convert_flat_cache.py --cache-dir {re.escape(str(tmp_path))}$"
+        )
+        for writable in (True, False):
+            with pytest.raises(ConfigError, match=refusal):
+                llm_client.RequestCache(tmp_path, writable=writable)
+        for mode in ("record", "replay"):
+            with pytest.raises(ConfigError, match=refusal):
+                cc.LLMClient(mode=mode, base_url="http://t/v1", cache_dir=tmp_path)
+        assert sorted(tmp_path.iterdir()) == listing
+
+    def test_entry_recorded_with_its_prompt_serves_once_converted(self, old_cache_entry, tmp_path):
         entry = json.loads(old_cache_entry.read_text(encoding="utf-8"))
         req = cc.PromptRequest(**entry["request"])
         assert req.request_key == old_cache_entry.name
         shutil.copy(old_cache_entry, tmp_path)
+        assert convert_flat_cache.convert(tmp_path) == (1, 1, [])
+        assert (tmp_path / "flat-entries" / old_cache_entry.name).read_bytes() == old_cache_entry.read_bytes()
+        (segment,) = tmp_path.glob("segment-*")
+        assert json.loads(segment.read_bytes().split(b"\t", 1)[1])[:2] == [req.model, req.tag]
 
         replayed = cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req)
         assert replayed.text == entry["response"]["text"]
@@ -978,21 +1004,32 @@ class TestCacheEntries:
 
     @pytest.mark.parametrize(
         "content",
-        ['{"response": {}}', '{"response": "x"}', '{"response": {"text": 5}}', "[]", '{"resp'],
-        ids=["no text", "response not an object", "text not a string", "not an object", "not JSON"],
+        [
+            '{"response": {}}',
+            '{"response": "x"}',
+            '{"response": {"text": 5}}',
+            '{"response": {"text": "x", "provider_meta": 5}}',
+            "[]",
+            '{"resp',
+        ],
+        ids=["no text", "response not an object", "text not a string", "meta not an object", "not an object", "not JSON"],
     )
-    def test_malformed_entry_is_corrupt(self, tmp_path, content):
+    def test_malformed_entry_is_named_by_the_conversion_and_left_a_miss(self, tmp_path, content):
         req = make_request("p")
         path = tmp_path / req.request_key
         path.write_text(content, encoding="utf-8")
-        with pytest.raises(CacheMissError, match=f"corrupt cache entry {re.escape(str(path))}"):
+        moved, appended, unreadable = convert_flat_cache.convert(tmp_path)
+        kept = tmp_path / "flat-entries" / req.request_key
+        assert (moved, appended) == (1, 0)
+        assert [line.split(": ", 1)[0] for line in unreadable] == [str(kept)]
+        with pytest.raises(CacheMissError, match=f"^no cached response for request_key {req.request_key}$"):
             cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req)
 
         transport = Scripted(completion("fetched again", **META))
         assert record_client(tmp_path, transport).complete(req).text == "fetched again"
         assert transport.calls == 1
         assert cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req).text == "fetched again"
-        assert path.read_text(encoding="utf-8") == content  # flat files are never rewritten
+        assert kept.read_text(encoding="utf-8") == content  # flat files are never rewritten
 
     @pytest.mark.parametrize(
         "content",
@@ -1074,9 +1111,10 @@ class TestCacheEntries:
         with pytest.raises(CacheMissError, match="no cached response"):
             replayer.complete(unserved)
 
-    def test_key_in_neither_a_segment_nor_a_flat_file_is_a_miss(self, tmp_path):
-        flat, absent = make_request("flat"), make_request("absent")
+    def test_key_in_no_segment_is_a_miss_once_flat_entries_are_converted(self, tmp_path):
+        flat, absent = make_request("flat"), make_request("absent", tag="t")
         (tmp_path / flat.request_key).write_text('{"response": {"text": "flat"}}', encoding="utf-8")
+        assert convert_flat_cache.convert(tmp_path) == (1, 1, [])
         with pytest.raises(CacheMissError, match=f"^no cached response for request_key {absent.request_key}$"):
             cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(absent)
         transport = Scripted(completion("posted", **META))
@@ -1094,8 +1132,52 @@ class TestCacheEntries:
         (tmp_path / "segment-2-1-00").write_bytes(
             segment_entry(req.request_key, '["m","",{"text":"third"}]')
         )
-        (tmp_path / req.request_key).write_text('{"response": {"text": "flat"}}', encoding="utf-8")
         assert cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req).text == "third"
+
+    def test_conversion_keeps_a_segment_line_over_a_flat_entry_and_runs_once(self, tmp_path):
+        """Only entries no segment line serves are appended, in key order,
+        with the model and tag their request names (empty when absent); a
+        second conversion moves and appends nothing."""
+        both, bare, named = make_request("both"), make_request("bare"), make_request("named")
+        (tmp_path / "segment-1-1-00").write_bytes(segment_entry(both.request_key, '["m","",{"text":"segment"}]'))
+        entries = {
+            both: {"request": {"model": "m", "tag": "t"}, "response": {"text": "flat"}},
+            bare: {"response": {"text": "bare", "provider_meta": {"n": 1}}},
+            named: {"request": {"model": "m", "tag": "t", "prompt_text": "x"}, "response": {"text": "named"}},
+        }
+        for req, entry in entries.items():
+            (tmp_path / req.request_key).write_text(json.dumps(entry), encoding="utf-8")
+        assert convert_flat_cache.convert(tmp_path) == (3, 2, [])
+        (_, appended) = sorted(tmp_path.glob("segment-*"))
+        expected = {
+            bare.request_key: segment_entry(bare.request_key, '["","",{"text":"bare","provider_meta":{"n":1}}]'),
+            named.request_key: segment_entry(named.request_key, '["m","t",{"text":"named","provider_meta":{}}]'),
+        }
+        assert appended.read_bytes() == b"".join(expected[key] for key in sorted(expected))
+        reopened, scanned = open_read_only(tmp_path)
+        assert not scanned  # the conversion's close saved the index
+        assert [reopened.get(req.request_key).text for req in entries] == ["segment", "bare", "named"]
+        reopened.close()
+
+        listing = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+        assert convert_flat_cache.convert(tmp_path) == (0, 0, [])
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == listing
+
+    def test_conversion_command_reports_what_it_did(self, tmp_path):
+        script = Path(__file__).parent.parent / "scripts" / "convert_flat_cache.py"
+        req = make_request("p")
+        (tmp_path / req.request_key).write_text('{"response": {"text": "x"}}', encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cc.__file__)))
+        for appended in (1, 0):
+            done = subprocess.run(
+                [sys.executable, str(script), "--cache-dir", str(tmp_path)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert (done.returncode, done.stderr) == (0, "")
+            assert done.stdout == (
+                f"moved {appended} flat entries into {tmp_path / 'flat-entries'}; appended {appended}; 0 unreadable\n"
+            )
+        assert cc.LLMClient(mode="replay", cache_dir=tmp_path).complete(req).text == "x"
 
     def test_index_retains_at_most_24_bytes_per_entry(self, tmp_path):
         n = 51_000
@@ -1838,7 +1920,7 @@ class TestSavedIndex:
         assert [reopened.get(key).text for key in keys] == ["a first", "b", "b"]
         reopened.close()
 
-    def test_only_a_session_that_appended_writes_the_index(self, recorded):
+    def test_a_session_that_appends_nothing_leaves_a_valid_index_alone(self, recorded):
         directory, keys = recorded
         listing = {p.name: (p.stat().st_size, p.stat().st_mtime_ns) for p in directory.iterdir()}
         for writable in (False, True):
@@ -1846,3 +1928,25 @@ class TestSavedIndex:
             assert cache.get(keys[0]).text.startswith("answer")
             cache.close()
         assert {p.name: (p.stat().st_size, p.stat().st_mtime_ns) for p in directory.iterdir()} == listing
+
+    @pytest.mark.parametrize("lost", ["removed", "stale"])
+    def test_a_rerun_that_appends_nothing_restores_the_index(self, recorded, lost):
+        """A close killed before it saved the index leaves none, or one that
+        no longer describes the segments; a record rerun that finds every
+        prompt cached saves it, so the next open loads it. A replay does not."""
+        directory, keys = recorded
+        index = directory / llm_client.INDEX_NAME
+        if lost == "removed":
+            index.unlink()
+        else:
+            first = sorted(directory.glob("segment-*"))[0]
+            first.write_bytes(first.read_bytes() + b"no key here\n")
+        answers = [f"answer {key[:8]} {int(i >= 2)}" for i, key in enumerate(keys)]
+        with cc.LLMClient(mode="replay", cache_dir=directory) as client:
+            assert [client.complete(make_request(f"p{i}")).text for i in range(6)] == answers
+        assert open_read_only(directory)[1]
+        transport = Scripted(reply(500, "nothing should be sent"))
+        with record_client(directory, transport) as client:
+            assert [client.complete(make_request(f"p{i}")).text for i in range(6)] == answers
+        assert transport.calls == 0
+        self.assert_index_serves_a_scan(directory, [*keys, make_request("absent").request_key])

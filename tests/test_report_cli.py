@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -204,6 +205,24 @@ class TestRunCommand:
             result = cli("run", *run_args(workspace, workspace / f"rep{iterations}", **options))
             assert result.exit_code == exit_code, result.output
         assert listing() == before
+
+    @pytest.mark.parametrize("mode", ["record", "replay"])
+    def test_a_cache_holding_flat_entries_exits_one_creating_nothing(self, workspace, old_cache_entry, mode):
+        cache = workspace / "cache"
+        cache.mkdir()
+        shutil.copy(old_cache_entry, cache)
+        out = workspace / "out"
+        transport = StaticTransport("nothing should be sent")
+        with post_through(transport):
+            result = cli("run", *run_args(workspace, out, **{"--cache-mode": mode, "--cache-dir": cache}))
+        assert result.exit_code == 1
+        assert result.output == (
+            f"error: request cache {cache} holds 1 flat entries (one file per key), a layout no longer read;"
+            f" convert them once with: python scripts/convert_flat_cache.py --cache-dir {cache}\n"
+        )
+        assert transport.calls == 0
+        assert not out.exists()
+        assert [path.name for path in cache.iterdir()] == [old_cache_entry.name]
 
     def test_invalid_config_exits_one(self, workspace):
         result = cli("run", *run_args(workspace, workspace / "out", **{"--chunk-size": 0}))
@@ -1188,16 +1207,16 @@ class TestStatsCommand:
         assert "--target" in result.output
 
     @pytest.mark.parametrize(
-        "test_name, groups, problem",
+        "test_name, options, groups, problem",
         [
-            ("mann-whitney", {"a": [1], "b": [2], "c": [3]}, "mann-whitney needs exactly two groups, got 3"),
-            ("wilcoxon", {"a": [1], "b": [2]}, "wilcoxon needs exactly one group, got 2"),
+            ("mann-whitney", (), {"a": [1], "b": [2], "c": [3]}, "mann-whitney needs exactly two groups, got 3"),
+            ("wilcoxon", ("--target", "0.5"), {"a": [1], "b": [2]}, "wilcoxon needs exactly one group, got 2"),
         ],
     )
-    def test_wrong_number_of_groups_exits_one(self, tmp_path, test_name, groups, problem):
+    def test_wrong_number_of_groups_exits_one(self, tmp_path, test_name, options, groups, problem):
         path = tmp_path / "samples.csv"
         self.write_samples(path, groups)
-        result = cli("stats", "--samples", path, "--test", test_name, "--target", "0.5")
+        result = cli("stats", "--samples", path, "--test", test_name, *options)
         assert result.exit_code == 1
         assert f"error: {problem}" in result.output
 
@@ -1208,6 +1227,27 @@ class TestStatsCommand:
         result = cli("stats", "--samples", path, "--test", "kruskal-wallis", "--sides", sides)
         assert result.exit_code == 1
         assert result.output == "error: kruskal-wallis takes no --sides: its H statistic has no direction\n"
+
+    @pytest.mark.parametrize(
+        "test_name, option, problem",
+        [
+            pytest.param(name, option, problem, id=f"{name} {option[0]}")
+            for option, taker, problem in (
+                (("--bonferroni",), "pairwise-mann-whitney", "only pairwise-mann-whitney makes several comparisons"),
+                (("--target", "1"), "wilcoxon", "only wilcoxon compares with a target median"),
+            )
+            for name in ("mann-whitney", "kruskal-wallis", "wilcoxon", "pairwise-mann-whitney")
+            if name != taker
+        ],
+    )
+    def test_an_option_the_test_would_ignore_is_refused_before_reading_the_samples(
+        self, tmp_path, test_name, option, problem
+    ):
+        path = tmp_path / "samples.csv"
+        path.write_text("not,a samples file\n", encoding="utf-8")
+        result = cli("stats", "--samples", path, "--test", test_name, *option)
+        assert result.exit_code == 1
+        assert result.output == f"error: {test_name} takes no {option[0]}: {problem}\n"
 
     def test_unknown_test_exits_one(self, tmp_path):
         path = tmp_path / "samples.csv"
