@@ -16,8 +16,6 @@ from .errors import ChunkCodeError, SubjectMismatchError
 from .ingestion import load_manifest
 from .llm_client import CACHE_MODES, DEFAULT_MAX_INFLIGHT, LLMClient, PromptRequest, StochasticMock
 
-DEFAULT_FLIP_PROBABILITY = 0.1
-
 
 def _fail(message: str, code: int = 1) -> None:
     click.echo(f"error: {message}", err=True)
@@ -59,7 +57,7 @@ def _build_client(
 @click.option("--phrases", "phrases_path", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Override phrase list (JSON array of strings).")
 @click.option("--seed", type=int, default=0, show_default=True, help="Mock-mode seed.")
-@click.option("--flip-probability", type=float, default=DEFAULT_FLIP_PROBABILITY,
+@click.option("--flip-probability", type=float, default=0.1,
               show_default=True, help="Mock-mode flip probability.")
 @click.option("--word-boundary", is_flag=True, help="Match key phrases on word boundaries.")
 @click.option("--max-prompt-words", type=int, default=None,
@@ -76,6 +74,11 @@ def run(manifest_path, codebook_path, model, strategy, chunk_size, iterations,
     written next to the results), 1 on configuration errors and on a file
     that cannot be read or written.
     """
+    given = click.get_current_context().get_parameter_source
+    if cache_mode in ("live", "mock") and given("cache_dir") is not ParameterSource.DEFAULT:
+        _fail(f"--cache-mode {cache_mode} takes no --cache-dir: only record and replay use a cache")
+    if cache_mode != "mock" and given("flip_probability") is not ParameterSource.DEFAULT:
+        _fail(f"--cache-mode {cache_mode} takes no --flip-probability: only mock mode flips answers")
     try:
         cfg = engine.RunConfig(
             model=model,

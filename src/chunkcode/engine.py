@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import queue
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ from .ingestion import DocumentText, chunk_document
 from .llm_client import LLMClient, PromptRequest, decode_json, render_prompt
 
 STRATEGIES = ("whole", "chunk")
-# Cells claimed ahead of the one being consumed, per worker.
+# Cells handed out ahead of the one being consumed, per worker.
 _WINDOW_PER_WORKER = 4
 # Chunk indices lie below this. A document would need a million words at
 # chunk size 1 to reach it; a run that would reach it is refused, and so is
@@ -175,75 +176,69 @@ def _map_in_order(fn, items: Sequence, workers: int, stop: threading.Event) -> I
     """Yield ``fn(item)`` for each item, in order, computed on up to ``workers`` threads.
 
     One worker maps in the caller's thread, as there is nothing to overlap.
-    More start ``min(workers, len(items))`` threads, each claiming the next
-    unclaimed item, but none further than ``_WINDOW_PER_WORKER * workers``
-    items past the result being read: enough that one call sleeping through a
-    retry does not idle the other threads, few enough that a long run holds a
-    handful of results, not one per item. A call that raises, or closing the
-    generator, sets ``stop``: no further item starts, and the calls already
-    running, which may poll ``stop`` to end early, finish. Once every thread
-    has been joined, the exception of the first item in order whose call
-    raised is raised; no result is yielded after ``stop`` is set.
+    More start ``min(workers, len(items))`` threads that share only ``stop``
+    and two queues: each takes an item's index from ``todo`` and puts
+    ``(index, result, exception)`` on ``done``, which the caller's thread
+    alone reads. ``todo`` holds indices up to ``_WINDOW_PER_WORKER * workers``
+    past the result being read: enough that one call sleeping through a retry
+    does not idle the other threads, few enough that a long run holds a
+    handful of results. A call that raises, or closing the generator, sets
+    ``stop``: a thread that sees it takes no further index, one waiting on
+    ``todo`` ends at the ``None`` put there for it, and the calls running,
+    which may poll ``stop`` to end early, finish. Once every thread has been
+    joined, the first exception in item order is raised; no result is yielded
+    after ``stop`` is set.
     """
     if workers == 1:
         yield from map(fn, items)
         return
-    lock = threading.Lock()
-    room = threading.Condition(lock)  # the window moved on, or the pool stops
-    posted = threading.Condition(lock)  # the result read next, or an exception, was posted
-    results: dict = {}
-    errors: dict = {}
-    threads: list[threading.Thread] = []
-    window = _WINDOW_PER_WORKER * workers
-    claimed = 0  # index of the item claimed next
-    head = 0  # index of the result read next
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
 
     def work() -> None:
-        nonlocal claimed
-        while True:
-            with lock:
-                while not (stop.is_set() or claimed == len(items) or claimed <= head + window):
-                    room.wait()
-                if stop.is_set() or claimed == len(items):
-                    return
-                index = claimed
-                claimed += 1
-            try:
-                result = fn(items[index])
-            except BaseException as exc:
-                with lock:
-                    errors[index] = exc
-                    stop.set()
-                    room.notify_all()
-                    posted.notify()
+        while not stop.is_set():
+            index = todo.get()
+            if index is None:
                 return
-            with lock:
-                results[index] = result
-                if index == head:
-                    posted.notify()
+            try:
+                done.put((index, fn(items[index]), None))
+            except BaseException as exc:
+                stop.set()
+                done.put((index, None, exc))
 
+    window = _WINDOW_PER_WORKER * workers
+    for index in range(min(window + 1, len(items))):
+        todo.put(index)
+    results, errors = {}, {}  # read and written by this thread alone
+    threads: list[threading.Thread] = []
     try:
         for _ in range(min(workers, len(items))):
             thread = threading.Thread(target=work)
             thread.start()
             threads.append(thread)
         for head in range(len(items)):
-            with lock:
-                room.notify()  # the result before this one has been read
-                while head not in results and not stop.is_set():
-                    posted.wait()
-                if stop.is_set():
-                    break
-                result = results.pop(head)
-            yield result
+            while head not in results and not stop.is_set():
+                index, result, exc = done.get()
+                if exc is None:
+                    results[index] = result
+                else:
+                    errors[index] = exc
+            if stop.is_set():
+                break
+            yield results.pop(head)
+            if head + window + 1 < len(items):
+                todo.put(head + window + 1)
         else:
             return
     finally:
-        with lock:
-            stop.set()
-            room.notify_all()
+        stop.set()
+        for thread in threads:
+            todo.put(None)
         for thread in threads:
             thread.join()
+    while not done.empty():
+        index, _, exc = done.get()
+        if exc is not None:
+            errors[index] = exc
     raise errors[min(errors)]
 
 
@@ -288,8 +283,9 @@ def run_iterations(
     more of them than the cells in flight produce.
 
     Up to ``client.max_inflight`` cells run at once, each prompting its
-    bodies in order; at 1 they run in the caller's thread. Results are
-    consumed in canonical cell order (iteration, document, dimension), so
+    bodies in order: at 1 in the caller's thread, else on worker threads that
+    take cells from one queue and put outcomes on another, which the caller
+    reads in canonical cell order (iteration, document, dimension). So
     results, failures and the sink's stream are identical to a serial run.
     A failed prompt becomes its cell's ``CellFailure``, never an exception.
     An exception, including an interrupt, cancels the cells not yet started,

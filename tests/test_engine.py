@@ -863,7 +863,8 @@ class TestConcurrentDispatch:
 
     def test_random_pools_keep_order_and_raise_the_first_failure(self):
         # Seeded pools of 0-300 items on 1-39 workers, 0-2 of the items
-        # raising, with a thread switch every 10 microseconds.
+        # raising, with a thread switch every 10 microseconds. Each pool is
+        # also read by a consumer that closes it after some of its results.
         rng = random.Random(26)
         threads_before = threading.active_count()
         interval = sys.getswitchinterval()
@@ -887,6 +888,12 @@ class TestConcurrentDispatch:
                     assert raised.value.args == (first,)
                 assert yielded == list(range(first))[: len(yielded)]
                 assert raising or len(yielded) == size
+                assert threading.active_count() == threads_before
+
+                read = rng.randint(0, size)
+                results = engine._map_in_order(lambda item: item, range(size), workers, threading.Event())
+                assert [next(results) for _ in range(read)] == list(range(read))
+                results.close()
                 assert threading.active_count() == threads_before
         finally:
             sys.setswitchinterval(interval)

@@ -2,11 +2,11 @@
 
 A child process records a run with the real client and CLI against
 ``LocalEndpoint``, and kills itself at the point the test names by wrapping
-the call at that point; the program has no hook for it. After the kill,
-every table in the run directory is whole: it equals the uninterrupted
-run's or is absent. A rerun into the same run directory and cache gives the
-uninterrupted run's bytes, and leaves a cache whose next open loads its
-saved index.
+the call at that point, a post or a table's write among them; the program
+has no hook for it. After the kill, every table in the run directory is
+whole: it equals the uninterrupted run's or is absent. A rerun into the
+same run directory and cache gives the uninterrupted run's bytes, and leaves
+a cache whose next open loads its saved index.
 """
 
 import json
@@ -22,9 +22,9 @@ from chunkcode import llm_client, report
 from local_endpoint import LocalEndpoint
 
 RECORDER = """if True:
-    import os, signal, sys
+    import itertools, os, signal, sys
     from pathlib import Path
-    from chunkcode import cli, report
+    from chunkcode import cli, llm_client, report
 
     point, *args = sys.argv[1:]
 
@@ -45,12 +45,22 @@ RECORDER = """if True:
         os.replace = replacing
     elif point == "between the tables":
         report.write_consensus_csv = die
-    elif point == "inside consensus.csv":
+    elif point.startswith("after answer "):
+        post, answers = llm_client._Transport.post, itertools.count(1)
+
+        def answering(self, body):
+            answer = post(self, body)
+            if next(answers) == int(point.rpartition(" ")[2]):
+                die()
+            return answer
+
+        llm_client._Transport.post = answering
+    elif point.startswith("inside "):
         write_table_csv = report.write_table_csv
 
         def cut_short(path, fieldnames, rows):
             write_table_csv(path, fieldnames, rows)
-            if Path(path).name.startswith(report.CONSENSUS_NAME):
+            if Path(path).name.startswith(point[len("inside "):]):
                 with open(path, "r+b") as fh:
                     fh.truncate(os.fstat(fh.fileno()).st_size // 2)
                 die()
@@ -59,7 +69,12 @@ RECORDER = """if True:
     cli.main(args)
 """
 
-KILL_POINTS = ["index before its rename", "index after its rename", "between the tables", "inside consensus.csv"]
+# The recorder runs at the default in-flight count: 12 threads serve the run's
+# 12 cells, and its 30 answers arrive with other posts in flight.
+KILL_POINTS = [
+    "after answer 1", "after answer 15", "after answer 29", "index before its rename", "index after its rename",
+    "between the tables", "inside iteration_results.csv", "inside consensus.csv",
+]
 TABLES = (report.ITERATION_RESULTS_NAME, report.FAILURES_NAME, report.CONSENSUS_NAME)
 OUTPUTS = (report.RUN_META_NAME, report.RECORDS_NAME, report.ITERATION_RESULTS_NAME, report.CONSENSUS_NAME)
 
@@ -102,6 +117,7 @@ def test_a_kill_leaves_whole_tables_and_a_rerun_the_uninterrupted_bytes(recorder
     record, full = recorder
     status, out, cache = record(point, point)
     assert status == -signal.SIGKILL  # killed at the point
+    assert (full / report.RECORDS_NAME).read_bytes().startswith((out / report.RECORDS_NAME).read_bytes())
     for name in TABLES:
         if (out / name).exists():
             assert (full / name).exists() and (out / name).read_bytes() == (full / name).read_bytes(), name

@@ -224,6 +224,44 @@ class TestRunCommand:
         assert not out.exists()
         assert [path.name for path in cache.iterdir()] == [old_cache_entry.name]
 
+    @pytest.mark.parametrize(
+        "mode, option, value, reason",
+        [
+            ("live", "--cache-dir", "cache", "only record and replay use a cache"),
+            ("mock", "--cache-dir", "cache", "only record and replay use a cache"),
+            ("live", "--flip-probability", "0.1", "only mock mode flips answers"),
+            ("record", "--flip-probability", "0.2", "only mock mode flips answers"),
+            ("replay", "--flip-probability", "0.2", "only mock mode flips answers"),
+        ],
+    )
+    def test_an_option_the_cache_mode_ignores_exits_one_creating_nothing(
+        self, workspace, mode, option, value, reason
+    ):
+        # A live run given --cache-dir would pay for answers it never caches.
+        out, cache = workspace / "out", workspace / "cache"
+        options = {"--cache-mode": mode, option: value}
+        if mode in ("record", "replay"):
+            options["--cache-dir"] = cache
+        transport = StaticTransport("nothing should be sent")
+        with post_through(transport):
+            result = cli("run", *run_args(workspace, out, **options))
+        assert result.exit_code == 1
+        assert result.output == f"error: --cache-mode {mode} takes no {option}: {reason}\n"
+        assert transport.calls == 0
+        assert not out.exists() and not cache.exists()
+
+    @pytest.mark.parametrize("mode", ["live", "record"])
+    def test_seed_is_taken_and_recorded_in_every_mode(self, workspace, mode):
+        out = workspace / "out"
+        options = {"--cache-mode": mode, "--seed": 5, "--iterations": 1}
+        if mode == "record":
+            options["--cache-dir"] = workspace / "cache"
+        with post_through(StaticTransport("The paper does not focus on it.")):
+            result = cli("run", *run_args(workspace, out, **options))
+        assert result.exit_code == 0, result.output
+        meta = json.loads((out / report.RUN_META_NAME).read_text(encoding="utf-8"))
+        assert (meta["cache_mode"], meta["seed"]) == (mode, 5)
+
     def test_invalid_config_exits_one(self, workspace):
         result = cli("run", *run_args(workspace, workspace / "out", **{"--chunk-size": 0}))
         assert result.exit_code == 1
