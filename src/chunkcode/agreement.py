@@ -8,9 +8,8 @@ model's consensus column as an extra rater.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .engine import IterationResult, modal_code
 from .errors import (
@@ -28,31 +27,42 @@ KAPPA_FAIR_MIN = 0.40
 KAPPA_FAIR_MAX = 0.75
 
 
-@dataclass(frozen=True)
-class RatingMatrix:
+class _RatingMatrix(NamedTuple):
+    subjects: tuple[Subject, ...]
+    raters: tuple[str, ...]
+    codes: tuple[tuple[bool, ...], ...]
+
+
+class RatingMatrix(_RatingMatrix):
     """Fully populated subjects x raters matrix of binary codes.
 
     ``codes[i][j]`` is the code rater ``raters[j]`` gave ``subjects[i]``.
     """
 
-    subjects: tuple[Subject, ...]
-    raters: tuple[str, ...]
-    codes: tuple[tuple[bool, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.subjects:
+    def __new__(
+        cls, subjects: tuple[Subject, ...], raters: tuple[str, ...], codes: tuple[tuple[bool, ...], ...]
+    ) -> "RatingMatrix":
+        if not subjects:
             raise ValueError("a rating matrix needs at least one subject")
-        if not self.raters:
+        if not raters:
             raise ValueError("a rating matrix needs at least one rater")
-        if len(set(self.subjects)) != len(self.subjects):
+        if len(set(subjects)) != len(subjects):
             raise ValueError("subjects must be unique")
-        if len(set(self.raters)) != len(self.raters):
+        if len(set(raters)) != len(raters):
             raise ValueError("rater ids must be unique")
-        if len(self.codes) != len(self.subjects):
+        if len(codes) != len(subjects):
             raise ValueError("one code row per subject is required")
-        for subject, row in zip(self.subjects, self.codes):
-            if len(row) != len(self.raters):
+        for subject, row in zip(subjects, codes):
+            if len(row) != len(raters):
                 raise ValueError(f"subject {subject} is missing ratings")
+        return tuple.__new__(cls, (subjects, raters, codes))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "RatingMatrix":
+        # _replace builds through _make, so a changed copy is checked too.
+        return cls(*iterable)
 
     @property
     def doc_ids(self) -> tuple[str, ...]:
@@ -96,8 +106,7 @@ class RatingMatrix:
         )
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int
     fp: int
     fn: int
@@ -233,8 +242,7 @@ def kappa_band(kappa: float) -> str:
     return "strong agreement beyond chance"
 
 
-@dataclass(frozen=True)
-class KappaComparison:
+class KappaComparison(NamedTuple):
     """Kappa before and after appending one extra rater."""
 
     kappa_before: float

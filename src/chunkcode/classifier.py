@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError
 
@@ -84,18 +83,27 @@ class KeyPhraseSet:
         return f"KeyPhraseSet({list(self.phrases)!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class BinaryCode:
+class _BinaryCode(NamedTuple):
+    value: bool
+    matched_phrase: str | None
+
+
+class BinaryCode(_BinaryCode):
     """A True/False code plus, when True, the phrase that triggered it."""
 
-    value: bool
-    matched_phrase: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.value and self.matched_phrase is None:
+    def __new__(cls, value: bool, matched_phrase: str | None = None) -> "BinaryCode":
+        if value and matched_phrase is None:
             raise ValueError("a True code must record its matched phrase")
-        if not self.value and self.matched_phrase is not None:
+        if not value and matched_phrase is not None:
             raise ValueError("a False code cannot carry a matched phrase")
+        return tuple.__new__(cls, (value, matched_phrase))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "BinaryCode":
+        # _replace builds through _make, so a changed copy is checked too.
+        return cls(*iterable)
 
 
 # The one False code: classify returns it for every response that matches no

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import CodebookError
+from .frozen import Frozen
 
 
-@dataclass(frozen=True, slots=True)
-class Dimension:
+class Dimension(NamedTuple):
     """One binary characteristic raters mark True or False per document."""
 
     id: str
@@ -19,17 +18,20 @@ class Dimension:
     definition: str
 
 
-@dataclass(frozen=True)
-class Codebook:
-    """An ordered, validated collection of dimensions."""
+class Codebook(Frozen):
+    """An ordered, validated collection of dimensions.
 
+    Not a tuple: iterating a codebook yields its dimensions.
+    """
+
+    __slots__ = _fields = ("dimensions",)
     dimensions: tuple[Dimension, ...]
 
-    def __post_init__(self) -> None:
-        if not self.dimensions:
+    def __init__(self, dimensions: tuple[Dimension, ...]) -> None:
+        if not dimensions:
             raise CodebookError("a codebook needs at least one dimension")
         seen: set[str] = set()
-        for dim in self.dimensions:
+        for dim in dimensions:
             if not dim.id or any(ch.isspace() for ch in dim.id):
                 raise CodebookError(
                     f"dimension id {dim.id!r} must be nonempty with no whitespace"
@@ -43,6 +45,7 @@ class Codebook:
                 raise CodebookError(f"dimension {dim.id!r} has an empty name")
             if not dim.definition:
                 raise CodebookError(f"dimension {dim.id!r} has an empty definition")
+        self._set(dimensions)
 
     def __iter__(self) -> Iterator[Dimension]:
         return iter(self.dimensions)

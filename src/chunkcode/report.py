@@ -12,7 +12,6 @@ import csv
 import json
 import os
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -31,15 +30,25 @@ CONSENSUS_NAME = "consensus.csv"
 FAILURES_NAME = "failures.json"
 
 
-@dataclass
 class RunData:
-    """One run directory, loaded: model, strategy and all its records give."""
+    """One run directory, loaded: model, strategy and all its records give.
 
-    model: str
-    strategy: str
-    iteration_results: list[engine.IterationResult]
-    consensus: dict[Subject, engine.ConsensusResult]
-    consensus_codes: dict[Subject, bool]
+    A plain class, as ``internal`` is kept in its ``__dict__`` once read.
+    """
+
+    def __init__(
+        self,
+        model: str,
+        strategy: str,
+        iteration_results: list[engine.IterationResult],
+        consensus: dict[Subject, engine.ConsensusResult],
+        consensus_codes: dict[Subject, bool],
+    ) -> None:
+        self.model = model
+        self.strategy = strategy
+        self.iteration_results = iteration_results
+        self.consensus = consensus
+        self.consensus_codes = consensus_codes
 
     @property
     def rater_id(self) -> str:
@@ -226,7 +235,7 @@ def write_run_outputs(out: Path, meta: dict, result: engine.RunResult) -> None:
     )
 
     if result.failures:
-        manifest = [asdict(f) for f in result.failures]
+        manifest = [f._asdict() for f in result.failures]
         _write_whole(
             out / FAILURES_NAME,
             lambda path: path.write_text(
@@ -309,7 +318,7 @@ def confusion_rows(runs: Sequence[RunData], manual: RatingMatrix) -> list[dict]:
     gold = agreement.manual_consensus(manual)
     return [
         {"model": run.model, "strategy": run.strategy,
-         **asdict(agreement.confusion(run.consensus_codes, gold))}
+         **agreement.confusion(run.consensus_codes, gold)._asdict()}
         for run in runs
     ]
 

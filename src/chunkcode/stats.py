@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+from .frozen import Frozen
 
 SIDES = ("two", "less", "greater")
 METHODS = ("auto", "exact", "approx")
@@ -33,26 +34,29 @@ EXACT_LIMIT = 12
 EXACT_MAX_ASSIGNMENTS = 2**20
 
 
-@dataclass(frozen=True)
-class Sample:
-    """A labelled group of finite real observations."""
+class Sample(Frozen):
+    """A labelled group of finite real observations.
 
+    Not a tuple: its length is its number of observations.
+    """
+
+    __slots__ = _fields = ("label", "values")
     label: str
     values: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not self.values:
-            raise ValueError(f"sample {self.label!r} is empty")
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError(f"sample {self.label!r} contains non-finite values")
+    def __init__(self, label: str, values: Iterable[float]) -> None:
+        values = tuple(float(v) for v in values)
+        if not values:
+            raise ValueError(f"sample {label!r} is empty")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"sample {label!r} contains non-finite values")
+        self._set(label, values)
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(NamedTuple):
     statistic: float
     p_value: float
     method_note: str

@@ -44,18 +44,21 @@ class TestRatingMatrix:
     def test_validation(self):
         with pytest.raises(ValueError):
             cc.RatingMatrix(subjects=(), raters=("a",), codes=())
-        with pytest.raises(ValueError, match="unique"):
+        with pytest.raises(ValueError, match="^subjects must be unique$"):
             cc.RatingMatrix(
                 subjects=(("d", "x"), ("d", "x")),
                 raters=("a",),
                 codes=((True,), (False,)),
             )
-        with pytest.raises(ValueError, match="missing ratings"):
+        with pytest.raises(ValueError, match=r"^subject \('d', 'x'\) is missing ratings$"):
             cc.RatingMatrix(subjects=(("d", "x"),), raters=("a", "b"), codes=((True,),))
         with pytest.raises(ValueError, match="^a rating matrix needs at least one rater$"):
             cc.RatingMatrix(subjects=(("d", "x"),), raters=(), codes=((),))
         with pytest.raises(ValueError, match="^one code row per subject is required$"):
             cc.RatingMatrix(subjects=(("d", "x"), ("d", "y")), raters=("a",), codes=((True,),))
+        matrix = cc.RatingMatrix(subjects=(("d", "x"),), raters=("a",), codes=((True,),))
+        with pytest.raises(ValueError, match="^a rating matrix needs at least one rater$"):
+            matrix._replace(raters=())
 
     def test_with_rater_appends_column(self):
         m = matrix(FIXTURE_ROWS)

@@ -109,12 +109,17 @@ class TestKeyPhraseSet:
 
 class TestBinaryCode:
     def test_true_requires_phrase(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a True code must record its matched phrase$"):
             cc.BinaryCode(True)
 
     def test_false_forbids_phrase(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a False code cannot carry a matched phrase$"):
             cc.BinaryCode(False, "yes")
+
+    def test_a_changed_copy_is_checked_too(self):
+        assert cc.BinaryCode(False)._replace(value=True, matched_phrase="yes") == cc.BinaryCode(True, "yes")
+        with pytest.raises(ValueError, match="^a True code must record its matched phrase$"):
+            cc.BinaryCode(False)._replace(value=True)
 
 
 class TestClassify:

@@ -44,7 +44,7 @@ def test_empty_name_rejected(tmp_path):
 
 
 def test_empty_list_rejected(tmp_path):
-    with pytest.raises(CodebookError, match="at least one"):
+    with pytest.raises(CodebookError, match="^a codebook needs at least one dimension$"):
         cc.load_codebook(write_codebook(tmp_path, []))
 
 

@@ -1,9 +1,12 @@
 import contextlib
+import copy
 import gc
 import hashlib
 import functools
+import inspect
 import json
 import os
+import pickle
 import random
 import re
 import shutil
@@ -68,6 +71,45 @@ def sorted_json_dumps(record):
     )
 
 
+# One factory per immutable record type of the package: two calls build
+# distinct, equal instances.
+RECORD_FACTORIES = {
+    "RatingMatrix": lambda: cc.RatingMatrix(subjects=(("d", "x"),), raters=("a",), codes=((True,),)),
+    "ConfusionCounts": lambda: cc.ConfusionCounts(1, 2, 3, 4),
+    "KappaComparison": lambda: cc.KappaComparison(0.25, 0.5),
+    "BinaryCode": lambda: cc.BinaryCode(True, "yes"),
+    "Dimension": lambda: cc.Dimension("x", "X", "Ex."),
+    "Codebook": lambda: cc.Codebook((cc.Dimension("x", "X", "Ex."),)),
+    "RunConfig": lambda: cc.RunConfig(model="m"),
+    "IterationResult": lambda: cc.IterationResult("d", "x", 1, True),
+    "ConsensusResult": lambda: cc.ConsensusResult("d", "x", True, 1.0),
+    "CellFailure": lambda: cc.CellFailure("d", "x", 1, None, "failed"),
+    "InternalAgreement": lambda: cc.InternalAgreement({("d", "x"): 1.0}, {"d": 1.0}, 1.0),
+    "DocumentText": lambda: cc.DocumentText.from_raw("d", "some words"),
+    "PromptRequest": lambda: cc.PromptRequest("m", "prompt", "tag"),
+    "Sample": lambda: cc.Sample("a", (1.0, 2.0)),
+    "TestResult": lambda: cc.TestResult(1.0, 0.5, "exact"),
+}
+
+
+@pytest.mark.parametrize("name", RECORD_FACTORIES)
+def test_records_are_immutable_and_compare_by_value(name):
+    make = RECORD_FACTORIES[name]
+    record, again = make(), make()
+    assert record == again and record is not again
+    assert not record != again
+    if name != "InternalAgreement":  # it holds dicts
+        assert hash(record) == hash(again)
+    first = next(iter(inspect.signature(type(record)).parameters))
+    for attribute in (first, "unknown_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(record, attribute, None)
+        with pytest.raises(AttributeError):
+            delattr(record, attribute)
+    assert record == again
+    assert copy.copy(record) == record == pickle.loads(pickle.dumps(record))
+
+
 class TestRunConfig:
     def test_defaults(self):
         cfg = cc.RunConfig(model="m")
@@ -77,18 +119,32 @@ class TestRunConfig:
         assert len(cfg.phrases) == 14
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            {"model": ""},
-            {"model": "m", "strategy": "sideways"},
-            {"model": "m", "chunk_size": 0},
-            {"model": "m", "iterations": 0},
-            {"model": "m", "phrases": ["the text discusses"]},
+            ({"model": ""}, "model identifier must be nonempty"),
+            (
+                {"model": "m", "strategy": "sideways"},
+                "unknown strategy 'sideways'; expected one of ('whole', 'chunk')",
+            ),
+            ({"model": "m", "chunk_size": 0}, "chunk_size must be >= 1, got 0"),
+            ({"model": "m", "iterations": 0}, "iterations must be >= 1, got 0"),
+            ({"model": "m", "max_prompt_words": 0}, "max_prompt_words must be >= 1, got 0"),
+            ({"model": "m", "phrases": ["the text discusses"]}, "phrases must be a KeyPhraseSet"),
+            ({"model": "m", "phrases": None}, "phrases must be a KeyPhraseSet"),
         ],
     )
-    def test_validation(self, kwargs):
-        with pytest.raises(ConfigError):
+    def test_validation(self, kwargs, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             cc.RunConfig(**kwargs)
+
+    def test_a_changed_copy_is_checked_too(self):
+        cfg = cc.RunConfig(model="m")
+        changed = cfg._replace(iterations=3)
+        assert type(changed) is cc.RunConfig and changed.iterations == 3
+        with pytest.raises(ConfigError, match="^iterations must be >= 1, got 0$"):
+            cfg._replace(iterations=0)
+        with pytest.raises(ConfigError, match="^model identifier must be nonempty$"):
+            cc.RunConfig._make(("", *cfg[1:]))
 
 
 def run_collecting(corpus, codebook, cfg, client):

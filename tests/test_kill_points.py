@@ -2,11 +2,12 @@
 
 A child process records a run with the real client and CLI against
 ``LocalEndpoint``, and kills itself at the point the test names by wrapping
-the call at that point, a post or a table's write among them; the program
-has no hook for it. After the kill, every table in the run directory is
-whole: it equals the uninterrupted run's or is absent. A rerun into the
-same run directory and cache gives the uninterrupted run's bytes, and leaves
-a cache whose next open loads its saved index.
+the call at that point, a post or the write of a table or of the run's
+metadata among them; the program has no hook for it. After the kill, every
+table in the run directory is whole: it equals the uninterrupted run's or is
+absent. A rerun into the same run directory and cache gives the
+uninterrupted run's bytes, and leaves a cache whose next open loads its
+saved index.
 """
 
 import json
@@ -56,16 +57,24 @@ RECORDER = """if True:
 
         llm_client._Transport.post = answering
     elif point.startswith("inside "):
-        write_table_csv = report.write_table_csv
+        write_table_csv, write_text = report.write_table_csv, Path.write_text
 
-        def cut_short(path, fieldnames, rows):
-            write_table_csv(path, fieldnames, rows)
+        def cut_short(path):
             if Path(path).name.startswith(point[len("inside "):]):
                 with open(path, "r+b") as fh:
                     fh.truncate(os.fstat(fh.fileno()).st_size // 2)
                 die()
 
-        report.write_table_csv = cut_short
+        def writing_table(path, fieldnames, rows):
+            write_table_csv(path, fieldnames, rows)
+            cut_short(path)
+
+        def writing_text(path, *args, **kwargs):
+            written = write_text(path, *args, **kwargs)
+            cut_short(path)
+            return written
+
+        report.write_table_csv, Path.write_text = writing_table, writing_text
     cli.main(args)
 """
 
@@ -73,8 +82,12 @@ RECORDER = """if True:
 # 12 cells, and its 30 answers arrive with other posts in flight.
 KILL_POINTS = [
     "after answer 1", "after answer 15", "after answer 29", "index before its rename", "index after its rename",
-    "between the tables", "inside iteration_results.csv", "inside consensus.csv",
+    "between the tables", "inside iteration_results.csv", "inside consensus.csv", "inside run_meta.json",
+    "inside failures.json",
 ]
+# Kill points that need a run with failed cells: chunks of 5 words exceed a
+# 4-word limit, so doc-a's 6 cells fail, doc-b's 6 are coded and the run exits 2.
+FAILING_POINTS = {"inside failures.json"}
 TABLES = (report.ITERATION_RESULTS_NAME, report.FAILURES_NAME, report.CONSENSUS_NAME)
 OUTPUTS = (report.RUN_META_NAME, report.RECORDS_NAME, report.ITERATION_RESULTS_NAME, report.CONSENSUS_NAME)
 
@@ -95,9 +108,10 @@ def recorder(tmp_path_factory):
     with LocalEndpoint() as endpoint:
         env[llm_client.BASE_URL_ENV] = endpoint.url
 
-        def record(point, name):
+        def record(point, name, failing=False):
+            limits = ["--chunk-size", 5, "--max-prompt-words", 4] if failing else ["--chunk-size", 3]
             args = [
-                "run", "--manifest", manifest, "--model", "m", "--chunk-size", 3, "--iterations", 2,
+                "run", "--manifest", manifest, "--model", "m", *limits, "--iterations", 2,
                 "--cache-mode", "record", "--cache-dir", workspace / f"cache {name}",
                 "--out", workspace / name,
             ]
@@ -109,22 +123,29 @@ def recorder(tmp_path_factory):
 
         status, full, _ = record("none", "full")
         assert status == 0
-        yield record, full
+        status, full_failing, _ = record("none", "full failing", failing=True)
+        assert status == 2
+        assert (full_failing / report.FAILURES_NAME).exists()
+        yield record, {False: full, True: full_failing}
 
 
 @pytest.mark.parametrize("point", KILL_POINTS)
 def test_a_kill_leaves_whole_tables_and_a_rerun_the_uninterrupted_bytes(recorder, point):
-    record, full = recorder
-    status, out, cache = record(point, point)
+    record, fulls = recorder
+    failing = point in FAILING_POINTS
+    full = fulls[failing]
+    status, out, cache = record(point, point, failing)
     assert status == -signal.SIGKILL  # killed at the point
-    assert (full / report.RECORDS_NAME).read_bytes().startswith((out / report.RECORDS_NAME).read_bytes())
+    records = out / report.RECORDS_NAME
+    assert records.exists() or point == "inside run_meta.json"  # written before records.jsonl is opened
+    assert (full / report.RECORDS_NAME).read_bytes().startswith(records.read_bytes() if records.exists() else b"")
     for name in TABLES:
         if (out / name).exists():
             assert (full / name).exists() and (out / name).read_bytes() == (full / name).read_bytes(), name
 
-    status, _, _ = record("none", point)
-    assert status == 0
-    for name in OUTPUTS:
+    status, _, _ = record("none", point, failing)
+    assert status == (2 if failing else 0)
+    for name in OUTPUTS + ((report.FAILURES_NAME,) if failing else ()):
         assert (out / name).read_bytes() == (full / name).read_bytes(), name
     assert sorted(path.name for path in out.iterdir()) == sorted(path.name for path in full.iterdir())
     names = llm_client._segment_names(os.listdir(cache))

@@ -1528,16 +1528,17 @@ sys.path.insert(0, sys.argv[1])
 from chunkcode import cli
 for argv in json.loads(sys.argv[2]):
     cli.main(argv, standalone_mode=False)
-    loaded = sorted({"requests", "http.client", "ssl", "urllib.request", "concurrent.futures"} & sys.modules.keys())
+    stack = {"requests", "http.client", "ssl", "urllib.request", "concurrent.futures", "dataclasses"}
+    loaded = sorted(stack & sys.modules.keys())
     assert not loaded, f"{argv[0]} loaded {loaded}"
 """
 
 
 def test_offline_commands_never_load_the_http_stack(workspace):
-    """Commands that never post load neither the HTTP stack nor a thread pool:
-    in a fresh interpreter, each of them leaves ``requests``, ``http.client``,
-    ``ssl``, ``urllib.request`` and ``concurrent.futures`` out of
-    ``sys.modules``."""
+    """Commands that never post load neither the HTTP stack, a thread pool
+    nor ``dataclasses``: in a fresh interpreter, each of them leaves
+    ``requests``, ``http.client``, ``ssl``, ``urllib.request``,
+    ``concurrent.futures`` and ``dataclasses`` out of ``sys.modules``."""
     cache = workspace / "cache"
     record = run_args(workspace, workspace / "rec", **{"--cache-mode": "record", "--cache-dir": cache})
     with post_through(FakeTransport()):
@@ -1572,7 +1573,7 @@ sys.modules["requests"] = None  # any import of it raises ImportError
 sys.path.insert(0, sys.argv[1])
 from chunkcode import cli
 cli.main(sys.argv[2:], standalone_mode=False)
-stack = {"concurrent.futures", "logging", "http.client", "email.parser", "urllib.request", "ssl"}
+stack = {"concurrent.futures", "logging", "http.client", "email.parser", "urllib.request", "ssl", "dataclasses"}
 loaded = sorted(stack & sys.modules.keys())
 assert not loaded, f"a record run loaded {loaded}"
 """
@@ -1583,8 +1584,8 @@ def test_record_run_needs_no_requests(workspace):
     interpreter where ``requests`` cannot be imported, it records every
     prompt against a plain-HTTP local endpoint, with no proxy variable set,
     on threads and sockets of its own. It leaves ``concurrent.futures``,
-    ``logging``, ``http.client``, ``email.parser``, ``urllib.request`` and
-    ``ssl`` out of ``sys.modules``."""
+    ``logging``, ``http.client``, ``email.parser``, ``urllib.request``,
+    ``ssl`` and ``dataclasses`` out of ``sys.modules``."""
     env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
     src = Path(cc.__file__).resolve().parents[1]
     args = run_args(workspace, workspace / "rec", **{"--cache-mode": "record", "--cache-dir": workspace / "cache"})

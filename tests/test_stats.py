@@ -27,13 +27,13 @@ def distinct_floats(rng, n, lo=0.0, hi=100.0):
 
 class TestSample:
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sample 'a' is empty$"):
             sample("a", [])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sample 'a' contains non-finite values$"):
             sample("a", [1.0, math.inf])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sample 'a' contains non-finite values$"):
             sample("a", [math.nan])
 
 
