@@ -8,9 +8,11 @@ model's consensus column as an extra rater.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from . import engine
 from .engine import IterationResult, modal_code
 from .errors import (
     DegenerateKappaError,
@@ -363,8 +365,10 @@ def read_ratings_csv(path: str | Path) -> RatingMatrix:
 
 
 def write_ratings_csv(m: RatingMatrix, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["doc_id", "dimension_id", *m.raters])
-        for subject, row in zip(m.subjects, m.codes):
-            writer.writerow([subject[0], subject[1], *("T" if v else "F" for v in row)])
+    """Write a rating matrix as CSV, whole, in the layout ``read_ratings_csv`` reads."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["doc_id", "dimension_id", *m.raters])
+    for subject, row in zip(m.subjects, m.codes):
+        writer.writerow([subject[0], subject[1], *("T" if v else "F" for v in row)])
+    engine._write_whole(path, buffer.getvalue())

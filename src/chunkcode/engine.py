@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import queue
 import threading
 from collections import defaultdict
@@ -475,6 +476,27 @@ def iteration_results_from_records(
 # -- persistence -----------------------------------------------------------
 
 
+def _temp_name(path: Path) -> Path:
+    """Where ``_write_whole`` writes ``path`` before renaming it into place."""
+    return path.with_name(path.name + ".part")
+
+
+def _write_whole(path: str | Path, text: str) -> None:
+    """Write ``text`` to a temp name beside ``path`` and rename it into place,
+    so ``path`` is never half written. A write that fails or is interrupted
+    removes the temp file; an OSError names ``path``, not the temp name."""
+    path = Path(path)
+    temp = _temp_name(path)
+    try:
+        with open(temp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(temp, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 # The string escape of json.dumps with ensure_ascii (quotes included).
 _escape = json.encoder.encode_basestring_ascii
 
@@ -544,26 +566,36 @@ def _field_error(data: dict, name: str, expected: str) -> ValueError:
 def read_records_jsonl(path: str | Path) -> Iterator[PromptRecord]:
     """Yield the records of a records file, one line at a time.
 
-    A line that is not JSON, lacks a field, holds a field of the wrong type
-    or an invalid code, or a chunk index at or above ``CHUNK_INDEX_LIMIT``,
-    raises an IngestionError naming the file and the line number.
+    A line that is not UTF-8 or not JSON, lacks a field, holds a field of
+    the wrong type or an invalid code, or a chunk index at or above
+    ``CHUNK_INDEX_LIMIT``, raises an IngestionError naming the file and the
+    line number.
     """
     with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = record_from_json(line)
-            except json.JSONDecodeError as exc:
-                problem = f"invalid JSON (column {exc.colno}: {exc.msg})"
-            except KeyError as exc:
-                problem = f"record lacks field {exc}"
-            except TypeError:
-                problem = "not a JSON object"
-            except ValueError as exc:  # a mistyped or out-of-range field, an invalid code
-                problem = str(exc)
-            else:
-                yield record
-                continue
-            raise IngestionError(f"records file {path}, line {number}: {problem}")
+        try:
+            for number, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = record_from_json(line)
+                except json.JSONDecodeError as exc:
+                    problem = f"invalid JSON (column {exc.colno}: {exc.msg})"
+                except KeyError as exc:
+                    problem = f"record lacks field {exc}"
+                except TypeError:
+                    problem = "not a JSON object"
+                except ValueError as exc:  # a mistyped or out-of-range field, an invalid code
+                    problem = str(exc)
+                else:
+                    yield record
+                    continue
+                raise IngestionError(f"records file {path}, line {number}: {problem}")
+        except UnicodeDecodeError as exc:
+            # Text mode decodes ahead of the line it yields. Find the line as
+            # the first holding a byte that surrogateescape stands in for.
+            with open(path, encoding="utf-8", errors="surrogateescape") as escaped:
+                number = next(
+                    n for n, line in enumerate(escaped, 1) if any("\udc80" <= c <= "\udcff" for c in line)
+                )
+            raise IngestionError(f"records file {path}, line {number}: not UTF-8 ({exc.reason})") from None

@@ -9,12 +9,11 @@ timestamps: identical inputs give byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
-import os
 from collections import Counter, defaultdict
-from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import agreement, engine
 from .agreement import ConfusionCounts, RatingMatrix, Subject
@@ -30,33 +29,26 @@ CONSENSUS_NAME = "consensus.csv"
 FAILURES_NAME = "failures.json"
 
 
-class RunData:
-    """One run directory, loaded: model, strategy and all its records give.
+class RunData(NamedTuple):
+    """One run directory, loaded: model, strategy and all its records give."""
 
-    A plain class, as ``internal`` is kept in its ``__dict__`` once read.
-    """
-
-    def __init__(
-        self,
-        model: str,
-        strategy: str,
-        iteration_results: list[engine.IterationResult],
-        consensus: dict[Subject, engine.ConsensusResult],
-        consensus_codes: dict[Subject, bool],
-    ) -> None:
-        self.model = model
-        self.strategy = strategy
-        self.iteration_results = iteration_results
-        self.consensus = consensus
-        self.consensus_codes = consensus_codes
+    model: str
+    strategy: str
+    iteration_results: list[engine.IterationResult]
+    consensus: dict[Subject, engine.ConsensusResult]
 
     @property
     def rater_id(self) -> str:
         return f"llm_{self.model}_{self.strategy}"
 
-    @cached_property
+    @property
+    def consensus_codes(self) -> dict[Subject, bool]:
+        return {subject: c.value for subject, c in self.consensus.items()}
+
+    @property
     def internal(self) -> engine.InternalAgreement:
-        # Lazy: a run with no cells must still reach the subject-set check.
+        # Computed on read: a run with no cells must still reach the
+        # subject-set check.
         return engine.internal_agreement(self.consensus)
 
 
@@ -96,14 +88,7 @@ def load_run(run_dir: str | Path) -> RunData:
     check_complete(
         source, set(listed), iteration_results, [(d, m) for d in doc_ids for m in dim_ids]
     )
-    table = engine.consensus_table(iteration_results)
-    return RunData(
-        model=model,
-        strategy=strategy,
-        iteration_results=iteration_results,
-        consensus=table,
-        consensus_codes={subject: c.value for subject, c in table.items()},
-    )
+    return RunData(model, strategy, iteration_results, engine.consensus_table(iteration_results))
 
 
 def _read_run_meta(path: Path) -> tuple[str, str, int, list[str], list[str]]:
@@ -176,9 +161,10 @@ def write_run(
     """Code ``corpus`` and write its run directory; nothing else writes one.
 
     An invalid corpus creates nothing, nor does a chunk run whose chunk
-    indices would reach ``engine.CHUNK_INDEX_LIMIT``. This run's
-    ``run_meta.json`` is written, and the tables of an earlier run removed,
-    before the first record. Records stream to ``records.jsonl`` as cells
+    indices would reach ``engine.CHUNK_INDEX_LIMIT``. An earlier run's
+    tables are removed, ``consensus.csv`` first, and its records truncated
+    before this run's ``run_meta.json`` is written, so that metadata never
+    sits beside a table or record of the earlier run. Records stream to ``records.jsonl`` as cells
     complete, so an interrupted run leaves its metadata and a prefix of its
     records, from which a record-mode rerun into the same cache resumes.
     ``run_meta.json`` takes the cache mode from ``client``, its only holder.
@@ -198,13 +184,11 @@ def write_run(
         "dimension_ids": list(cb.ids),
         "doc_ids": [doc.doc_id for doc in corpus],
     }
-    (out / RUN_META_NAME).write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    for name in (ITERATION_RESULTS_NAME, CONSENSUS_NAME, FAILURES_NAME):
+    for name in (CONSENSUS_NAME, ITERATION_RESULTS_NAME, FAILURES_NAME):
         (out / name).unlink(missing_ok=True)
-        _temp_name(out / name).unlink(missing_ok=True)
+        engine._temp_name(out / name).unlink(missing_ok=True)
     with open(out / RECORDS_NAME, "w", encoding="utf-8", newline="\n") as fh:
+        engine._write_whole(out / RUN_META_NAME, json.dumps(meta, indent=2, sort_keys=True) + "\n")
         result = engine.run_iterations(
             corpus, cb, cfg, client, record_sink=lambda r: fh.write(engine.record_to_json(r) + "\n")
         )
@@ -216,9 +200,8 @@ def write_run_outputs(out: Path, meta: dict, result: engine.RunResult) -> None:
     """Persist a finished run's tables beside its records and metadata:
     iteration results, the failure manifest when cells failed, and consensus.
 
-    Each is written whole to a temp name and renamed into place, consensus
-    last, so a table that exists is complete and ``consensus.csv`` marks a
-    finished run.
+    Each is written whole, consensus last, so a table that exists is
+    complete and ``consensus.csv`` marks a finished run.
     """
     rows = [
         {
@@ -229,40 +212,14 @@ def write_run_outputs(out: Path, meta: dict, result: engine.RunResult) -> None:
         }
         for r in result.results
     ]
-    _write_whole(
-        out / ITERATION_RESULTS_NAME,
-        lambda path: write_table_csv(path, ["doc_id", "dimension_id", "iteration", "value"], rows),
-    )
+    write_table_csv(out / ITERATION_RESULTS_NAME, ["doc_id", "dimension_id", "iteration", "value"], rows)
 
     if result.failures:
         manifest = [f._asdict() for f in result.failures]
-        _write_whole(
-            out / FAILURES_NAME,
-            lambda path: path.write_text(
-                json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            ),
-        )
+        engine._write_whole(out / FAILURES_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     table = engine.consensus_table(result.results)
-    _write_whole(
-        out / CONSENSUS_NAME,
-        lambda path: write_consensus_csv(path, table, meta["doc_ids"], meta["dimension_ids"]),
-    )
-
-
-def _temp_name(path: Path) -> Path:
-    return path.with_name(path.name + ".part")
-
-
-def _write_whole(path: Path, write: Callable[[Path], None]) -> None:
-    """``write`` the file to a temp name beside ``path``, then rename it to
-    ``path``; a write that fails or is interrupted removes the temp file."""
-    temp = _temp_name(path)
-    try:
-        write(temp)
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)
+    write_consensus_csv(out / CONSENSUS_NAME, table, meta["doc_ids"], meta["dimension_ids"])
 
 
 def write_consensus_csv(
@@ -457,15 +414,16 @@ def _csv_cell(value: object) -> str:
 
 
 def write_table_csv(path: str | Path, fieldnames: Sequence[str], rows: Sequence[Mapping]) -> None:
-    """Write rows as CSV; floats keep full precision, None becomes empty.
+    """Write rows as CSV, whole; floats keep full precision, None becomes empty.
 
-    A row lacking one of ``fieldnames`` raises KeyError.
+    A row lacking one of ``fieldnames`` raises KeyError, and writes nothing.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_csv_cell(row[name]) for name in fieldnames])
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(fieldnames)
+    for row in rows:
+        writer.writerow([_csv_cell(row[name]) for name in fieldnames])
+    engine._write_whole(path, buffer.getvalue())
 
 
 def _md_cell(value: object, percent: bool) -> str:
@@ -535,7 +493,7 @@ def write_report_bundle(
         csv_path = out / f"{name}.csv"
         write_table_csv(csv_path, fieldnames, rows)
         md_path = out / f"{name}.md"
-        md_path.write_text(markdown_table(fieldnames, rows, percent_cols), encoding="utf-8")
+        engine._write_whole(md_path, markdown_table(fieldnames, rows, percent_cols))
         written.extend([csv_path, md_path])
 
     merged_path = out / "merged_ratings.csv"

@@ -491,6 +491,21 @@ def test_interrupted_rerun_leaves_only_its_own_run(workspace, monkeypatch):
     assert f"run {out} is incomplete" in result.output
 
 
+def test_a_loaded_run_is_a_named_tuple_that_computes_its_codes_and_agreement_on_read(workspace):
+    out = workspace / "run"
+    assert cli("run", *run_args(workspace, out)).exit_code == 0
+    run = report.load_run(out)
+    assert run._fields == ("model", "strategy", "iteration_results", "consensus")
+    assert run == report.RunData(*run) == tuple(run)
+    assert run.rater_id == "llm_mock-model_chunk"
+    assert run.consensus_codes == {subject: c.value for subject, c in run.consensus.items()}
+    assert run.internal == engine.internal_agreement(run.consensus)
+    # A run without cells is built, so that it reaches the subject-set check.
+    empty = report.RunData("m", "chunk", [], {})
+    with pytest.raises(ValueError):
+        empty.internal
+
+
 @pytest.mark.parametrize("cause", ["stopped before its first record", "one pair failed every iteration"])
 def test_listed_cells_without_records_make_a_run_incomplete(workspace, monkeypatch, cause):
     """Cells that ``run_meta.json`` lists and no record holds are refused
@@ -643,6 +658,18 @@ def not_an_object(lines):
     return 2
 
 
+# The reader decodes ahead of the line it yields; the message still names
+# the line holding the byte. "\udcff" is written as the byte 0xff.
+def a_byte_not_utf8(lines):
+    lines[2] = lines[2].replace('"doc_id":"', '"doc_id":"\udcff', 1)
+    return 3
+
+
+def only_a_byte_not_utf8(lines):
+    lines[:] = ["\udcff"]
+    return 1
+
+
 def set_field(name, value):
     def defect(lines):
         record = json.loads(lines[1])
@@ -663,6 +690,8 @@ def set_field(name, value):
         (data_after_the_object("{}"), "invalid JSON (column {column}: Extra data)"),
         (drop_a_field, "record lacks field 'request_key'"),
         (not_an_object, "not a JSON object"),
+        (a_byte_not_utf8, "not UTF-8 (invalid start byte)"),
+        (only_a_byte_not_utf8, "not UTF-8 (invalid start byte)"),
         (true_code_without_phrase, "a True code must record its matched phrase"),
         (set_field("doc_id", ["a"]), 'field \'doc_id\' must be a string, not ["a"]'),
         (set_field("iteration", "1"), 'field \'iteration\' must be a positive integer, not "1"'),
@@ -681,6 +710,8 @@ def set_field(name, value):
         "a second object",
         "field missing",
         "not an object",
+        "a byte not UTF-8",
+        "one line, a byte not UTF-8",
         "true without phrase",
         "doc_id a list",
         "iteration a string",
@@ -698,7 +729,7 @@ def test_malformed_record_is_named_by_file_and_line(workspace, command, defect, 
     lines = path.read_text(encoding="utf-8").splitlines()
     written = list(lines)
     number = defect(lines)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
     problem = problem.format(column=len(written[number - 1]) + 1)
 
     dest = workspace / "dest"
@@ -1121,6 +1152,15 @@ def test_kappa_row_of_one_document_and_one_dimension_is_undefined():
 def test_write_table_csv_refuses_a_row_lacking_a_column(tmp_path):
     with pytest.raises(KeyError, match="b"):
         report.write_table_csv(tmp_path / "t.csv", ["a", "b"], [{"a": 1, "b": 2}, {"a": 3}])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_whole_file_that_cannot_be_renamed_into_place_is_named_and_leaves_no_temp_file(tmp_path):
+    (tmp_path / "t.csv").mkdir()
+    with pytest.raises(IsADirectoryError) as raised:
+        report.write_table_csv(tmp_path / "t.csv", ["a"], [{"a": 1}])
+    assert str(raised.value) == f"[Errno 21] Is a directory: '{tmp_path / 't.csv'}'"
+    assert [path.name for path in tmp_path.iterdir()] == ["t.csv"]
 
 
 # Samples for each route of the stats command, as (groups, extra options),
