@@ -12,7 +12,7 @@ import io
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from . import engine
+from . import engine, stats
 from .engine import IterationResult, modal_code
 from .errors import (
     DegenerateKappaError,
@@ -327,37 +327,36 @@ def read_ratings_csv(path: str | Path) -> RatingMatrix:
     Header: ``doc_id,dimension_id,<rater>...``; cells are T or F.
     """
     p = Path(path)
-    with open(p, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{p}: empty ratings file") from None
-        if header[:2] != ["doc_id", "dimension_id"] or len(header) < 3:
+    reader = stats._csv_reader(p)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{p}: empty ratings file") from None
+    if header[:2] != ["doc_id", "dimension_id"] or len(header) < 3:
+        raise ValueError(
+            f"{p}: header must start with doc_id,dimension_id and name at"
+            f" least one rater"
+        )
+    raters = tuple(header[2:])
+    subjects: dict[Subject, int] = {}  # subject -> its line number
+    rows: list[tuple[bool, ...]] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{p}:{lineno}: expected {len(header)} cells")
+        subject = (row[0], row[1])
+        if subject in subjects:
             raise ValueError(
-                f"{p}: header must start with doc_id,dimension_id and name at"
-                f" least one rater"
+                f"{p}:{lineno}: subject {subject} repeats line {subjects[subject]}"
             )
-        raters = tuple(header[2:])
-        subjects: dict[Subject, int] = {}  # subject -> its line number
-        rows: list[tuple[bool, ...]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{p}:{lineno}: expected {len(header)} cells")
-            subject = (row[0], row[1])
-            if subject in subjects:
-                raise ValueError(
-                    f"{p}:{lineno}: subject {subject} repeats line {subjects[subject]}"
-                )
-            subjects[subject] = lineno
-            rows.append(
-                tuple(
-                    _parse_code(cell, f"{p}:{lineno}:{raters[j]}")
-                    for j, cell in enumerate(row[2:])
-                )
+        subjects[subject] = lineno
+        rows.append(
+            tuple(
+                _parse_code(cell, f"{p}:{lineno}:{raters[j]}")
+                for j, cell in enumerate(row[2:])
             )
+        )
     try:
         return RatingMatrix(subjects=tuple(subjects), raters=raters, codes=tuple(rows))
     except ValueError as exc:

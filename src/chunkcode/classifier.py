@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError
+from .frozen import Frozen
 
 # Stock marker list: a response containing any of these (case-insensitive,
 # single-spaced) is coded True. Order matters only for which match is logged.
@@ -35,7 +36,7 @@ def _fold(text: str) -> str:
     return " ".join(text.split()).lower()
 
 
-class KeyPhraseSet:
+class KeyPhraseSet(Frozen):
     """Ordered list of phrases whose presence marks a response True.
 
     Phrases are stored lowercase with inner whitespace collapsed to single
@@ -46,6 +47,8 @@ class KeyPhraseSet:
     """
 
     __slots__ = ("phrases", "codes", "_bounded")
+    _fields = ("phrases",)
+    phrases: tuple[str, ...]
 
     def __init__(self, phrases: Iterable[str]):
         normalized: list[str] = []
@@ -60,9 +63,9 @@ class KeyPhraseSet:
             normalized.append(p)
         if not normalized:
             raise ValueError("at least one key phrase is required")
-        self.phrases = tuple(normalized)
-        self.codes = {p: BinaryCode(True, p) for p in self.phrases}
-        self._bounded = tuple((p, re.compile(rf"\b{re.escape(p)}\b")) for p in self.phrases)
+        self._set(tuple(normalized))
+        object.__setattr__(self, "codes", {p: BinaryCode(True, p) for p in normalized})
+        object.__setattr__(self, "_bounded", tuple((p, re.compile(rf"\b{re.escape(p)}\b")) for p in normalized))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.phrases)
@@ -72,15 +75,6 @@ class KeyPhraseSet:
 
     def __contains__(self, phrase: str) -> bool:
         return phrase in self.phrases
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, KeyPhraseSet) and self.phrases == other.phrases
-
-    def __hash__(self) -> int:
-        return hash(self.phrases)
-
-    def __repr__(self) -> str:
-        return f"KeyPhraseSet({list(self.phrases)!r})"
 
 
 class _BinaryCode(NamedTuple):

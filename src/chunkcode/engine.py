@@ -566,36 +566,30 @@ def _field_error(data: dict, name: str, expected: str) -> ValueError:
 def read_records_jsonl(path: str | Path) -> Iterator[PromptRecord]:
     """Yield the records of a records file, one line at a time.
 
-    A line that is not UTF-8 or not JSON, lacks a field, holds a field of
-    the wrong type or an invalid code, or a chunk index at or above
-    ``CHUNK_INDEX_LIMIT``, raises an IngestionError naming the file and the
-    line number.
+    A line ends at a newline byte; a carriage return before it is stripped
+    with the rest of the whitespace at its edges. A line that is not UTF-8
+    or not JSON, lacks a field, holds a field of the wrong type or an
+    invalid code, or a chunk index at or above ``CHUNK_INDEX_LIMIT``, raises
+    an IngestionError naming the file and the line number.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for number, line in enumerate(fh, 1):
-                line = line.strip()
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                try:
-                    record = record_from_json(line)
-                except json.JSONDecodeError as exc:
-                    problem = f"invalid JSON (column {exc.colno}: {exc.msg})"
-                except KeyError as exc:
-                    problem = f"record lacks field {exc}"
-                except TypeError:
-                    problem = "not a JSON object"
-                except ValueError as exc:  # a mistyped or out-of-range field, an invalid code
-                    problem = str(exc)
-                else:
-                    yield record
-                    continue
-                raise IngestionError(f"records file {path}, line {number}: {problem}")
-        except UnicodeDecodeError as exc:
-            # Text mode decodes ahead of the line it yields. Find the line as
-            # the first holding a byte that surrogateescape stands in for.
-            with open(path, encoding="utf-8", errors="surrogateescape") as escaped:
-                number = next(
-                    n for n, line in enumerate(escaped, 1) if any("\udc80" <= c <= "\udcff" for c in line)
-                )
-            raise IngestionError(f"records file {path}, line {number}: not UTF-8 ({exc.reason})") from None
+                record = record_from_json(line)
+            except UnicodeDecodeError as exc:
+                problem = f"not UTF-8 ({exc.reason})"
+            except json.JSONDecodeError as exc:
+                problem = f"invalid JSON (column {exc.colno}: {exc.msg})"
+            except KeyError as exc:
+                problem = f"record lacks field {exc}"
+            except TypeError:
+                problem = "not a JSON object"
+            except ValueError as exc:  # a mistyped or out-of-range field, an invalid code
+                problem = str(exc)
+            else:
+                yield record
+                continue
+            raise IngestionError(f"records file {path}, line {number}: {problem}")

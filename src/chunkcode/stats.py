@@ -16,10 +16,11 @@ stay auditable.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .frozen import Frozen
 
@@ -322,6 +323,17 @@ def chi_square_sf(x: float, df: int) -> float:
 # -- CSV interchange -----------------------------------------------------------
 
 
+def _csv_reader(path: Path) -> Iterator[list[str]]:
+    """A csv reader over a UTF-8 file, read whole once, a leading BOM dropped.
+    A byte not UTF-8 raises ValueError naming the file and its line."""
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = len((exc.object[: exc.start] + b"_").splitlines())  # the lines before, and the byte's own
+        raise ValueError(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
+    return csv.reader(io.StringIO(text, newline=""))
+
+
 def read_samples_csv(path: str | Path) -> list[Sample]:
     """Read labelled samples from CSV with header ``group,value``.
 
@@ -329,26 +341,25 @@ def read_samples_csv(path: str | Path) -> list[Sample]:
     """
     p = Path(path)
     grouped: dict[str, list[float]] = {}
-    with open(p, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = _csv_reader(p)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{p}: empty samples file") from None
+    if [h.strip() for h in header[:2]] != ["group", "value"]:
+        raise ValueError(f"{p}: header must be 'group,value'")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < 2:
+            raise ValueError(f"{p}:{lineno}: expected 'group,value'")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{p}: empty samples file") from None
-        if [h.strip() for h in header[:2]] != ["group", "value"]:
-            raise ValueError(f"{p}: header must be 'group,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 2:
-                raise ValueError(f"{p}:{lineno}: expected 'group,value'")
-            try:
-                value = float(row[1])
-            except ValueError:
-                raise ValueError(f"{p}:{lineno}: {row[1]!r} is not a number") from None
-            if not math.isfinite(value):
-                raise ValueError(f"{p}:{lineno}: {row[1]!r} is not finite")
-            grouped.setdefault(row[0], []).append(value)
+            value = float(row[1])
+        except ValueError:
+            raise ValueError(f"{p}:{lineno}: {row[1]!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{p}:{lineno}: {row[1]!r} is not finite")
+        grouped.setdefault(row[0], []).append(value)
     if not grouped:
         raise ValueError(f"{p}: no sample rows")
     return [Sample(label, tuple(values)) for label, values in grouped.items()]

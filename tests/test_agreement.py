@@ -368,6 +368,18 @@ class TestRatingsCSV:
         assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
         assert cc.read_ratings_csv(marked) == cc.read_ratings_csv(plain)
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte order mark"])
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+    def test_a_byte_not_utf8_is_named_by_file_and_line(self, tmp_path, end, bom):
+        path = tmp_path / "ratings.csv"
+        lines = [b"doc_id,dimension_id,r1", b"d,x,T", b"d,\xff,F"]
+        path.write_bytes(bom + end.join(lines) + end)
+        with pytest.raises(ValueError) as excinfo:
+            cc.read_ratings_csv(path)
+        assert str(excinfo.value) == f"{path}:3: not UTF-8 (invalid start byte)"
+        path.write_bytes(bom + end.join(lines[:2]) + end)
+        assert cc.read_ratings_csv(path).subjects == (("d", "x"),)
+
     def test_accepts_spelled_out_booleans(self, tmp_path):
         path = tmp_path / "ratings.csv"
         path.write_text(

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import re
 import sys
 
@@ -95,6 +97,27 @@ class TestKeyPhraseSet:
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             cc.KeyPhraseSet([])
+
+    @pytest.mark.parametrize("name", ["phrases", "codes", "_bounded"])
+    def test_no_attribute_can_be_assigned_or_deleted(self, name):
+        kps = cc.default_key_phrases()
+        with pytest.raises(AttributeError):
+            setattr(kps, name, ("x",))
+        with pytest.raises(AttributeError):
+            delattr(kps, name)
+        assert kps == cc.default_key_phrases()
+        assert cc.classify("x", kps) is NO_MATCH
+
+    def test_repr_names_the_field(self):
+        assert repr(cc.KeyPhraseSet(["Yes", "is  discussed"])) == "KeyPhraseSet(phrases=('yes', 'is discussed'))"
+
+    def test_a_copy_classifies_as_the_original(self, phrases):
+        for again in (copy.copy(phrases), pickle.loads(pickle.dumps(phrases))):
+            for text in ("Yesterday it is discussed.", "nothing"):
+                for word_boundary in (False, True):
+                    assert cc.classify(text, again, word_boundary=word_boundary) == cc.classify(
+                        text, phrases, word_boundary=word_boundary
+                    )
 
     @given(runs, pieces, runs)
     def test_normalized_as_the_regex_reference(self, head, phrase, tail):

@@ -78,6 +78,7 @@ RECORD_FACTORIES = {
     "ConfusionCounts": lambda: cc.ConfusionCounts(1, 2, 3, 4),
     "KappaComparison": lambda: cc.KappaComparison(0.25, 0.5),
     "BinaryCode": lambda: cc.BinaryCode(True, "yes"),
+    "KeyPhraseSet": lambda: cc.KeyPhraseSet(["yes", "is discussed"]),
     "Dimension": lambda: cc.Dimension("x", "X", "Ex."),
     "Codebook": lambda: cc.Codebook((cc.Dimension("x", "X", "Ex."),)),
     "RunConfig": lambda: cc.RunConfig(model="m"),

@@ -2,13 +2,15 @@
 
 A child process records a run with the real client and CLI against
 ``LocalEndpoint``, and kills itself at the point the test names by wrapping
-the call at that point, a post or the one writer of whole files
-(``engine._write_whole``) among them; the program has no hook for it. After
-the kill, every table in the run directory, and its metadata, is whole: it
-equals the uninterrupted run's or is absent. A rerun into the same run
-directory and cache gives the uninterrupted run's bytes, and leaves a cache
-whose next open loads its saved index. An evaluation killed inside a report
-table leaves only whole reports, and a rerun the uninterrupted reports.
+the call at that point, a post, the ``os.write`` of a cache line or the one
+writer of whole files (``engine._write_whole``) among them; the program has
+no hook for it. After the kill, every table in the run directory, and its
+metadata, is whole: it equals the uninterrupted run's or is absent. A rerun
+into the same run directory and cache gives the uninterrupted run's bytes,
+fetching again a cache line the kill tore, and leaves a cache whose next
+open loads its saved index; so does a third run after a rerun killed too.
+An evaluation killed inside a report table leaves only whole reports, and a
+rerun the uninterrupted reports.
 """
 
 import json
@@ -48,6 +50,25 @@ RECORDER = """if True:
         os.replace = replacing
     elif point == "between the tables":
         report.write_consensus_csv = die
+    elif point == "after the tables":
+        write_run_outputs = report.write_run_outputs
+
+        def writing_outputs(*args):
+            write_run_outputs(*args)
+            die()
+
+        report.write_run_outputs = writing_outputs
+    elif point.startswith("inside cache line "):
+        write, lines = os.write, itertools.count(1)
+
+        def writing(fd, data):
+            # A cache line: 64 hex digits of key, a tab, the entry.
+            if data[64:65] == b"\t" and next(lines) == int(point.rpartition(" ")[2]):
+                write(fd, data[: len(data) // 2])
+                die()
+            return write(fd, data)
+
+        os.write = writing
     elif point.startswith("after answer "):
         post, answers = llm_client._Transport.post, itertools.count(1)
 
@@ -149,14 +170,7 @@ def recorder(tmp_path_factory):
         )
 
 
-@pytest.mark.parametrize("point", KILL_POINTS)
-def test_a_kill_leaves_whole_tables_and_a_rerun_the_uninterrupted_bytes(recorder, point):
-    record = recorder.record
-    failing = point in FAILING_POINTS
-    full = recorder.fulls[failing]
-    if point == OVER_AN_EARLIER_RUN:
-        recorder.earlier_run(point)
-    status, out, cache = record(point, point, failing)
+def assert_killed_leaving_whole_tables(status, out, full):
     assert status == -signal.SIGKILL  # killed at the point
     records = out / report.RECORDS_NAME
     assert records.exists()  # truncated before run_meta.json is written
@@ -165,7 +179,8 @@ def test_a_kill_leaves_whole_tables_and_a_rerun_the_uninterrupted_bytes(recorder
         if (out / name).exists():
             assert (full / name).exists() and (out / name).read_bytes() == (full / name).read_bytes(), name
 
-    status, _, _ = record("none", point, failing)
+
+def assert_uninterrupted(status, out, cache, full, failing=False):
     assert status == (2 if failing else 0)
     for name in OUTPUTS + ((report.FAILURES_NAME,) if failing else ()):
         assert (out / name).read_bytes() == (full / name).read_bytes(), name
@@ -174,7 +189,68 @@ def test_a_kill_leaves_whole_tables_and_a_rerun_the_uninterrupted_bytes(recorder
     assert llm_client._load_index(cache, names) is not None
 
 
-def test_an_evaluate_kill_inside_a_report_leaves_only_whole_reports(recorder):
+def cache_keys(segment):
+    """The keys of a segment's whole lines, in order."""
+    return [line[:64] for line in segment.read_bytes().splitlines(keepends=True) if line.endswith(b"\n")]
+
+
+@pytest.mark.parametrize("point", KILL_POINTS)
+def test_a_kill_leaves_whole_tables_and_a_rerun_the_uninterrupted_bytes(recorder, point):
+    record = recorder.record
+    failing = point in FAILING_POINTS
+    full = recorder.fulls[failing]
+    if point == OVER_AN_EARLIER_RUN:
+        recorder.earlier_run(point)
+    status, out, cache = record(point, point, failing)
+    assert_killed_leaving_whole_tables(status, out, full)
+
+    status, _, _ = record("none", point, failing)
+    assert_uninterrupted(status, out, cache, full, failing)
+
+
+def test_a_kill_inside_a_cache_line_is_fetched_again(recorder):
+    full = recorder.fulls[False]
+    status, out, cache = recorder.record("inside cache line 7", "inside cache line 7")
+    assert_killed_leaving_whole_tables(status, out, full)
+    [torn] = llm_client._segment_names(os.listdir(cache))
+    text = (cache / torn).read_bytes()
+    assert text.count(b"\n") == 6 and not text.endswith(b"\n")  # half its 7th line
+
+    status, _, _ = recorder.record("none", "inside cache line 7")
+    assert_uninterrupted(status, out, cache, full)
+    first, rerun = llm_client._segment_names(os.listdir(cache))
+    assert first == torn
+    assert text.rpartition(b"\n")[2][:64] in cache_keys(cache / rerun)
+    assert len(set(cache_keys(cache / first) + cache_keys(cache / rerun))) == 30
+
+
+def test_a_kill_after_the_tables_is_indexed_by_a_rerun_that_appends_nothing(recorder):
+    full = recorder.fulls[False]
+    status, out, cache = recorder.record("after the tables", "after the tables")
+    assert_killed_leaving_whole_tables(status, out, full)
+    for name in OUTPUTS:
+        assert (out / name).read_bytes() == (full / name).read_bytes(), name
+    # Every answer was cached, but the close that saves the index never ran.
+    segments = llm_client._segment_names(os.listdir(cache))
+    assert llm_client._load_index(cache, segments) is None
+
+    status, _, _ = recorder.record("none", "after the tables")
+    assert_uninterrupted(status, out, cache, full)
+    assert llm_client._segment_names(os.listdir(cache)) == segments
+
+
+def test_a_rerun_killed_again_is_resumed_by_a_third_run(recorder):
+    full = recorder.fulls[False]
+    status, out, cache = recorder.record("after answer 15", "killed twice")
+    assert_killed_leaving_whole_tables(status, out, full)
+    status, _, _ = recorder.record("after answer 5", "killed twice")
+    assert_killed_leaving_whole_tables(status, out, full)
+    status, _, _ = recorder.record("none", "killed twice")
+    assert_uninterrupted(status, out, cache, full)
+
+
+@pytest.mark.parametrize("name", ["kappa.csv", "merged_ratings.csv"])
+def test_an_evaluate_kill_inside_a_report_leaves_only_whole_reports(recorder, name):
     workspace, full = recorder.workspace, recorder.fulls[False]
     manual = workspace / "manual.csv"
     rows = [
@@ -184,19 +260,20 @@ def test_an_evaluate_kill_inside_a_report_leaves_only_whole_reports(recorder):
     ]
     manual.write_text("doc_id,dimension_id,r1,r2,r3\n" + "\n".join(rows) + "\n", encoding="utf-8")
 
-    def evaluate(point, name):
-        return recorder.command(point, "evaluate", "--manual", manual, "--run", full, "--out", workspace / name)
+    def evaluate(point, out):
+        return recorder.command(point, "evaluate", "--manual", manual, "--run", full, "--out", workspace / out)
 
     assert evaluate("none", "reports") == 0
     reports = {path.name: path.read_bytes() for path in (workspace / "reports").iterdir()}
     assert len(reports) == 13
 
-    killed = workspace / "reports killed"
-    assert evaluate("inside kappa.csv", killed.name) == -signal.SIGKILL
+    killed = workspace / f"reports killed inside {name}"
+    assert evaluate("inside " + name, killed.name) == -signal.SIGKILL
     left = {path.name for path in killed.iterdir()}
-    assert "kappa.csv.part" in left and "kappa.csv" not in left and "merged_ratings.csv" not in left
-    for name in left - {"kappa.csv.part"}:
-        assert (killed / name).read_bytes() == reports[name], name
+    # merged_ratings.csv is written last.
+    assert name + ".part" in left and name not in left and "merged_ratings.csv" not in left
+    for written in left - {name + ".part"}:
+        assert (killed / written).read_bytes() == reports[written], written
 
     assert evaluate("none", killed.name) == 0
     assert {path.name: path.read_bytes() for path in killed.iterdir()} == reports

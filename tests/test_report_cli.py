@@ -658,8 +658,7 @@ def not_an_object(lines):
     return 2
 
 
-# The reader decodes ahead of the line it yields; the message still names
-# the line holding the byte. "\udcff" is written as the byte 0xff.
+# "\udcff" is written as the byte 0xff.
 def a_byte_not_utf8(lines):
     lines[2] = lines[2].replace('"doc_id":"', '"doc_id":"\udcff', 1)
     return 3
@@ -667,6 +666,14 @@ def a_byte_not_utf8(lines):
 
 def only_a_byte_not_utf8(lines):
     lines[:] = ["\udcff"]
+    return 1
+
+
+def a_field_missing_before_a_byte_not_utf8(lines):
+    record = json.loads(lines[0])
+    del record["doc_id"]
+    lines[0] = json.dumps(record)
+    lines[1] = "\udcff" + lines[1]
     return 1
 
 
@@ -692,6 +699,7 @@ def set_field(name, value):
         (not_an_object, "not a JSON object"),
         (a_byte_not_utf8, "not UTF-8 (invalid start byte)"),
         (only_a_byte_not_utf8, "not UTF-8 (invalid start byte)"),
+        (a_field_missing_before_a_byte_not_utf8, "record lacks field 'doc_id'"),
         (true_code_without_phrase, "a True code must record its matched phrase"),
         (set_field("doc_id", ["a"]), 'field \'doc_id\' must be a string, not ["a"]'),
         (set_field("iteration", "1"), 'field \'iteration\' must be a positive integer, not "1"'),
@@ -712,6 +720,7 @@ def set_field(name, value):
         "not an object",
         "a byte not UTF-8",
         "one line, a byte not UTF-8",
+        "a field missing, then a byte not UTF-8",
         "true without phrase",
         "doc_id a list",
         "iteration a string",
@@ -741,6 +750,23 @@ def test_malformed_record_is_named_by_file_and_line(workspace, command, defect, 
     assert isinstance(result.exception, SystemExit)  # refused, not crashed
     assert not dest.exists()
     assert f"error: records file {path}, line {number}: {problem}" in result.output
+
+
+def test_a_records_line_ends_at_a_newline_byte(workspace):
+    out = workspace / "out"
+    assert cli("run", *run_args(workspace, out)).exit_code == 0
+    path = out / report.RECORDS_NAME
+    records = list(engine.read_records_jsonl(path))
+    lines = path.read_bytes().splitlines()
+
+    crlf = workspace / "crlf.jsonl"
+    crlf.write_bytes(b"".join(line + b"\r\n" for line in lines))
+    assert list(engine.read_records_jsonl(crlf)) == records
+
+    lone_cr = workspace / "lone_cr.jsonl"
+    lone_cr.write_bytes(b"\r".join(lines) + b"\n")
+    with pytest.raises(cc.IngestionError, match=f"line 1: invalid JSON \\(column {len(lines[0]) + 2}: Extra data\\)"):
+        list(engine.read_records_jsonl(lone_cr))
 
 
 def test_records_of_two_runs_are_refused_before_writing(workspace):
@@ -879,6 +905,15 @@ class TestEvaluateCommand:
         )
         assert result.exit_code == 1
         assert "doc-z" in result.output
+
+    def test_manual_ratings_not_utf8_are_refused_naming_the_file(self, workspace):
+        manual = workspace / "manual.csv"
+        manual.write_bytes(manual.read_bytes().replace(b"doc-b,state", b"doc-b,st\xffate"))
+        result, reports = self.evaluate(workspace)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # refused, not crashed
+        assert not reports.exists()
+        assert result.output == f"error: {manual}:7: not UTF-8 (invalid start byte)\n"
 
     def test_run_missing_iterations_is_refused_before_any_table(self, workspace, monkeypatch):
         def failing_mock(request):
@@ -1326,6 +1361,14 @@ class TestStatsCommand:
         result = cli("stats", "--samples", path, "--test", test_name, *option)
         assert result.exit_code == 1
         assert result.output == f"error: {test_name} takes no {option[0]}: {problem}\n"
+
+    def test_samples_not_utf8_are_refused_naming_the_file(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(b"group,value\na,1\n\xff,2\n")
+        result = cli("stats", "--samples", path, "--test", "mann-whitney")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # refused, not crashed
+        assert result.output == f"error: {path}:3: not UTF-8 (invalid start byte)\n"
 
     def test_unknown_test_exits_one(self, tmp_path):
         path = tmp_path / "samples.csv"

@@ -438,6 +438,18 @@ class TestSamplesCSV:
         assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
         assert cs.read_samples_csv(marked) == cs.read_samples_csv(plain)
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte order mark"])
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+    def test_a_byte_not_utf8_is_named_by_file_and_line(self, tmp_path, end, bom):
+        path = tmp_path / "samples.csv"
+        lines = [b"group,value", b"a,1", b"a\xff,2"]
+        path.write_bytes(bom + end.join(lines) + end)
+        with pytest.raises(ValueError) as raised:
+            cs.read_samples_csv(path)
+        assert str(raised.value) == f"{path}:3: not UTF-8 (invalid start byte)"
+        path.write_bytes(bom + end.join(lines[:2]) + end)
+        assert cs.read_samples_csv(path) == [cs.Sample("a", (1.0,))]
+
     def test_bad_number(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("group,value\na,not-a-number\n", encoding="utf-8")
