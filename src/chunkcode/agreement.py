@@ -340,7 +340,8 @@ def read_ratings_csv(path: str | Path) -> RatingMatrix:
     raters = tuple(header[2:])
     subjects: dict[Subject, int] = {}  # subject -> its line number
     rows: list[tuple[bool, ...]] = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # the file line the row ends on
         if not row:
             continue
         if len(row) != len(header):

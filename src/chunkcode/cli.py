@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import os
 import sys
 from pathlib import Path
-
-import click
-from click.core import ParameterSource
 
 from . import agreement, engine, report, stats
 from .classifier import default_key_phrases, load_key_phrases
@@ -17,14 +16,33 @@ from .ingestion import load_manifest
 from .llm_client import CACHE_MODES, DEFAULT_MAX_INFLIGHT, LLMClient, PromptRequest, StochasticMock
 
 
+_FLIP_PROBABILITY = 0.1
+_SIDES = ("two", "less", "greater")
+
+
 def _fail(message: str, code: int = 1) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
 
 
-@click.group()
-def main() -> None:
-    """Deductive coding of documents with chat-completion models."""
+def _path(kind: str, exists: bool = False):
+    """An argparse type: a path that, where it exists, is a ``kind`` ("file"
+    or "directory"), and with ``exists`` must exist."""
+
+    def check(value: str) -> str:
+        if not os.path.exists(value):
+            if exists:
+                raise argparse.ArgumentTypeError(f"{kind} {value!r} does not exist")
+        elif os.path.isdir(value) != (kind == "directory"):
+            other = "file" if kind == "directory" else "directory"
+            raise argparse.ArgumentTypeError(f"{kind} {value!r} is a {other}")
+        return value
+
+    return check
+
+
+_FILE, _DIRECTORY = _path("file", exists=True), _path("directory", exists=True)
+_NEW_FILE, _NEW_DIRECTORY = _path("file"), _path("directory")
 
 
 def _mock_truth(request: PromptRequest) -> bool:
@@ -43,28 +61,6 @@ def _build_client(
     return LLMClient(mode=cache_mode, cache_dir=cache_dir, max_inflight=max_inflight)
 
 
-@main.command()
-@click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--codebook", "codebook_path", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Codebook JSON; the bundled starter codebook when omitted.")
-@click.option("--model", required=True, help="Chat-completion model identifier.")
-@click.option("--strategy", type=click.Choice(engine.STRATEGIES), default="chunk", show_default=True)
-@click.option("--chunk-size", default=500, show_default=True)
-@click.option("--iterations", default=15, show_default=True)
-@click.option("--cache-dir", type=click.Path(file_okay=False), default=None)
-@click.option("--cache-mode", type=click.Choice(CACHE_MODES),
-              default="live", show_default=True)
-@click.option("--phrases", "phrases_path", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="Override phrase list (JSON array of strings).")
-@click.option("--seed", type=int, default=0, show_default=True, help="Mock-mode seed.")
-@click.option("--flip-probability", type=float, default=0.1,
-              show_default=True, help="Mock-mode flip probability.")
-@click.option("--word-boundary", is_flag=True, help="Match key phrases on word boundaries.")
-@click.option("--max-prompt-words", type=int, default=None,
-              help="Refuse prompts whose body exceeds this many words.")
-@click.option("--max-inflight", type=int, default=DEFAULT_MAX_INFLIGHT, show_default=True,
-              help="Requests in flight at once in live and record modes.")
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def run(manifest_path, codebook_path, model, strategy, chunk_size, iterations,
         cache_dir, cache_mode, phrases_path, seed, flip_probability,
         word_boundary, max_prompt_words, max_inflight, out_dir):
@@ -74,11 +70,12 @@ def run(manifest_path, codebook_path, model, strategy, chunk_size, iterations,
     written next to the results), 1 on configuration errors and on a file
     that cannot be read or written.
     """
-    given = click.get_current_context().get_parameter_source
-    if cache_mode in ("live", "mock") and given("cache_dir") is not ParameterSource.DEFAULT:
+    if cache_mode in ("live", "mock") and cache_dir is not None:
         _fail(f"--cache-mode {cache_mode} takes no --cache-dir: only record and replay use a cache")
-    if cache_mode != "mock" and given("flip_probability") is not ParameterSource.DEFAULT:
+    if cache_mode != "mock" and flip_probability is not None:
         _fail(f"--cache-mode {cache_mode} takes no --flip-probability: only mock mode flips answers")
+    if flip_probability is None:
+        flip_probability = _FLIP_PROBABILITY
     try:
         cfg = engine.RunConfig(
             model=model,
@@ -101,21 +98,38 @@ def run(manifest_path, codebook_path, model, strategy, chunk_size, iterations,
         # cache), not a partial run.
         _fail(f"every cell failed; first error: {result.failures[0].error}")
     if result.failures:
-        click.echo(
+        print(
             f"completed with {len(result.failures)} failed cell(s);"
             f" see {Path(out_dir) / report.FAILURES_NAME}",
-            err=True,
+            file=sys.stderr,
         )
         sys.exit(2)
-    click.echo(
-        f"wrote {result.prompts} records over {cfg.iterations} iteration(s)"
-        f" to {out_dir}"
-    )
+    print(f"wrote {result.prompts} records over {cfg.iterations} iteration(s) to {out_dir}")
 
 
-@main.command()
-@click.option("--records", "records_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
+def _run_options(add) -> None:
+    add("--manifest", dest="manifest_path", required=True, type=_FILE, metavar="FILE")
+    add("--codebook", dest="codebook_path", type=_FILE, metavar="FILE",
+        help="Codebook JSON; the bundled starter codebook when omitted.")
+    add("--model", required=True, metavar="TEXT", help="Chat-completion model identifier.")
+    add("--strategy", choices=engine.STRATEGIES, default="chunk", help="[default: %(default)s]")
+    add("--chunk-size", type=int, default=500, metavar="INTEGER", help="[default: %(default)s]")
+    add("--iterations", type=int, default=15, metavar="INTEGER", help="[default: %(default)s]")
+    add("--cache-dir", type=_NEW_DIRECTORY, metavar="DIRECTORY")
+    add("--cache-mode", choices=CACHE_MODES, default="live", help="[default: %(default)s]")
+    add("--phrases", dest="phrases_path", type=_FILE, metavar="FILE",
+        help="Override phrase list (JSON array of strings).")
+    add("--seed", type=int, default=0, metavar="INTEGER", help="Mock-mode seed. [default: %(default)s]")
+    add("--flip-probability", type=float, metavar="FLOAT",
+        help=f"Mock-mode flip probability. [default: {_FLIP_PROBABILITY}]")
+    add("--word-boundary", action="store_true", help="Match key phrases on word boundaries.")
+    add("--max-prompt-words", type=int, metavar="INTEGER",
+        help="Refuse prompts whose body exceeds this many words.")
+    add("--max-inflight", type=int, default=DEFAULT_MAX_INFLIGHT, metavar="INTEGER",
+        help="Requests in flight at once in live and record modes. [default: %(default)s]")
+    add("--out", dest="out_dir", required=True, type=_NEW_DIRECTORY, metavar="DIRECTORY")
+
+
 def consensus(records_path, out_dir):
     """Recompute consensus and internal agreement from a records file."""
     try:
@@ -147,16 +161,14 @@ def consensus(records_path, out_dir):
         )
     except (ChunkCodeError, OSError) as exc:
         _fail(str(exc))
-    click.echo(f"wrote consensus for {len(doc_ids)} document(s) to {out_dir}")
+    print(f"wrote consensus for {len(doc_ids)} document(s) to {out_dir}")
 
 
-@main.command()
-@click.option("--manual", "manual_path", required=True, type=click.Path(exists=True, dir_okay=False),
-              help="Manual rating matrix CSV (doc_id,dimension_id,<rater>...).")
-@click.option("--run", "run_dirs", required=True, multiple=True,
-              type=click.Path(exists=True, file_okay=False),
-              help="Run directory written by the run command; repeatable.")
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
+def _consensus_options(add) -> None:
+    add("--records", dest="records_path", required=True, type=_FILE, metavar="FILE")
+    add("--out", dest="out_dir", required=True, type=_NEW_DIRECTORY, metavar="DIRECTORY")
+
+
 def evaluate(manual_path, run_dirs, out_dir):
     """Compare run consensus against manual ratings and write the tables."""
     try:
@@ -172,31 +184,28 @@ def evaluate(manual_path, run_dirs, out_dir):
         _fail("\n".join(lines))
     except (ChunkCodeError, ValueError, OSError) as exc:
         _fail(str(exc))
-    click.echo(f"wrote {len(written)} table file(s) to {out_dir}")
+    print(f"wrote {len(written)} table file(s) to {out_dir}")
+
+
+def _evaluate_options(add) -> None:
+    add("--manual", dest="manual_path", required=True, type=_FILE, metavar="FILE",
+        help="Manual rating matrix CSV (doc_id,dimension_id,<rater>...).")
+    add("--run", dest="run_dirs", required=True, action="append", type=_DIRECTORY, metavar="DIRECTORY",
+        help="Run directory written by the run command; repeatable.")
+    add("--out", dest="out_dir", required=True, type=_NEW_DIRECTORY, metavar="DIRECTORY")
 
 
 _STATS_TESTS = ("mann-whitney", "kruskal-wallis", "wilcoxon", "pairwise-mann-whitney")
 
 
-@main.command("stats")
-@click.option("--samples", "samples_path", required=True, type=click.Path(exists=True, dir_okay=False),
-              help="Samples CSV with header group,value.")
-@click.option("--test", "test_name", required=True,
-              help="One of: " + ", ".join(_STATS_TESTS) + ".")
-@click.option("--sides", type=click.Choice(["two", "less", "greater"]), default="two",
-              show_default=True)
-@click.option("--target", type=float, default=None, help="Wilcoxon target median.")
-@click.option("--bonferroni", is_flag=True, help="Correct pairwise p-values.")
-@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
-              help="Also write the result table as CSV.")
 def stats_command(samples_path, test_name, sides, target, bonferroni, out_path):
     """Run a significance test over grouped samples and print the result."""
     if test_name not in _STATS_TESTS:
         _fail(f"unknown test {test_name!r}; expected one of {', '.join(_STATS_TESTS)}")
-    if test_name == "kruskal-wallis" and (
-        click.get_current_context().get_parameter_source("sides") is not ParameterSource.DEFAULT
-    ):
+    if test_name == "kruskal-wallis" and sides is not None:
         _fail("kruskal-wallis takes no --sides: its H statistic has no direction")
+    if sides is None:
+        sides = _SIDES[0]
     if bonferroni and test_name != "pairwise-mann-whitney":
         _fail(f"{test_name} takes no --bonferroni: only pairwise-mann-whitney makes several comparisons")
     if target is not None and test_name != "wilcoxon":
@@ -237,7 +246,7 @@ def stats_command(samples_path, test_name, sides, target, bonferroni, out_path):
         }
         for label, result in rows
     ]
-    click.echo(report.markdown_table(fieldnames, table_rows), nl=False)
+    print(report.markdown_table(fieldnames, table_rows), end="")
     if out_path:
         try:
             report.write_table_csv(out_path, fieldnames, table_rows)
@@ -245,16 +254,82 @@ def stats_command(samples_path, test_name, sides, target, bonferroni, out_path):
             _fail(str(exc))
 
 
-@main.command("validate-codebook")
-@click.option("--codebook", "codebook_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
+def _stats_options(add) -> None:
+    add("--samples", dest="samples_path", required=True, type=_FILE, metavar="FILE",
+        help="Samples CSV with header group,value.")
+    add("--test", dest="test_name", required=True, metavar="TEXT",
+        help="One of: " + ", ".join(_STATS_TESTS) + ".")
+    add("--sides", choices=_SIDES, help=f"[default: {_SIDES[0]}]")
+    add("--target", type=float, metavar="FLOAT", help="Wilcoxon target median.")
+    add("--bonferroni", action="store_true", help="Correct pairwise p-values.")
+    add("--out", dest="out_path", type=_NEW_FILE, metavar="FILE", help="Also write the result table as CSV.")
+
+
 def validate_codebook(codebook_path):
     """Validate a codebook file and report its dimensions."""
     try:
         cb = load_codebook(codebook_path)
     except ChunkCodeError as exc:
         _fail(str(exc))
-    click.echo(f"ok: {len(cb)} dimension(s): {', '.join(cb.ids)}")
+    print(f"ok: {len(cb)} dimension(s): {', '.join(cb.ids)}")
+
+
+def _validate_codebook_options(add) -> None:
+    add("--codebook", dest="codebook_path", required=True, type=_FILE, metavar="FILE")
+
+
+_COMMANDS = {
+    "run": (run, _run_options),
+    "consensus": (consensus, _consensus_options),
+    "evaluate": (evaluate, _evaluate_options),
+    "stats": (stats_command, _stats_options),
+    "validate-codebook": (validate_codebook, _validate_codebook_options),
+}
+
+
+def _doc(function) -> str:
+    """``function``'s docstring with its indentation removed; empty under ``python -OO``."""
+    return "\n".join(line.strip() for line in (function.__doc__ or "").splitlines())
+
+
+def _parse(prog: str, description: str, options, argv: list[str]) -> argparse.Namespace:
+    """Build one parser, with ``options`` given its ``add_argument``, and parse ``argv``."""
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description=description,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        add_help=False,
+        allow_abbrev=False,
+    )
+    options(parser.add_argument)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None, standalone_mode: bool = False) -> None:
+    """Deductive coding of documents with chat-completion models.
+
+    Runs ``chunkcode COMMAND [OPTIONS]`` with ``argv`` (``sys.argv[1:]`` when
+    None) and returns on success. Otherwise it raises SystemExit: code 1 when
+    chunkcode refuses, 2 when some cells failed or the command line is
+    invalid. ``standalone_mode`` is accepted and changes nothing.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        doc = _doc(main).partition("\n")[0] + "\n\ncommands:"
+        for name, (command, _) in _COMMANDS.items():
+            summary = _doc(command).partition("\n")[0]
+            doc += f"\n  {name:<19}{summary}"
+        # Exits: with the help, or on a missing or unknown command.
+        _parse("chunkcode", doc, lambda add: add("command", choices=_COMMANDS, metavar="COMMAND",
+                                                 help="One of the commands above."), argv[:1])
+    name, *args = argv
+    command, options = _COMMANDS[name]
+    try:
+        command(**vars(_parse(f"chunkcode {name}", _doc(command), options, args)))
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

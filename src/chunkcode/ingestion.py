@@ -22,7 +22,6 @@ _CONTROL_DELETE = {
 # A hyphen broken across a line is rejoined only when the continuation starts
 # with a lowercase letter, so hyphenated proper-noun compounds survive.
 _HYPHEN_BREAK = re.compile(r"-\n(?=(\S))")
-_WHITESPACE_RUN = re.compile(r"\s+")
 
 
 def preprocess(raw: str) -> str:
@@ -36,9 +35,7 @@ def preprocess(raw: str) -> str:
     text = _HYPHEN_BREAK.sub(
         lambda m: "" if m.group(1).islower() else m.group(0), text
     )
-    text = text.replace("\n", " ")
-    text = _WHITESPACE_RUN.sub(" ", text)
-    return text.strip()
+    return " ".join(text.split())
 
 
 def tokenize_words(text: str) -> list[str]:

@@ -324,8 +324,9 @@ def chi_square_sf(x: float, df: int) -> float:
 
 
 def _csv_reader(path: Path) -> Iterator[list[str]]:
-    """A csv reader over a UTF-8 file, read whole once, a leading BOM dropped.
-    A byte not UTF-8 raises ValueError naming the file and its line."""
+    """A csv reader over a UTF-8 file, read whole once, a leading BOM dropped;
+    its ``line_num`` counts file lines, also inside a quoted cell that spans
+    lines. A byte not UTF-8 raises ValueError naming the file and its line."""
     try:
         text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -348,7 +349,8 @@ def read_samples_csv(path: str | Path) -> list[Sample]:
         raise ValueError(f"{p}: empty samples file") from None
     if [h.strip() for h in header[:2]] != ["group", "value"]:
         raise ValueError(f"{p}: header must be 'group,value'")
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = reader.line_num  # the file line the row ends on
         if not row:
             continue
         if len(row) < 2:

@@ -380,6 +380,15 @@ class TestRatingsCSV:
         path.write_bytes(bom + end.join(lines[:2]) + end)
         assert cc.read_ratings_csv(path).subjects == (("d", "x"),)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_a_line_after_a_cell_spanning_lines_is_named_by_its_file_line(self, tmp_path, end):
+        path = tmp_path / "ratings.csv"
+        lines = ["doc_id,dimension_id,r1", '"d', 'x",a,T', "d,b,maybe"]
+        path.write_bytes(end.join(lines).encode() + end.encode())
+        with pytest.raises(ValueError) as excinfo:
+            cc.read_ratings_csv(path)
+        assert str(excinfo.value).startswith(f"{path}:4:r1: ")
+
     def test_accepts_spelled_out_booleans(self, tmp_path):
         path = tmp_path / "ratings.csv"
         path.write_text(

@@ -36,6 +36,20 @@ class TestPreprocess:
     def test_runs_collapse_and_trim(self):
         assert cc.preprocess("  a   b  ") == "a b"
 
+    def test_unicode_whitespace_collapses(self):
+        assert cc.preprocess("a\xa0b\u2028c\u3000 d\u2029") == "a b c d"
+        assert cc.preprocess("a\x1cb\x1fc\x85d") == "abcd"  # control characters: dropped, not spaces
+
+    # Every whitespace character, \x1c-\x1f, \x85, \xa0 and \u3000 among them; none lies above U+3000.
+    WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+
+    @given(st.text(st.one_of(st.characters(), st.sampled_from(WHITESPACE)), max_size=300))
+    def test_split_and_join_equals_the_regex_form(self, text):
+        """str.split() and regex \\s split on the same characters, so joining
+        the words with single spaces collapses whitespace as substituting
+        each \\s run with a space and trimming the ends does."""
+        assert " ".join(text.split()) == re.sub(r"\s+", " ", text.replace("\n", " ")).strip()
+
     @given(st.text(max_size=300))
     def test_idempotent(self, text):
         once = cc.preprocess(text)

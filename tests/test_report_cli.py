@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -8,9 +10,9 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 import chunkcode as cc
 from chunkcode import agreement, engine, llm_client, report
@@ -52,7 +54,19 @@ def workspace(tmp_path):
 
 
 def cli(*args):
-    return CliRunner().invoke(main, [str(a) for a in args])
+    """Run ``chunkcode ARGS...`` in-process. The result holds the exit code,
+    stdout and stderr together as ``output``, and as ``exception`` the
+    ``SystemExit`` of a nonzero exit or any other exception raised (exit 1)."""
+    output, exception = io.StringIO(), None
+    with contextlib.redirect_stdout(output), contextlib.redirect_stderr(output):
+        try:
+            main([str(a) for a in args])
+        except SystemExit as exc:
+            exception = exc if exc.code else None
+        except Exception as exc:
+            exception = exc
+    exit_code = 0 if exception is None else exception.code if isinstance(exception, SystemExit) else 1
+    return SimpleNamespace(exit_code=exit_code, output=output.getvalue(), exception=exception)
 
 
 def run_args(ws, out, **overrides):
@@ -1610,18 +1624,18 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 from chunkcode import cli
 for argv in json.loads(sys.argv[2]):
-    cli.main(argv, standalone_mode=False)
-    stack = {"requests", "http.client", "ssl", "urllib.request", "concurrent.futures", "dataclasses"}
+    cli.main(argv)
+    stack = {"requests", "http.client", "ssl", "urllib.request", "concurrent.futures", "dataclasses", "click"}
     loaded = sorted(stack & sys.modules.keys())
     assert not loaded, f"{argv[0]} loaded {loaded}"
 """
 
 
 def test_offline_commands_never_load_the_http_stack(workspace):
-    """Commands that never post load neither the HTTP stack, a thread pool
-    nor ``dataclasses``: in a fresh interpreter, each of them leaves
+    """Commands that never post load neither the HTTP stack, a thread pool,
+    ``dataclasses`` nor ``click``: in a fresh interpreter, each of them leaves
     ``requests``, ``http.client``, ``ssl``, ``urllib.request``,
-    ``concurrent.futures`` and ``dataclasses`` out of ``sys.modules``."""
+    ``concurrent.futures``, ``dataclasses`` and ``click`` out of ``sys.modules``."""
     cache = workspace / "cache"
     record = run_args(workspace, workspace / "rec", **{"--cache-mode": "record", "--cache-dir": cache})
     with post_through(FakeTransport()):
@@ -1655,8 +1669,8 @@ import sys
 sys.modules["requests"] = None  # any import of it raises ImportError
 sys.path.insert(0, sys.argv[1])
 from chunkcode import cli
-cli.main(sys.argv[2:], standalone_mode=False)
-stack = {"concurrent.futures", "logging", "http.client", "email.parser", "urllib.request", "ssl", "dataclasses"}
+cli.main(sys.argv[2:])
+stack = {"concurrent.futures", "logging", "http.client", "email.parser", "urllib.request", "ssl", "dataclasses", "click"}
 loaded = sorted(stack & sys.modules.keys())
 assert not loaded, f"a record run loaded {loaded}"
 """
@@ -1668,7 +1682,7 @@ def test_record_run_needs_no_requests(workspace):
     prompt against a plain-HTTP local endpoint, with no proxy variable set,
     on threads and sockets of its own. It leaves ``concurrent.futures``,
     ``logging``, ``http.client``, ``email.parser``, ``urllib.request``,
-    ``ssl`` and ``dataclasses`` out of ``sys.modules``."""
+    ``ssl``, ``dataclasses`` and ``click`` out of ``sys.modules``."""
     env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
     src = Path(cc.__file__).resolve().parents[1]
     args = run_args(workspace, workspace / "rec", **{"--cache-mode": "record", "--cache-dir": workspace / "cache"})
@@ -1684,3 +1698,114 @@ def test_record_run_needs_no_requests(workspace):
     replayed = cli("run", *run_args(workspace, workspace / "rep", **{"--cache-mode": "replay", "--cache-dir": workspace / "cache"}))
     assert replayed.exit_code == 0, replayed.output
     assert (workspace / "rep" / report.RECORDS_NAME).read_bytes() == (workspace / "rec" / report.RECORDS_NAME).read_bytes()
+
+
+def without(args, option):
+    at = args.index(option)
+    return args[:at] + args[at + 2:]
+
+
+class TestCommandLine:
+    """A usage error exits 2 naming the option before any command runs; each
+    command's help lists its options with their defaults; the module runs
+    as a script."""
+
+    USAGE_ERRORS = {
+        "missing required option": (lambda ws, out: ["run", *without(run_args(ws, out), "--model")], "--model"),
+        "unknown option": (lambda ws, out: ["run", *run_args(ws, out), "--colour", "red"], "--colour"),
+        "abbreviated option": (
+            lambda ws, out: ["run", *without(run_args(ws, out), "--iterations"), "--iter", 3], "--iter"
+        ),
+        "non-integer iterations": (lambda ws, out: ["run", *run_args(ws, out, **{"--iterations": "many"})], "--iterations"),
+        "missing manifest": (
+            lambda ws, out: ["run", *run_args(ws, out, **{"--manifest": ws / "absent.json"})], "--manifest"
+        ),
+        "manifest is a directory": (lambda ws, out: ["run", *run_args(ws, out, **{"--manifest": ws})], "--manifest"),
+        "unknown strategy": (lambda ws, out: ["run", *run_args(ws, out, **{"--strategy": "paragraph"})], "--strategy"),
+        "unknown cache mode": (
+            lambda ws, out: ["run", *run_args(ws, out, **{"--cache-mode": "offline"})], "--cache-mode"
+        ),
+        "run is a file": (
+            lambda ws, out: ["evaluate", "--manual", ws / "manual.csv", "--run", ws / "manual.csv", "--out", out],
+            "--run",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", USAGE_ERRORS)
+    def test_a_usage_error_exits_two_naming_the_option_and_creates_nothing(self, workspace, case):
+        build, option = self.USAGE_ERRORS[case]
+        out = workspace / "out"
+        result = cli(*build(workspace, out))
+        assert result.exit_code == 2, result.output
+        error = result.output.splitlines()[-1]
+        assert error.startswith("chunkcode ") and ": error: " in error and option in error, error
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "consensus", "evaluate"])
+    def test_an_out_that_is_a_file_exits_two_naming_it(self, workspace, command):
+        out = workspace / "a.txt"
+        before = out.read_bytes()
+        args = {
+            "run": run_args(workspace, out),
+            "consensus": ["--records", out, "--out", out],
+            "evaluate": ["--manual", workspace / "manual.csv", "--run", workspace, "--out", out],
+        }[command]
+        result = cli(command, *args)
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines()[-1] == (
+            f"chunkcode {command}: error: argument --out: directory '{out}' is a file"
+        )
+        assert out.read_bytes() == before
+
+    def test_no_command_is_a_usage_error_and_help_lists_the_commands(self):
+        assert cli().exit_code == 2
+        assert cli("code").exit_code == 2
+        result = cli("--help")
+        assert result.exit_code == 0
+        for command in ("run", "consensus", "evaluate", "stats", "validate-codebook"):
+            assert f"\n  {command} " in result.output
+
+    # Each command's options, with the default its help shows (None: none shown).
+    OPTIONS = {
+        "run": {
+            "--manifest": None, "--codebook": None, "--model": None, "--strategy": "chunk",
+            "--chunk-size": "500", "--iterations": "15", "--cache-dir": None, "--cache-mode": "live",
+            "--phrases": None, "--seed": "0", "--flip-probability": "0.1", "--word-boundary": None,
+            "--max-prompt-words": None, "--max-inflight": str(llm_client.DEFAULT_MAX_INFLIGHT), "--out": None,
+        },
+        "consensus": {"--records": None, "--out": None},
+        "evaluate": {"--manual": None, "--run": None, "--out": None},
+        "stats": {
+            "--samples": None, "--test": None, "--sides": "two", "--target": None, "--bonferroni": None,
+            "--out": None,
+        },
+        "validate-codebook": {"--codebook": None},
+    }
+
+    @pytest.mark.parametrize("command", OPTIONS)
+    def test_help_lists_every_option_with_its_default(self, command):
+        result = cli(command, "--help")
+        assert result.exit_code == 0, result.output
+        options = result.output.partition("\noptions:\n")[2]
+        entries = {}  # option -> its help text, continuation lines joined
+        for line in options.splitlines():
+            if line.startswith("  --"):
+                option, _, text = line.strip().partition(" ")
+                entries[option] = text
+            else:
+                entries[option] += " " + line.strip()
+        assert list(entries) == [*self.OPTIONS[command], "--help"]
+        for option, default in self.OPTIONS[command].items():
+            if default is not None:
+                assert f"[default: {default}]" in entries[option], (option, entries[option])
+            else:
+                assert "[default:" not in entries[option], (option, entries[option])
+
+    def test_run_as_a_module(self, workspace):
+        src = Path(cc.__file__).resolve().parents[1]
+        child = subprocess.run(
+            [sys.executable, "-m", "chunkcode.cli", "validate-codebook", "--codebook", workspace / "codebook.json"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "ok: 3 dimension(s): fidelity, use-cases, state\n"

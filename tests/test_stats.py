@@ -464,6 +464,15 @@ class TestSamplesCSV:
             cs.read_samples_csv(path)
         assert str(raised.value) == f"{path}:3: {text!r} is not finite"
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_a_line_after_a_cell_spanning_lines_is_named_by_its_file_line(self, tmp_path, end):
+        path = tmp_path / "samples.csv"
+        lines = ["group,value", '"a', 'b",1', "c,x"]
+        path.write_bytes(end.join(lines).encode() + end.encode())
+        with pytest.raises(ValueError) as raised:
+            cs.read_samples_csv(path)
+        assert str(raised.value) == f"{path}:4: 'x' is not a number"
+
     def test_missing_value_named_by_line(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("group,value\na,1\na\n", encoding="utf-8")
